@@ -7,7 +7,7 @@ from .expr import (ExprError, OperatorExpr, anticommutator, commutator,
                    normal_form, scalar_derivative, sym_product,
                    total_time_derivative)
 from .fock import (ExpectationCurves, FockConfigError, FockField, FockOperator,
-                   PhasePoint, expectation_suite, profile_fwhm)
+                   PhasePoint, expectation_suite, fock_report, profile_fwhm)
 from .generators import (GeneratorSet, bargmann_generators,
                          boost_matrix_identities, casimirs, check_table,
                          energy_momentum_constraint_check, foldy_generators,
@@ -31,7 +31,7 @@ __all__ = [
     "ExprError", "OperatorExpr", "anticommutator", "commutator", "normal_form",
     "scalar_derivative", "sym_product", "total_time_derivative",
     "ExpectationCurves", "FockConfigError", "FockField", "FockOperator",
-    "PhasePoint", "expectation_suite", "profile_fwhm",
+    "PhasePoint", "expectation_suite", "fock_report", "profile_fwhm",
     "GeneratorSet", "bargmann_generators", "boost_matrix_identities",
     "casimirs", "check_table", "energy_momentum_constraint_check",
     "foldy_generators", "lemma_suite", "pauli_lubanski",

@@ -8,6 +8,9 @@ are byte-identical for identical configuration and seed.
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
+import io
 import json
 import os
 import sys
@@ -18,7 +21,7 @@ import numpy as np
 
 from .coeffs import AlgebraContext
 from .expr import ExprError
-from .fock import FockField, PhasePoint, expectation_suite, profile_fwhm
+from .fock import fock_report
 from .generators import (bargmann_generators, boost_matrix_identities,
                          casimirs, check_table, energy_momentum_constraint_check,
                          foldy_generators, lemma_suite, pauli_lubanski)
@@ -50,22 +53,19 @@ def _json_text(payload):
 
 
 def _report_csv(report: VerificationReport):
-    lines = ["id,pass,asserted,lhs,expected,residual"]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["id", "pass", "asserted", "lhs", "expected", "residual"])
     for e in report.entries:
-        def q(s):
-            s = str(s).replace('"', "'")
-            return f'"{s}"' if ("," in s or '"' in str(s)) else s
-        lines.append(",".join([q(e.id), str(e.passed).lower(),
-                               str(e.asserted).lower(), q(e.lhs),
-                               q(e.expected), q(e.residual)]))
-    return "\n".join(lines) + "\n"
+        writer.writerow([e.id, str(e.passed).lower(), str(e.asserted).lower(),
+                         e.lhs, e.expected, e.residual])
+    return out.getvalue()
 
 
-def _emit_report(report: VerificationReport, args, quiet=False):
-    if not quiet:
-        for line in report.lines():
-            print(line)
-        print(report.summary())
+def _emit_report(report: VerificationReport, args):
+    for line in report.lines():
+        print(line)
+    print(report.summary())
     if args.out:
         if args.format == "csv":
             _write_atomic(args.out, _report_csv(report))
@@ -77,9 +77,8 @@ def _emit_report(report: VerificationReport, args, quiet=False):
 def _merge(suite_name, reports):
     merged = VerificationReport(suite_name)
     for rep in reports:
-        for e in rep.entries:
-            e.id = f"{rep.suite}:{e.id}"
-            merged.entries.append(e)
+        merged.entries.extend(dataclasses.replace(e, id=f"{rep.suite}:{e.id}")
+                              for e in rep.entries)
     return merged
 
 
@@ -117,24 +116,18 @@ def _cmd_verify(args):
 # -- numeric --------------------------------------------------------------------
 
 
-def _grid_from_args(args, d=None):
-    return GridRep(d=d if d is not None else args.d, npts=args.npts,
-                   pmax=args.pmax, m=args.m, s=Fraction(args.s),
-                   tval=args.t, hbar=1.0)
+def _grid_from_args(args, npts=None):
+    return GridRep(d=3, npts=args.npts if npts is None else npts,
+                   pmax=args.pmax, m=args.m, s=Fraction(args.s), tval=args.t)
 
 
 def _cmd_numeric(args):
     gens = foldy_generators()
-    if args.d != 3:
-        print("error: the table/lemma cross-checks need all three axes; "
-              "use --d 3", file=sys.stderr)
-        return 2
+    grid = _grid_from_args(args)
     if args.suite == "casimir":
-        grid = _grid_from_args(args, d=3)
         rep = numeric_casimir_report(gens, grid, nstates=args.nstates,
                                      seed=args.seed, tol=args.tol)
         return _emit_report(rep, args)
-    grid = _grid_from_args(args, d=3)
     reports = [
         numeric_table_report(gens, grid, "poincare", nstates=args.nstates,
                              seed=args.seed, tol=args.tol),
@@ -144,13 +137,11 @@ def _cmd_numeric(args):
                           seed=args.seed, tol=args.tol),
     ]
     if args.convergence:
-        coarse = GridRep(d=3, npts=args.npts // 2, pmax=args.pmax, m=args.m,
-                         s=Fraction(args.s), tval=args.t)
         reports.append(convergence_report(
             lambda gr: numeric_table_report(gens, gr, "poincare",
                                             nstates=min(args.nstates, 4),
                                             seed=args.seed + 1, tol=np.inf),
-            coarse, grid))
+            _grid_from_args(args, npts=args.npts // 2), grid))
     return _emit_report(_merge("numeric_residuals", reports), args)
 
 
@@ -212,96 +203,9 @@ def _cmd_causality(args):
 # -- fock -------------------------------------------------------------------------
 
 
-def _fock_report(args):
-    """Returns (report, expectation curves or None)."""
-    field = FockField(args.sites, args.m, args.nmax)
-    tol = args.tol
-    rng = np.random.default_rng(args.seed)
-    report = VerificationReport(f"fock_{args.suite}")
-    if args.suite == "duality":
-        for trial in range(3):
-            z = PhasePoint(rng.normal(size=args.sites), rng.normal(size=args.sites))
-            zp = PhasePoint(rng.normal(size=args.sites), rng.normal(size=args.sites))
-            ccr = field.field_op(z).commutator(field.field_op(zp)) \
-                - 1j * field.hbar * field.symplectic(z, zp)
-            dev = ccr.norm_on(field.nmax - 1)
-            report.add(id=f"ccr[{trial}]", lhs="[Phi(z),Phi(z')]",
-                       expected="i*hbar*Omega(z,z')", residual=f"{dev:.3e}",
-                       passed=dev <= tol, residual_norm=dev)
-            a = field.annihilator(field.one_particle_map(z))
-            rhs = (1j * field.field_op(z)
-                   - field.field_op(field.complex_structure(z))) * (1 / (2 * field.hbar))
-            dev = float(np.abs(a.mat - rhs.mat).max())
-            report.add(id=f"interdefinability[{trial}]", lhs="a(Kz)",
-                       expected="(i*Phi(z) - Phi(Jz))/(2*hbar)",
-                       residual=f"{dev:.3e}", passed=dev <= tol, residual_norm=dev)
-            kj = field.one_particle_map(field.complex_structure(z)) \
-                - 1j * field.one_particle_map(z)
-            dev = float(np.abs(kj).max())
-            report.add(id=f"complex_structure[{trial}]", lhs="K(Jz)",
-                       expected="i*K(z)", residual=f"{dev:.3e}",
-                       passed=dev <= tol, residual_norm=dev)
-        psi = rng.normal(size=args.sites) + 1j * rng.normal(size=args.sites)
-        psi /= np.linalg.norm(psi)
-        a, adag = field.ladder(psi)
-        n_op = adag @ a
-        dev = float(np.abs(((n_op + 1.0) @ a).mat - (a @ n_op).mat).max())
-        report.add(id="ladder_shift", lhs="(N(psi)+1)*a(psi)", expected="a(psi)*N(psi)",
-                   residual=f"{dev:.3e}", passed=dev <= tol, residual_norm=dev)
-        dev = float(np.abs(a.apply(field.vacuum())).max())
-        report.add(id="vacuum_condition", lhs="a(psi)|0>", expected="0",
-                   residual=f"{dev:.3e}", passed=dev <= tol, residual_norm=dev)
-        phi_x = field.local_field(0)
-        dev = float(np.abs(phi_x.mat - phi_x.adjoint().mat).max())
-        report.add(id="field_self_adjoint", lhs="phi(0) - phi(0)^dag", expected="0",
-                   residual=f"{dev:.3e}", passed=dev <= tol, residual_norm=dev)
-        return report, None
-    if args.suite == "spectrum":
-        psi = rng.normal(size=args.sites) + 1j * rng.normal(size=args.sites)
-        psi /= np.linalg.norm(psi)
-        evals = np.linalg.eigvalsh(field.number_op(psi).mat)
-        dev = float(np.abs(evals - np.round(evals)).max())
-        report.add(id="integer_spectrum", lhs="spec N(psi)",
-                   expected="integers", residual=f"{dev:.3e}",
-                   passed=dev <= tol, residual_norm=dev)
-        present = sorted(set(int(round(v)) for v in evals))
-        expected = list(range(field.nmax + 1))
-        report.add(id="spectrum_range", lhs=str(present), expected=str(expected),
-                   residual="match" if present == expected else "mismatch",
-                   passed=present == expected)
-        total = field.total_number_op()
-        kernel_dim = int(np.sum(np.abs(np.diag(total.mat)) < 1e-12))
-        report.add(id="vacuum_unique", lhs="dim ker(sum_k N(e_k))", expected="1",
-                   residual=str(kernel_dim), passed=kernel_dim == 1)
-        return report, None
-    # expectation
-    psi = np.zeros(args.sites)
-    psi[args.sites // 2] = 1.0
-    curves = expectation_suite(psi, field)
-    report.add(id="first_moments", lhs="<0|phi|0>, <1|phi|1>", expected="0",
-               residual=f"{curves.max_first_moment:.3e}",
-               passed=curves.max_first_moment <= tol,
-               residual_norm=curves.max_first_moment)
-    report.add(id="vacuum_value", lhs="<0|phi(x)^2|0>",
-               expected="hbar/2*||omega^-1/2 delta_x||^2",
-               residual=f"{curves.vacuum_value_error:.3e}",
-               passed=curves.vacuum_value_error <= tol,
-               residual_norm=curves.vacuum_value_error)
-    report.add(id="difference_formula", lhs="<1|phi(x)^2|1> - <0|phi(x)^2|0>",
-               expected="hbar*|(omega^-1/2 psi)(x)|^2",
-               residual=f"{curves.max_difference_error:.3e}",
-               passed=curves.max_difference_error <= tol,
-               residual_norm=curves.max_difference_error)
-    w_heavy = profile_fwhm(FockField(args.sites, 2.0, 2).smeared_profile(psi))
-    w_light = profile_fwhm(FockField(args.sites, 0.5, 2).smeared_profile(psi))
-    report.add(id="peak_narrows_with_mass", lhs=f"FWHM(m=2)={w_heavy:.4f}",
-               expected=f"< FWHM(m=0.5)={w_light:.4f}",
-               residual=f"{w_heavy - w_light:+.4f}", passed=w_heavy < w_light)
-    return report, curves
-
-
 def _cmd_fock(args):
-    rep, curves = _fock_report(args)
+    rep, curves = fock_report(args.suite, sites=args.sites, nmax=args.nmax,
+                              m=args.m, seed=args.seed, tol=args.tol)
     if curves is not None and args.out and args.format == "csv":
         lines = ["x,vacuum_sq,one_particle_sq,difference,predicted"]
         for i in range(args.sites):
@@ -332,7 +236,6 @@ def build_parser():
         p.add_argument("--out", default=None, help="artifact path")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-6)
 
     pv = sub.add_parser("verify", help="symbolic suites (exact)")
     pv.add_argument("suite", choices=("poincare", "spinless", "bargmann",
@@ -350,7 +253,6 @@ def build_parser():
 
     pn = sub.add_parser("numeric", help="momentum-grid cross-checks")
     pn.add_argument("suite", choices=("residuals", "casimir"))
-    pn.add_argument("--d", type=int, default=3, choices=(1, 3))
     pn.add_argument("--npts", type=int, default=32)
     pn.add_argument("--pmax", type=float, default=2.0)
     pn.add_argument("--m", type=float, default=1.0)
@@ -359,6 +261,7 @@ def build_parser():
     pn.add_argument("--nstates", type=int, default=8)
     pn.add_argument("--convergence", action="store_true",
                     help="also compare against the half-resolution grid")
+    pn.add_argument("--tol", type=float, default=1e-6)
     common_out(pn)
     pn.set_defaults(func=_cmd_numeric)
 
@@ -390,6 +293,7 @@ def build_parser():
     pf.add_argument("--sites", type=int, default=8)
     pf.add_argument("--nmax", type=int, default=3)
     pf.add_argument("--m", type=float, default=1.0)
+    pf.add_argument("--tol", type=float, default=1e-10)
     common_out(pf)
     pf.set_defaults(func=_cmd_fock)
     return parser
@@ -398,8 +302,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "fock" and hasattr(args, "tol") and args.tol == 1e-6:
-        args.tol = 1e-10     # exact-identity default for the Fock checks
     try:
         return args.func(args)
     except (GridConfigError, ExprSyntaxError, ValueError) as exc:

@@ -175,9 +175,6 @@ class ScalarCoeff:
     def components(self):
         return (self.ar, self.ai, self.br, self.bi)
 
-    def omega_free(self):
-        return not self.br and not self.bi
-
     def is_real(self):
         return not self.ai and not self.bi
 

@@ -259,12 +259,6 @@ class OperatorExpr:
     def uses_q(self) -> bool:
         return any(any(m[:3]) for m in self.terms)
 
-    def uses_spin(self) -> bool:
-        return any(any(m[3:6]) for m in self.terms)
-
-    def max_spin_degree(self) -> int:
-        return max((sum(m[3:6]) for m in self.terms), default=0)
-
     def __repr__(self):
         from .parser import render_expr
         return render_expr(self)

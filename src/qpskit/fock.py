@@ -24,6 +24,8 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
+from .report import VerificationReport
+
 
 class FockConfigError(ValueError):
     pass
@@ -330,3 +332,85 @@ def profile_fwhm(profile) -> float:
     if right < n - 1:
         w += crossing(right, right + 1)
     return float(w)
+
+
+# -- reports ----------------------------------------------------------------------
+
+
+def fock_report(suite, sites=8, nmax=3, m=1.0, seed=0, tol=1e-10):
+    """Run the Fock suite 'duality', 'spectrum' or 'expectation' on an
+    ``sites``-site lattice truncated at ``nmax`` particles.
+
+    Returns (report, expectation curves or None).
+    """
+    if suite not in ("duality", "spectrum", "expectation"):
+        raise ValueError(f"unknown Fock suite '{suite}'")
+    field = FockField(sites, m, nmax)
+    rng = np.random.default_rng(seed)
+    report = VerificationReport(f"fock_{suite}")
+
+    def within_tol(check_id, lhs, expected, dev):
+        report.add(id=check_id, lhs=lhs, expected=expected, residual=f"{dev:.3e}",
+                   passed=dev <= tol, residual_norm=dev)
+
+    if suite == "duality":
+        for trial in range(3):
+            z = PhasePoint(rng.normal(size=sites), rng.normal(size=sites))
+            zp = PhasePoint(rng.normal(size=sites), rng.normal(size=sites))
+            ccr = field.field_op(z).commutator(field.field_op(zp)) \
+                - 1j * field.hbar * field.symplectic(z, zp)
+            within_tol(f"ccr[{trial}]", "[Phi(z),Phi(z')]", "i*hbar*Omega(z,z')",
+                       ccr.norm_on(field.nmax - 1))
+            a = field.annihilator(field.one_particle_map(z))
+            rhs = (1j * field.field_op(z)
+                   - field.field_op(field.complex_structure(z))) * (1 / (2 * field.hbar))
+            within_tol(f"interdefinability[{trial}]", "a(Kz)",
+                       "(i*Phi(z) - Phi(Jz))/(2*hbar)",
+                       float(np.abs(a.mat - rhs.mat).max()))
+            kj = field.one_particle_map(field.complex_structure(z)) \
+                - 1j * field.one_particle_map(z)
+            within_tol(f"complex_structure[{trial}]", "K(Jz)", "i*K(z)",
+                       float(np.abs(kj).max()))
+        psi = rng.normal(size=sites) + 1j * rng.normal(size=sites)
+        psi /= np.linalg.norm(psi)
+        a, adag = field.ladder(psi)
+        n_op = adag @ a
+        within_tol("ladder_shift", "(N(psi)+1)*a(psi)", "a(psi)*N(psi)",
+                   float(np.abs(((n_op + 1.0) @ a).mat - (a @ n_op).mat).max()))
+        within_tol("vacuum_condition", "a(psi)|0>", "0",
+                   float(np.abs(a.apply(field.vacuum())).max()))
+        phi_x = field.local_field(0)
+        within_tol("field_self_adjoint", "phi(0) - phi(0)^dag", "0",
+                   float(np.abs(phi_x.mat - phi_x.adjoint().mat).max()))
+        return report, None
+    if suite == "spectrum":
+        psi = rng.normal(size=sites) + 1j * rng.normal(size=sites)
+        psi /= np.linalg.norm(psi)
+        evals = np.linalg.eigvalsh(field.number_op(psi).mat)
+        within_tol("integer_spectrum", "spec N(psi)", "integers",
+                   float(np.abs(evals - np.round(evals)).max()))
+        present = sorted(set(int(round(v)) for v in evals))
+        expected = list(range(field.nmax + 1))
+        report.add(id="spectrum_range", lhs=str(present), expected=str(expected),
+                   residual="match" if present == expected else "mismatch",
+                   passed=present == expected)
+        total = field.total_number_op()
+        kernel_dim = int(np.sum(np.abs(np.diag(total.mat)) < 1e-12))
+        report.add(id="vacuum_unique", lhs="dim ker(sum_k N(e_k))", expected="1",
+                   residual=str(kernel_dim), passed=kernel_dim == 1)
+        return report, None
+    # expectation
+    psi = np.zeros(sites)
+    psi[sites // 2] = 1.0
+    curves = expectation_suite(psi, field)
+    within_tol("first_moments", "<0|phi|0>, <1|phi|1>", "0", curves.max_first_moment)
+    within_tol("vacuum_value", "<0|phi(x)^2|0>", "hbar/2*||omega^-1/2 delta_x||^2",
+               curves.vacuum_value_error)
+    within_tol("difference_formula", "<1|phi(x)^2|1> - <0|phi(x)^2|0>",
+               "hbar*|(omega^-1/2 psi)(x)|^2", curves.max_difference_error)
+    w_heavy = profile_fwhm(FockField(sites, 2.0, 2).smeared_profile(psi))
+    w_light = profile_fwhm(FockField(sites, 0.5, 2).smeared_profile(psi))
+    report.add(id="peak_narrows_with_mass", lhs=f"FWHM(m=2)={w_heavy:.4f}",
+               expected=f"< FWHM(m=0.5)={w_light:.4f}",
+               residual=f"{w_heavy - w_light:+.4f}", passed=w_heavy < w_light)
+    return report, curves

@@ -2,10 +2,16 @@
 symbolic verification suites: commutator tables, Casimir invariants, the
 Pauli-Lubanski identities, boost-matrix identities, the conservation/
 covariance lemma chain, and the energy-momentum closure test.
+
+The table, lemma and Pauli-Lubanski identities are declared once as data
+(``TABLES``, ``LEMMAS``, ``PAULI_LUBANSKI``); numcheck reads the same
+declarations for its grid twins.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeffs import AlgebraContext, DEFAULT_CONTEXT, scalar_sqrt
@@ -149,84 +155,214 @@ def bargmann_generators(ctx: AlgebraContext = DEFAULT_CONTEXT) -> GeneratorSet:
     return GeneratorSet(ctx, table, "bargmann")
 
 
+# -- declared identities ------------------------------------------------------------
+#
+# The table, lemma and Pauli-Lubanski identities are declared once, as data,
+# and read by two evaluators: the exact one here and the grid one in
+# numcheck. A side of an identity is a tuple of terms (c, k, word) standing
+# for c * (i*hbar)**k * word. A word is "1" (the identity; psi on the grid),
+# a name, a product "A*B*C", a commutator "[A,B]" or a total time derivative
+# "d/dt A". Names are generators of the set under test; symbolic-only
+# identities may also read the scalar names of ``_scalar_name``.
+
+_NOT_YET = ("grid twin not added yet: it would add entries to the "
+            "174-entry numeric residuals report")
+_INVERSE = "needs an inverse outside the generator set"
+_SECTOR = "needs the Lam -> +-1 sector substitution"
+_SPIN_ZERO = "needs the S -> 0 substitution"
+_NONZERO = "a nonzero test, not an identity"
+_SQUARE = "needs a perfect-square test"
+_MASS = "Mmass has no grid realization"
+
+
+@dataclass(frozen=True, slots=True)
+class Identity:
+    """One declared identity, sum(lhs) == sum(expected)."""
+
+    id: str
+    lhs: tuple
+    expected: tuple
+    lhs_text: str
+    expected_text: str | None = None  # None: render the exact expected side
+    asserted: bool = True
+    note: str = ""
+    sector: int = 0           # read both sides on Lam = sector first
+    spin_zero: bool = False   # read the residual at S = 0
+    nonzero: bool = False     # pass when lhs is nonzero (expected is empty)
+    symbolic_only: str = ""   # why there is no grid twin; empty if there is one
+
+
+def parse_word(word):
+    """(kind, names) of a word; kind is "1", "[]", "d/dt" or "*"."""
+    if word == "1":
+        return "1", ()
+    if word.startswith("["):
+        return "[]", tuple(word[1:-1].split(","))
+    if word.startswith("d/dt "):
+        return "d/dt", (word[5:],)
+    return "*", tuple(word.split("*"))
+
+
+def _one(word):
+    return ((1, 0, word),)
+
+
+def _eps_pairs(i):
+    """(eps_ijk, j, k) over the nonzero entries for fixed i."""
+    return [(eps(i, j, k), j, k) for j in AXES for k in AXES if eps(i, j, k)]
+
+
+def _eps_terms(prefix, i, j, k=0, c=1, suffix=""):
+    """c*(i*hbar)^k * sum_n eps_ijn * prefix_n."""
+    return tuple((c * eps(i, j, n), k, f"{prefix}{n}{suffix}")
+                 for n in AXES if eps(i, j, n))
+
+
+def _scalar_name(gens, name):
+    """Value of a non-generator name read by symbolic-only identities."""
+    ctx = gens.ctx
+    omega = OperatorExpr.generator("omega", ctx)
+    meff = OperatorExpr.from_scalar(ctx.gen("m") * ctx.scalar(ctx.mass_factor), ctx)
+    if name == "t":
+        return OperatorExpr.generator("t", ctx)
+    if name == "1/H":
+        return gens["H"].invert()
+    if name == "1/omega":
+        return omega.invert()
+    if name == "1/(omega+m)":
+        return (omega + meff).invert()
+    if name == "1/(m-omega)":
+        return (meff - omega).invert()
+    if name == "(H^2)^(-1/2)":
+        try:
+            root = scalar_sqrt((gens["H"] * gens["H"]).scalar_part())
+        except ExprError:
+            root = None
+        if root is None:
+            raise ExprError("H^2 is not a recognizable perfect square")
+        return OperatorExpr.from_scalar(root.inv(), ctx)
+    raise KeyError(name)
+
+
+def _exact_report(suite, identities, gens, casimir_spin=None) -> VerificationReport:
+    """Check declared identities exactly on ``gens``.
+
+    Every word is computed once per suite, however many entries read it,
+    and dropped after its last read. With ``casimir_spin`` set, residuals
+    are normalized modulo S^2.
+    """
+    ctx = gens.ctx
+    reads = Counter(word for ident in identities
+                    for _, _, word in ident.lhs + ident.expected)
+    names, words, factors = {}, {}, {}
+
+    def name_value(name):
+        if name not in names:
+            names[name] = gens[name] if name in gens else _scalar_name(gens, name)
+        return names[name]
+
+    def value(word):
+        if word not in words:
+            kind, parts = parse_word(word)
+            ops = [name_value(name) for name in parts]
+            if kind == "1":
+                v = OperatorExpr.from_scalar(1, ctx)
+            elif kind == "[]":
+                v = commutator(*ops)
+            elif kind == "d/dt":
+                v = total_time_derivative(ops[0], gens["H"])
+            else:
+                v = ops[0]
+                for op in ops[1:]:
+                    v = v * op
+            words[word] = v
+        reads[word] -= 1
+        return words[word] if reads[word] else words.pop(word)
+
+    def side(terms):
+        total = OperatorExpr.zero(ctx)
+        for c, k, word in terms:
+            v = value(word)
+            if (c, k) != (1, 0):
+                if (c, k) not in factors:
+                    factors[c, k] = OperatorExpr.from_scalar(
+                        ctx.scalar(c) * ctx.i_hbar() ** k, ctx)
+                v = v * factors[c, k]
+            total = total + v
+        return total
+
+    report = VerificationReport(suite)
+    for ident in identities:
+        try:
+            lhs, want = side(ident.lhs), side(ident.expected)
+        except ExprError as exc:
+            report.add(id=ident.id, lhs=ident.lhs_text,
+                       expected=ident.expected_text or "", residual=str(exc),
+                       passed=False, asserted=ident.asserted, note=ident.note)
+            continue
+        if ident.sector:
+            lhs = lhs.substitute_sector(ident.sector)
+            want = want.substitute_sector(ident.sector)
+        residual = lhs - want
+        if ident.spin_zero:
+            residual = residual.substitute_spin_zero()
+        if casimir_spin is not None:
+            residual = normal_form(residual, casimir_spin=casimir_spin)
+        report.add(id=ident.id, lhs=ident.lhs_text,
+                   expected=ident.expected_text or render_expr(want),
+                   residual=render_expr(residual),
+                   passed=bool(residual) if ident.nonzero else residual.is_zero(),
+                   asserted=ident.asserted, note=ident.note)
+    return report
+
+
 # -- commutator tables ----------------------------------------------------------
 
-
-def _kron(gens, name, i, j):
-    if i != j:
-        return OperatorExpr.zero(gens.ctx)
-    return gens[name]
+_TABLE_ROLES = {"poincare": ("J", "K"), "poincare_spinless": ("L", "M"),
+                "bargmann": ("J", "C")}
 
 
-def _eps_vec(gens, prefix, i, j, sign=1):
-    out = OperatorExpr.zero(gens.ctx)
-    for k in AXES:
-        e = eps(i, j, k)
-        if e:
-            out = out + gens[f"{prefix}{k}"] * (sign * e)
-    return out
-
-
-def _table_expected(gens, which):
-    """Expected (1/i hbar)[A, B] for the ten generators of the group.
-
-    Returns (labels, expected) where labels maps role -> generator prefix and
-    expected is a dict keyed by ordered label pairs.
-    """
-    if which == "poincare":
-        rot, boost = "J", "K"
-    elif which == "poincare_spinless":
-        rot, boost = "L", "M"
-    elif which == "bargmann":
-        rot, boost = "J", "C"
-    else:
-        raise ValueError(f"unknown table '{which}'")
-    ctx = gens.ctx
-    zero = OperatorExpr.zero(ctx)
-    names = ["H"] + [f"P{i}" for i in AXES] + [f"{rot}{i}" for i in AXES] \
-        + [f"{boost}{i}" for i in AXES]
+def _table_identities(which):
+    """(1/i hbar)[A, B] for the ten generators of the group; 'bargmann' adds
+    centrality of Mmass and conservation of C."""
+    rot, boost = _TABLE_ROLES[which]
+    central = "Mmass" if which == "bargmann" else "H"
+    names = ["H"] + [f"{p}{i}" for p in ("P", rot, boost) for i in AXES]
+    role = {"H": "H", "P": "P", rot: "R", boost: "B"}
 
     def expected(a, b):
-        ka, ia = a[0], int(a[1]) if len(a) > 1 else 0
-        kb, ib = b[0], int(b[1]) if len(b) > 1 else 0
-        ka = "R" if ka == rot else ("B" if ka == boost else ka)
-        kb = "R" if kb == rot else ("B" if kb == boost else kb)
-        pair = (ka, kb)
-        if pair == ("H", "H") or pair == ("H", "P") or pair == ("P", "H"):
-            return zero
-        if pair == ("H", "R") or pair == ("R", "H"):
-            return zero
-        if pair == ("H", "B"):
-            return gens[f"P{ib}"]
-        if pair == ("B", "H"):
-            return -gens[f"P{ia}"]
-        if pair == ("P", "P"):
-            return zero
-        if pair == ("P", "R"):
-            return _eps_vec(gens, "P", ia, ib)
-        if pair == ("R", "P"):
-            return _eps_vec(gens, "P", ia, ib)
-        if pair == ("P", "B"):
-            if which == "bargmann":
-                return _kron(gens, "Mmass", ia, ib)
-            return _kron(gens, "H", ia, ib)
-        if pair == ("B", "P"):
-            if which == "bargmann":
-                return -_kron(gens, "Mmass", ia, ib)
-            return -_kron(gens, "H", ia, ib)
-        if pair == ("R", "R"):
-            return _eps_vec(gens, rot, ia, ib)
-        if pair == ("R", "B"):
-            return _eps_vec(gens, boost, ia, ib)
-        if pair == ("B", "R"):
-            return _eps_vec(gens, boost, ia, ib)
-        if pair == ("B", "B"):
-            if which == "bargmann":
-                return zero
-            return _eps_vec(gens, rot, ia, ib, sign=-1)
-        raise AssertionError(pair)
+        ia, ib = int(a[1:] or 0), int(b[1:] or 0)
+        pair = role[a[0]] + role[b[0]]
+        if pair == "HB":
+            return _one(f"P{ib}")
+        if pair == "BH":
+            return ((-1, 0, f"P{ia}"),)
+        if pair in ("PR", "RP"):
+            return _eps_terms("P", ia, ib)
+        if pair in ("PB", "BP") and ia == ib:
+            return ((1 if pair == "PB" else -1, 0, central),)
+        if pair == "RR":
+            return _eps_terms(rot, ia, ib)
+        if pair in ("RB", "BR"):
+            return _eps_terms(boost, ia, ib)
+        if pair == "BB" and which != "bargmann":
+            return _eps_terms(rot, ia, ib, c=-1)
+        return ()
 
-    return names, expected
+    no_grid = _MASS if which == "bargmann" else ""
+    table = [Identity(f"[{a},{b}]", ((1, -1, f"[{a},{b}]"),), expected(a, b),
+                      f"(1/(i*hbar))*[{a},{b}]", symbolic_only=no_grid)
+             for a in names for b in names]
+    if which == "bargmann":
+        table += [Identity(f"central[Mmass,{n}]", _one(f"[Mmass,{n}]"), (),
+                           f"[Mmass,{n}]", "0", symbolic_only=_MASS)
+                  for n in names]
+        table += [Identity(f"conserved[C{i}]", _one(f"d/dt C{i}"), (),
+                           f"dC{i}/dt", "0", symbolic_only=_MASS) for i in AXES]
+    return tuple(table)
+
+
+TABLES = {which: _table_identities(which) for which in _TABLE_ROLES}
 
 
 def check_table(gens: GeneratorSet, which: str = "poincare",
@@ -236,41 +372,20 @@ def check_table(gens: GeneratorSet, which: str = "poincare",
     For 'bargmann' the table additionally asserts centrality of Mmass and
     conservation of the boost C under the free evolution.
     """
-    report = VerificationReport(which)
-    try:
-        names, expected = _table_expected(gens, which)
-        missing = [n for n in names if n not in gens]
-        if missing:
-            raise KeyError(missing)
-    except (KeyError, ValueError) as exc:
-        report.add(id="configuration", lhs=str(exc), expected="generators present",
+    if which in TABLES:
+        used = dict.fromkeys(name for ident in TABLES[which]
+                             for _, _, word in ident.lhs + ident.expected
+                             for name in parse_word(word)[1])
+        missing = [name for name in used if name not in gens]
+        problem = str(missing) if missing else ""
+    else:
+        problem = f"unknown table '{which}'"
+    if problem:
+        report = VerificationReport(which)
+        report.add(id="configuration", lhs=problem, expected="generators present",
                    residual="missing or unknown", passed=False)
         return report
-    ctx = gens.ctx
-    ih_inv = OperatorExpr.from_scalar(ctx.i_hbar(), ctx).invert()
-    for a in names:
-        for b in names:
-            want = expected(a, b)
-            lhs = commutator(gens[a], gens[b]) * ih_inv
-            residual = lhs - want
-            if casimir_spin is not None:
-                residual = normal_form(residual, casimir_spin=casimir_spin)
-            report.add(id=f"[{a},{b}]",
-                       lhs=f"(1/(i*hbar))*[{a},{b}]",
-                       expected=render_expr(want),
-                       residual=render_expr(residual),
-                       passed=residual.is_zero())
-    if which == "bargmann":
-        mass = gens["Mmass"]
-        for n in names:
-            residual = commutator(mass, gens[n])
-            report.add(id=f"central[Mmass,{n}]", lhs=f"[Mmass,{n}]", expected="0",
-                       residual=render_expr(residual), passed=residual.is_zero())
-        for i in AXES:
-            residual = total_time_derivative(gens[f"C{i}"], gens["H"])
-            report.add(id=f"conserved[C{i}]", lhs=f"dC{i}/dt", expected="0",
-                       residual=render_expr(residual), passed=residual.is_zero())
-    return report
+    return _exact_report(which, TABLES[which], gens, casimir_spin=casimir_spin)
 
 
 # -- Casimir invariants ----------------------------------------------------------
@@ -313,37 +428,36 @@ def casimirs(gens: GeneratorSet) -> VerificationReport:
 # -- Pauli-Lubanski ---------------------------------------------------------------
 
 
+def _pl_identities():
+    out = [
+        Identity("orthogonality",
+                 _one("W0*H") + tuple((-1, 0, f"W{i}*P{i}") for i in AXES), (),
+                 "W0*H - W.P", "0"),
+        Identity("w0_is_spin_momentum",
+                 _one("W0") + tuple((-1, 0, f"S{i}*P{i}") for i in AXES), (),
+                 "W0 - S.P", "0"),
+    ]
+    for sign, tag in ((1, "positive"), (-1, "negative")):
+        inverse = "1/(omega+m)" if sign > 0 else "1/(m-omega)"
+        for i in AXES:
+            pxsxp = tuple((-e1 * e2, 0, f"P{j}*S{n}*P{p}*{inverse}")
+                          for e1, j, k in _eps_pairs(i) for e2, n, p in _eps_pairs(k))
+            out.append(Identity(
+                f"spatial_form[{tag},{i}]", _one(f"W{i}"), _one(f"H*S{i}") + pxsxp,
+                f"W{i} on Lam={sign:+d}", f"H*S{i} - (Px(SxP)){i}/(H+m)",
+                asserted=sign > 0,
+                note="" if sign > 0 else
+                "recorded only; rest-frame boost derivation assumes positive energy",
+                sector=sign, symbolic_only=_SECTOR))
+    return tuple(out)
+
+
+PAULI_LUBANSKI = _pl_identities()
+
+
 def pauli_lubanski(gens: GeneratorSet) -> VerificationReport:
     """Four-orthogonality W.P = 0, W0 = S.P, and the spatial spin form."""
-    report = VerificationReport("pauli_lubanski")
-    ctx = gens.ctx
-    P = gens.vec("P")
-    S = gens.vec("S")
-    W = gens.vec("W")
-    ortho = gens["W0"] * gens["H"] - dot(W, P)
-    report.add(id="orthogonality", lhs="W0*H - W.P", expected="0",
-               residual=render_expr(ortho), passed=ortho.is_zero())
-    w0 = gens["W0"] - dot(S, P)
-    report.add(id="w0_is_spin_momentum", lhs="W0 - S.P", expected="0",
-               residual=render_expr(w0), passed=w0.is_zero())
-
-    omega = OperatorExpr.generator("omega", ctx)
-    meff = OperatorExpr.from_scalar(ctx.gen("m") * ctx.scalar(ctx.mass_factor), ctx)
-    pxsxp = cross(P, cross(S, P))
-    for sign, tag, asserted in ((1, "positive", True), (-1, "negative", False)):
-        h_scalar = omega if sign > 0 else -omega
-        denom = (h_scalar + meff).invert()
-        for i in AXES:
-            rhs = h_scalar * S[i - 1] - pxsxp[i - 1] * denom
-            r = gens[f"W{i}"].substitute_sector(sign) - rhs.substitute_sector(sign)
-            report.add(id=f"spatial_form[{tag},{i}]",
-                       lhs=f"W{i} on Lam={sign:+d}",
-                       expected=f"H*S{i} - (Px(SxP)){i}/(H+m)",
-                       residual=render_expr(r), passed=r.is_zero(),
-                       asserted=asserted,
-                       note="" if asserted else
-                       "recorded only; rest-frame boost derivation assumes positive energy")
-    return report
+    return _exact_report("pauli_lubanski", PAULI_LUBANSKI, gens)
 
 
 # -- boost matrix identities -------------------------------------------------------
@@ -401,133 +515,88 @@ def boost_matrix_identities(ctx: AlgebraContext = DEFAULT_CONTEXT) -> Verificati
 # -- conservation/covariance lemma chain ----------------------------------------------
 
 
+def _lemma_identities():
+    out = []
+
+    def add(*args, **kwargs):
+        out.append(Identity(*args, **kwargs))
+
+    def vanishes(label, a, b, symbolic_only=""):
+        add(label, _one(f"[{a},{b}]"), (), f"[{a},{b}]", "0",
+            symbolic_only=symbolic_only)
+
+    for i in AXES:
+        add(f"velocity_parallel[{i}]",
+            tuple((e, 0, f"V{j}*P{k}") for e, j, k in _eps_pairs(i)), (),
+            f"(VxP){i}", "0")
+    for i in AXES:
+        for j in AXES:
+            add(f"heisenberg[{i},{j}]", _one(f"[Q{i},P{j}]"),
+                ((1, 1, "1"),) if i == j else (), f"[Q{i},P{j}]", "i*hbar*delta")
+            for label, a, b, why in (("velocity_translation", "V", "P", ""),
+                                     ("internal_boost_translation", "N", "P", _NOT_YET),
+                                     ("position_spin", "Q", "S", ""),
+                                     ("m_spin", "M", "S", _NOT_YET),
+                                     ("spin_orbital", "S", "L", _NOT_YET)):
+                vanishes(f"{label}[{i},{j}]", f"{a}{i}", f"{b}{j}", why)
+            for label, a, b, why in (("position_rotation", "Q", "L", ""),
+                                     ("spin_rotation", "S", "J", ""),
+                                     ("internal_boost_rotation", "N", "J", _NOT_YET)):
+                add(f"{label}[{i},{j}]", _one(f"[{a}{i},{b}{j}]"),
+                    _eps_terms(a, i, j, k=1), f"[{a}{i},{b}{j}]",
+                    f"i*hbar*eps*{a}", symbolic_only=why)
+    for i in AXES:
+        vanishes(f"velocity_conserved[{i}]", f"V{i}", "H")
+        add(f"velocity_form[{i}]", _one(f"V{i}"), _one(f"P{i}*1/H"),
+            f"V{i}", f"P{i}*H^-1", symbolic_only=_INVERSE)
+        vanishes(f"spin_conserved[{i}]", f"S{i}", "H")
+        vanishes(f"spin_even[{i}]", f"S{i}", "Lam")
+        add(f"m_conserved[{i}]", _one(f"d/dt M{i}"), (), f"dM{i}/dt", "0")
+        vanishes(f"internal_boost_conserved[{i}]", f"N{i}", "H")
+        vanishes(f"internal_boost_even[{i}]", f"N{i}", "Lam")
+    for i, j in ((1, 2), (1, 3), (2, 3)):
+        vanishes(f"position_commuting[{i},{j}]", f"Q{i}", f"Q{j}")
+        add(f"spin_algebra[{i},{j}]", _one(f"[S{i},S{j}]"),
+            _eps_terms("S", i, j, k=1), f"[S{i},S{j}]", "i*hbar*eps*S")
+    # covariance under M: [Q_i, M_j] = i*hbar*(delta_ij*t - sym(Q_j, V_i))
+    half = Fraction(-1, 2)
+    for i in AXES:
+        for j in AXES:
+            add(f"covariance_m[{i},{j}]", _one(f"[Q{i},M{j}]"),
+                ((half, 1, f"Q{j}*V{i}"), (half, 1, f"V{i}*Q{j}"))
+                + (((1, 1, "t"),) if i == j else ()),
+                f"[Q{i},M{j}]", "i*hbar*(delta*t - sym(Q,V))", symbolic_only=_NOT_YET)
+    # covariance failure under N: the extra term and its non-vanishing
+    for i in AXES:
+        for j in AXES:
+            bracket = _one(f"[Q{i},N{j}]")
+            # exact identity: the eps*S term carries the frequency sign
+            form = _eps_terms("Lam*S", i, j, k=1, suffix="*1/(omega+m)") \
+                + ((-1, 1, f"P{i}*N{j}*1/omega*1/(omega+m)"),)
+            add(f"covariance_failure_form[{i},{j}]", bracket, form, f"[Q{i},N{j}]",
+                "i*hbar*(Lam*eps*S/(omega+m) - P*N/(omega*(omega+m)))",
+                symbolic_only=_INVERSE)
+            # positive-frequency reading, where the sign factor drops out
+            add(f"covariance_failure_form_positive[{i},{j}]", bracket, form,
+                f"[Q{i},N{j}] on Lam=+1",
+                "i*hbar*(eps*S/(omega+m) - P*N/(omega*(omega+m)))",
+                sector=1, symbolic_only=_SECTOR)
+            add(f"covariance_failure_nonzero[{i},{j}]", bracket, (), f"[Q{i},N{j}]",
+                "nonzero for generic S", nonzero=True, symbolic_only=_NONZERO)
+            add(f"covariance_restored_spinless[{i},{j}]", bracket, (),
+                f"[Q{i},N{j}] at S=0", "0", spin_zero=True, symbolic_only=_SPIN_ZERO)
+    # frequency sign: Lam = H * (H^2)^(-1/2)
+    add("frequency_sign", _one("Lam"), _one("H*(H^2)^(-1/2)"), "Lam",
+        "H*(H^2)^(-1/2)", symbolic_only=_SQUARE)
+    return tuple(out)
+
+
+LEMMAS = _lemma_identities()
+
+
 def lemma_suite(gens: GeneratorSet) -> VerificationReport:
     """One check per conclusion of the conservation/covariance lemma chain."""
-    report = VerificationReport("lemmas")
-    ctx = gens.ctx
-    ih = OperatorExpr.from_scalar(ctx.i_hbar(), ctx)
-    zero = OperatorExpr.zero(ctx)
-    H = gens["H"]
-    lam = gens["Lam"]
-
-    def add(check_id, lhs, want, lhs_text, want_text, asserted=True, note=""):
-        r = lhs - want
-        report.add(id=check_id, lhs=lhs_text, expected=want_text,
-                   residual=render_expr(r), passed=r.is_zero(),
-                   asserted=asserted, note=note)
-
-    vxp = cross(gens.vec("V"), gens.vec("P"))
-    for i in AXES:
-        add(f"velocity_parallel[{i}]", vxp[i - 1], zero, f"(VxP){i}", "0")
-    for i in AXES:
-        for j in AXES:
-            want = ih if i == j else zero
-            add(f"heisenberg[{i},{j}]", commutator(gens[f"Q{i}"], gens[f"P{j}"]),
-                want, f"[Q{i},P{j}]", "i*hbar*delta")
-            add(f"velocity_translation[{i},{j}]",
-                commutator(gens[f"V{i}"], gens[f"P{j}"]), zero, f"[V{i},P{j}]", "0")
-            add(f"internal_boost_translation[{i},{j}]",
-                commutator(gens[f"N{i}"], gens[f"P{j}"]), zero, f"[N{i},P{j}]", "0")
-            add(f"position_spin[{i},{j}]",
-                commutator(gens[f"Q{i}"], gens[f"S{j}"]), zero, f"[Q{i},S{j}]", "0")
-            add(f"m_spin[{i},{j}]",
-                commutator(gens[f"M{i}"], gens[f"S{j}"]), zero, f"[M{i},S{j}]", "0")
-            add(f"spin_orbital[{i},{j}]",
-                commutator(gens[f"S{i}"], gens[f"L{j}"]), zero, f"[S{i},L{j}]", "0")
-            add(f"position_rotation[{i},{j}]",
-                commutator(gens[f"Q{i}"], gens[f"L{j}"]),
-                ih * _eps_vec(gens, "Q", i, j),
-                f"[Q{i},L{j}]", "i*hbar*eps*Q")
-            add(f"spin_rotation[{i},{j}]",
-                commutator(gens[f"S{i}"], gens[f"J{j}"]),
-                ih * _eps_vec(gens, "S", i, j),
-                f"[S{i},J{j}]", "i*hbar*eps*S")
-            add(f"internal_boost_rotation[{i},{j}]",
-                commutator(gens[f"N{i}"], gens[f"J{j}"]),
-                ih * _eps_vec(gens, "N", i, j),
-                f"[N{i},J{j}]", "i*hbar*eps*N")
-    for i in AXES:
-        add(f"velocity_conserved[{i}]", commutator(gens[f"V{i}"], H), zero,
-            f"[V{i},H]", "0")
-        add(f"velocity_form[{i}]", gens[f"V{i}"], gens[f"P{i}"] * H.invert(),
-            f"V{i}", f"P{i}*H^-1")
-        add(f"spin_conserved[{i}]", commutator(gens[f"S{i}"], H), zero,
-            f"[S{i},H]", "0")
-        add(f"spin_even[{i}]", commutator(gens[f"S{i}"], lam), zero,
-            f"[S{i},Lam]", "0")
-        add(f"m_conserved[{i}]", total_time_derivative(gens[f"M{i}"], H), zero,
-            f"dM{i}/dt", "0")
-        add(f"internal_boost_conserved[{i}]", commutator(gens[f"N{i}"], H), zero,
-            f"[N{i},H]", "0")
-        add(f"internal_boost_even[{i}]", commutator(gens[f"N{i}"], lam), zero,
-            f"[N{i},Lam]", "0")
-    for i in AXES:
-        for j in AXES:
-            if i < j:
-                add(f"position_commuting[{i},{j}]",
-                    commutator(gens[f"Q{i}"], gens[f"Q{j}"]), zero,
-                    f"[Q{i},Q{j}]", "0")
-                add(f"spin_algebra[{i},{j}]",
-                    commutator(gens[f"S{i}"], gens[f"S{j}"]),
-                    ih * _eps_vec(gens, "S", i, j),
-                    f"[S{i},S{j}]", "i*hbar*eps*S")
-    # covariance under M: [Q_i, M_j] = i*hbar*(delta_ij*t - sym(Q_j, V_i))
-    tscalar = OperatorExpr.generator("t", ctx)
-    for i in AXES:
-        for j in AXES:
-            want = -ih * sym_product(gens[f"Q{j}"], gens[f"V{i}"])
-            if i == j:
-                want = want + ih * tscalar
-            add(f"covariance_m[{i},{j}]",
-                commutator(gens[f"Q{i}"], gens[f"M{j}"]), want,
-                f"[Q{i},M{j}]", "i*hbar*(delta*t - sym(Q,V))")
-    # covariance failure under N: the extra term and its non-vanishing
-    omega = OperatorExpr.generator("omega", ctx)
-    meff = OperatorExpr.from_scalar(ctx.gen("m") * ctx.scalar(ctx.mass_factor), ctx)
-    inv_om_m = (omega + meff).invert()
-    inv_om = omega.invert()
-    for i in AXES:
-        for j in AXES:
-            eps_s = OperatorExpr.zero(ctx)
-            for k in AXES:
-                e = eps(i, j, k)
-                if e:
-                    eps_s = eps_s + gens[f"S{k}"] * inv_om_m * e
-            drag = gens[f"P{i}"] * gens[f"N{j}"] * inv_om * inv_om_m
-            lhs = commutator(gens[f"Q{i}"], gens[f"N{j}"])
-            # exact identity: the eps*S term carries the frequency sign
-            want = ih * (lam * eps_s - drag)
-            add(f"covariance_failure_form[{i},{j}]", lhs, want,
-                f"[Q{i},N{j}]",
-                "i*hbar*(Lam*eps*S/(omega+m) - P*N/(omega*(omega+m)))")
-            # positive-frequency reading, where the sign factor drops out
-            want_pos = (ih * (eps_s - drag)).substitute_sector(1)
-            add(f"covariance_failure_form_positive[{i},{j}]",
-                lhs.substitute_sector(1), want_pos,
-                f"[Q{i},N{j}] on Lam=+1",
-                "i*hbar*(eps*S/(omega+m) - P*N/(omega*(omega+m)))")
-            nonzero = bool(lhs)
-            report.add(id=f"covariance_failure_nonzero[{i},{j}]",
-                       lhs=f"[Q{i},N{j}]", expected="nonzero for generic S",
-                       residual=render_expr(lhs), passed=nonzero)
-            szero = lhs.substitute_spin_zero()
-            report.add(id=f"covariance_restored_spinless[{i},{j}]",
-                       lhs=f"[Q{i},N{j}] at S=0", expected="0",
-                       residual=render_expr(szero), passed=szero.is_zero())
-    # frequency sign: Lam = H * (H^2)^(-1/2)
-    hsq = H * H
-    try:
-        root = scalar_sqrt(hsq.scalar_part())
-    except ExprError:
-        root = None
-    if root is None:
-        report.add(id="frequency_sign", lhs="Lam", expected="H*(H^2)^(-1/2)",
-                   residual="H^2 is not a recognizable perfect square", passed=False)
-    else:
-        r = lam - H * OperatorExpr.from_scalar(root.inv(), ctx)
-        report.add(id="frequency_sign", lhs="Lam", expected="H*(H^2)^(-1/2)",
-                   residual=render_expr(r), passed=r.is_zero())
-    return report
+    return _exact_report("lemmas", LEMMAS, gens)
 
 
 # -- energy-momentum closure --------------------------------------------------------

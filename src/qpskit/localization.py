@@ -98,10 +98,6 @@ def _axis_transform(grid, vec):
     return grid.to_position(vec[:, None, None])[:, 0, 0]
 
 
-def _axis_inverse(grid, vec):
-    return grid.to_momentum(vec[:, None, None])[:, 0, 0]
-
-
 def _indicator(grid, interval):
     a, b = interval
     if not (a < b):

@@ -1,18 +1,20 @@
-"""Numeric mirrors of the symbolic verification suites.
+"""Grid twins of the declared symbolic identities.
 
-Each check realizes the participating operators separately and composes them
-on the grid (commutators as differences of compositions), so the numeric
-route never consumes a symbolically simplified residual: a relation that the
-symbolic engine proves equal to zero is re-derived here from floating-point
-operator algebra on band-limited sample states.
+The table, lemma and Pauli-Lubanski identities declared in ``generators``
+are checked here by composing the separately realized generator maps on a
+batch of band-limited sample states (commutators as differences of
+compositions), so the numeric route never consumes a symbolically
+simplified residual: a relation that the symbolic engine proves equal to
+zero is re-derived here from floating-point operator algebra.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .generators import AXES, GeneratorSet, _table_expected, eps
-from .grid import GridRep, gaussian_states, realize
+from .generators import (AXES, LEMMAS, PAULI_LUBANSKI, TABLES, GeneratorSet,
+                         parse_word)
+from .grid import GridConfigError, GridRep, gaussian_states, realize
 from .report import VerificationReport
 
 DEFAULT_TOL = 1e-6
@@ -50,118 +52,66 @@ class _MapCache:
         """[A, B] applied to the batch via cached single applications."""
         return self.map(a).apply(self.on_batch(b)) - self.map(b).apply(self.on_batch(a))
 
+    def word(self, word):
+        """A declared word applied to the batch."""
+        kind, names = parse_word(word)
+        if kind == "1":
+            return self.batch
+        if kind == "[]":
+            return self.comm_batch(*names)
+        if kind == "d/dt":
+            explicit = realize(self.gens[names[0]].d_dt(), self.grid).apply(self.batch)
+            return explicit + self.comm_batch(names[0], "H") / (1j * self.grid.hbar)
+        out = self.on_batch(names[-1])
+        for name in reversed(names[:-1]):
+            out = self.map(name).apply(out)
+        return out
+
 
 def _make_batch(grid, nstates, seed, sector=None):
     return np.stack(gaussian_states(grid, nstates=nstates, seed=seed,
                                     sector=sector), axis=0)
 
 
+def _grid_report(suite, identities, gens, grid, nstates, seed, tol):
+    """max ||(lhs - expected) psi|| / ||psi|| over the batch for every
+    declared identity with a grid twin, in declaration order."""
+    twins = [ident for ident in identities if not ident.symbolic_only]
+    if not twins:
+        raise GridConfigError(f"{suite}: no declared identity has a grid twin")
+    report = VerificationReport(suite)
+    cache = _MapCache(gens, grid, _make_batch(grid, nstates, seed))
+    ih = 1j * grid.hbar
+    for ident in twins:
+        acc = 0
+        for sign, terms in ((1, ident.lhs), (-1, ident.expected)):
+            for c, k, word in terms:
+                acc = acc + sign * c * ih**k * cache.word(word)
+        r = cache.residual(acc)
+        report.add(id=ident.id, lhs=f"grid {ident.lhs_text}",
+                   expected=ident.expected_text or "symbolic table value",
+                   residual=f"{r:.3e}", passed=r <= tol, residual_norm=r)
+    return report
+
+
 def numeric_table_report(gens: GeneratorSet, grid: GridRep, which="poincare",
                          nstates=8, seed=0, tol=DEFAULT_TOL) -> VerificationReport:
     """Grid residuals for all 100 ordered table commutators."""
-    report = VerificationReport(f"numeric_{which}")
-    names, expected_of = _table_expected(gens, which)
-    batch = _make_batch(grid, nstates, seed)
-    cache = _MapCache(gens, grid, batch)
-    ih = 1j * grid.hbar
-    # expected values are linear combinations of cached generator actions
-    for a in names:
-        for b in names:
-            want = expected_of(a, b)
-            acc = cache.comm_batch(a, b) / ih
-            if want:
-                acc = acc - realize(want, grid).apply(batch)
-            r = cache.residual(acc)
-            report.add(id=f"[{a},{b}]", lhs=f"grid (1/(i*hbar))*[{a},{b}]",
-                       expected="symbolic table value", residual=f"{r:.3e}",
-                       passed=r <= tol, residual_norm=r)
-    return report
+    return _grid_report(f"numeric_{which}", TABLES[which], gens, grid,
+                        nstates, seed, tol)
 
 
 def numeric_lemma_report(gens: GeneratorSet, grid: GridRep, nstates=8, seed=0,
                          tol=DEFAULT_TOL) -> VerificationReport:
     """Grid residuals for the conservation/covariance conclusions."""
-    report = VerificationReport("numeric_lemmas")
-    batch = _make_batch(grid, nstates, seed)
-    cache = _MapCache(gens, grid, batch)
-    ih = 1j * grid.hbar
-
-    def add(check_id, arr):
-        r = cache.residual(arr)
-        report.add(id=check_id, lhs=check_id, expected="0", residual=f"{r:.3e}",
-                   passed=r <= tol, residual_norm=r)
-
-    for i in AXES:
-        for j in AXES:
-            acc = cache.comm_batch(f"Q{i}", f"P{j}") / ih
-            if i == j:
-                acc = acc - batch
-            add(f"heisenberg[{i},{j}]", acc)
-            add(f"velocity_translation[{i},{j}]",
-                cache.comm_batch(f"V{i}", f"P{j}"))
-            add(f"position_spin[{i},{j}]", cache.comm_batch(f"Q{i}", f"S{j}"))
-            acc = cache.comm_batch(f"Q{i}", f"L{j}") / ih
-            for k in AXES:
-                e = eps(i, j, k)
-                if e:
-                    acc = acc - e * cache.on_batch(f"Q{k}")
-            add(f"position_rotation[{i},{j}]", acc)
-            acc = cache.comm_batch(f"S{i}", f"J{j}") / ih
-            for k in AXES:
-                e = eps(i, j, k)
-                if e:
-                    acc = acc - e * cache.on_batch(f"S{k}")
-            add(f"spin_rotation[{i},{j}]", acc)
-            if i < j:
-                add(f"position_commuting[{i},{j}]",
-                    cache.comm_batch(f"Q{i}", f"Q{j}"))
-                acc = cache.comm_batch(f"S{i}", f"S{j}") / ih
-                for k in AXES:
-                    e = eps(i, j, k)
-                    if e:
-                        acc = acc - e * cache.on_batch(f"S{k}")
-                add(f"spin_algebra[{i},{j}]", acc)
-    # velocity parallel to momentum: (VxP) psi = 0
-    for i in AXES:
-        acc = None
-        for j in AXES:
-            for k in AXES:
-                e = eps(i, j, k)
-                if e:
-                    piece = e * cache.map(f"V{j}").apply(cache.on_batch(f"P{k}"))
-                    acc = piece if acc is None else acc + piece
-        add(f"velocity_parallel[{i}]", acc)
-    for i in AXES:
-        add(f"velocity_conserved[{i}]", cache.comm_batch(f"V{i}", "H"))
-        add(f"spin_conserved[{i}]", cache.comm_batch(f"S{i}", "H"))
-        add(f"spin_even[{i}]", cache.comm_batch(f"S{i}", "Lam"))
-        add(f"internal_boost_conserved[{i}]", cache.comm_batch(f"N{i}", "H"))
-        add(f"internal_boost_even[{i}]", cache.comm_batch(f"N{i}", "Lam"))
-        # dM/dt = dM/dt|explicit + [M,H]/(i hbar); the explicit part is P
-        acc = cache.on_batch(f"P{i}") + cache.comm_batch(f"M{i}", "H") / ih
-        add(f"m_conserved[{i}]", acc)
-    return report
+    return _grid_report("numeric_lemmas", LEMMAS, gens, grid, nstates, seed, tol)
 
 
 def numeric_pl_report(gens: GeneratorSet, grid: GridRep, nstates=8, seed=0,
                       tol=DEFAULT_TOL) -> VerificationReport:
     """Grid residuals for W.P orthogonality and W0 = S.P."""
-    report = VerificationReport("numeric_pauli_lubanski")
-    batch = _make_batch(grid, nstates, seed)
-    cache = _MapCache(gens, grid, batch)
-    acc = cache.map("W0").apply(cache.on_batch("H"))
-    for i in AXES:
-        acc = acc - cache.map(f"W{i}").apply(cache.on_batch(f"P{i}"))
-    r = cache.residual(acc)
-    report.add(id="orthogonality", lhs="grid W0*H - W.P", expected="0",
-               residual=f"{r:.3e}", passed=r <= tol, residual_norm=r)
-    acc = cache.on_batch("W0")
-    for i in AXES:
-        acc = acc - cache.map(f"S{i}").apply(cache.on_batch(f"P{i}"))
-    r = cache.residual(acc)
-    report.add(id="w0_is_spin_momentum", lhs="grid W0 - S.P", expected="0",
-               residual=f"{r:.3e}", passed=r <= tol, residual_norm=r)
-    return report
+    return _grid_report("numeric_pauli_lubanski", PAULI_LUBANSKI, gens, grid,
+                        nstates, seed, tol)
 
 
 def numeric_casimir_report(gens: GeneratorSet, grid: GridRep, nstates=8,
@@ -204,22 +154,27 @@ def convergence_report(make_report, grid_small: GridRep, grid_big: GridRep,
     Each entry passes when the residual shrinks by at least ``min_ratio``
     going to the finer grid, or when the finer-grid residual already sits at
     roundoff (relations realized exactly on the grid have no error to shrink).
+    An id absent from one grid, or without a residual_norm there, fails.
     """
     small = make_report(grid_small)
     big = make_report(grid_big)
     report = VerificationReport(f"convergence_{big.suite}")
-    by_id = {e.id: e for e in small.entries}
-    for e in big.entries:
-        s = by_id.get(e.id)
-        if s is None or s.residual_norm is None or e.residual_norm is None:
+    lhs = f"residual({grid_small.npts})/residual({grid_big.npts})"
+    expected = f">= {min_ratio} (or fine grid at roundoff)"
+    grids = [(grid_small, {e.id: e.residual_norm for e in small.entries}),
+             (grid_big, {e.id: e.residual_norm for e in big.entries})]
+    for check_id in dict.fromkeys([e.id for e in big.entries + small.entries]):
+        gaps = [("absent" if check_id not in norms else "no residual_norm")
+                + f" on the {grid.npts}-point grid"
+                for grid, norms in grids if norms.get(check_id) is None]
+        if gaps:
+            report.add(id=check_id, lhs=lhs, expected=expected,
+                       residual="; ".join(gaps), passed=False)
             continue
-        rb = e.residual_norm
-        rs = s.residual_norm
+        rs, rb = grids[0][1][check_id], grids[1][1][check_id]
         ok = rb <= floor or (rb > 0 and rs / rb >= min_ratio)
         ratio = rs / rb if rb > 0 else float("inf")
-        report.add(id=e.id,
-                   lhs=f"residual({grid_small.npts})/residual({grid_big.npts})",
-                   expected=f">= {min_ratio} (or fine grid at roundoff)",
+        report.add(id=check_id, lhs=lhs, expected=expected,
                    residual=f"{rs:.3e} -> {rb:.3e} (ratio {ratio:.1f})",
                    passed=ok, residual_norm=rb)
     return report

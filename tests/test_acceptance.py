@@ -144,41 +144,17 @@ def test_criterion_8_hegerfeldt_and_microcausality():
 
 
 def test_criterion_9_fock_duality_and_expectations():
-    from qpskit import FockField, PhasePoint, expectation_suite, profile_fwhm
-    field = FockField(8, 1.0, 3)
-    rng = np.random.default_rng(2)
-    tol = 1e-10
-    ok = True
-    for _ in range(3):
-        z = PhasePoint(rng.normal(size=8), rng.normal(size=8))
-        zp = PhasePoint(rng.normal(size=8), rng.normal(size=8))
-        ccr = field.field_op(z).commutator(field.field_op(zp)) \
-            - 1j * field.hbar * field.symplectic(z, zp)
-        ok &= ccr.norm_on(field.nmax - 1) <= tol
-        a = field.annihilator(field.one_particle_map(z))
-        rhs = (1j * field.field_op(z) - field.field_op(field.complex_structure(z))) \
-            * (1 / (2 * field.hbar))
-        ok &= float(np.abs(a.mat - rhs.mat).max()) <= tol
-    psi = rng.normal(size=8) + 1j * rng.normal(size=8)
-    psi /= np.linalg.norm(psi)
-    a = field.annihilator(psi)
-    n_op = a.adjoint() @ a
-    ok &= float(np.abs(((n_op + 1.0) @ a).mat - (a @ n_op).mat).max()) <= tol
-    evals = np.linalg.eigvalsh(n_op.mat)
-    ok &= sorted(set(int(round(v)) for v in evals)) == [0, 1, 2, 3]
-    ok &= float(np.abs(evals - np.round(evals)).max()) <= tol
-    delta = np.zeros(8)
-    delta[3] = 1.0
-    curves = expectation_suite(delta, field)
-    diff_ok = curves.max_difference_error <= tol
-    d32 = np.zeros(32)
-    d32[16] = 1.0
-    width_ok = profile_fwhm(FockField(32, 2.0, 2).smeared_profile(d32)) \
-        < profile_fwhm(FockField(32, 0.5, 2).smeared_profile(d32))
-    ok = ok and diff_ok and width_ok
+    from qpskit import fock_report
+    reports = {suite: fock_report(suite, sites=8, nmax=3, seed=2, tol=1e-10)[0]
+               for suite in ("duality", "spectrum", "expectation")}
+    entries = sum(len(r.entries) for r in reports.values())
+    failed = sum(r.failed for r in reports.values())
+    diff = next(e for e in reports["expectation"].entries
+                if e.id == "difference_formula")
+    ok = entries == 19 and failed == 0
     _line(9, "Fock duality, ladder shift, spectrum, expectation difference",
-          ok, f"difference error {curves.max_difference_error:.1e} <= 1e-10, "
-              f"width shrinks with mass: {width_ok}")
+          ok, f"{entries - failed}/19 entries, difference error "
+              f"{diff.residual_norm:.1e} <= 1e-10")
 
 
 @pytest.mark.parametrize("law", [

@@ -1,10 +1,14 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
+import csv
+import io
 import json
 
 import pytest
 
+import qpskit.cli as cli
 from qpskit.cli import main
+from qpskit.report import VerificationReport
 
 
 def run(args):
@@ -136,3 +140,40 @@ def test_verify_report_determinism(tmp_path):
     assert run(["verify", "pl", "--out", str(a)]) == 0
     assert run(["verify", "pl", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_tol_reaches_fock_report_unchanged(monkeypatch):
+    seen = []
+
+    def fake_report(suite, **kwargs):
+        seen.append(kwargs["tol"])
+        return VerificationReport(f"fock_{suite}"), None
+
+    monkeypatch.setattr(cli, "fock_report", fake_report)
+    assert run(["fock", "duality", "--tol", "1e-6"]) == 0
+    assert run(["fock", "duality"]) == 0
+    assert seen == [1e-6, 1e-10]
+    assert cli.build_parser().parse_args(["numeric", "casimir"]).tol == 1e-6
+    for argv in (["verify", "boost"], ["localize"], ["causality"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--tol", "1e-3"])
+        assert exc.value.code == 2
+
+
+def test_merge_copies_entries():
+    a = VerificationReport("a")
+    a.add(id="x", lhs="l", expected="e", residual="0", passed=True)
+    b = VerificationReport("b")
+    b.add(id="x", lhs="l", expected="e", residual="0", passed=False)
+    merged = cli._merge("both", [a, b])
+    assert [e.id for e in merged.entries] == ["a:x", "b:x"]
+    assert a.entries[0].id == "x" and b.entries[0].id == "x"
+
+
+def test_csv_quotes_round_trip():
+    rep = VerificationReport("quotes")
+    rep.add(id='say "hi", twice', lhs="f(a,b)", expected='"', residual="0",
+            passed=True)
+    rows = list(csv.reader(io.StringIO(cli._report_csv(rep))))
+    assert rows == [["id", "pass", "asserted", "lhs", "expected", "residual"],
+                    ['say "hi", twice', "true", "true", "f(a,b)", '"', "0"]]

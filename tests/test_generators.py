@@ -5,13 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from qpskit import (AlgebraContext, bargmann_generators,
-                    boost_matrix_identities, casimirs, check_table, commutator,
+from qpskit import (AlgebraContext, GridConfigError, GridRep,
+                    bargmann_generators, boost_matrix_identities, casimirs,
+                    check_table, commutator,
                     energy_momentum_constraint_check, eval_spin_matrices,
                     foldy_generators, lemma_suite, matrix_is_zero,
                     parse_expr, pauli_lubanski, total_time_derivative)
 from qpskit.expr import ExprError
-from qpskit.generators import dot
+from qpskit.generators import LEMMAS, PAULI_LUBANSKI, TABLES, dot
+from qpskit.numcheck import (numeric_lemma_report, numeric_pl_report,
+                             numeric_table_report)
 
 P = parse_expr
 
@@ -225,3 +228,31 @@ def test_sector_identities_also_pass_under_matrices(foldy):
         assert resid.is_zero()
         for s in (Fraction(1, 2), Fraction(1)):
             assert matrix_is_zero(eval_spin_matrices(resid, s))
+
+
+def test_registry_feeds_both_backends(foldy):
+    # one declaration, one entry per backend under the same id; a declaration
+    # the grid skips must say why
+    grid = GridRep(d=3, npts=16, pmax=2.0, m=1.0, s=Fraction(1, 2), tval=0.3)
+    suites = [
+        (TABLES[which], check_table(foldy, which),
+         numeric_table_report(foldy, grid, which, nstates=1))
+        for which in ("poincare", "poincare_spinless")
+    ] + [
+        (LEMMAS, lemma_suite(foldy), numeric_lemma_report(foldy, grid, nstates=1)),
+        (PAULI_LUBANSKI, pauli_lubanski(foldy),
+         numeric_pl_report(foldy, grid, nstates=1)),
+    ]
+    for identities, exact, numeric in suites:
+        exact_ids = [e.id for e in exact.entries]
+        numeric_ids = [e.id for e in numeric.entries]
+        assert exact_ids == [ident.id for ident in identities]
+        assert len(set(exact_ids)) == len(exact_ids)
+        assert numeric_ids == [ident.id for ident in identities
+                               if not ident.symbolic_only]
+        for ident in identities:
+            if ident.id not in numeric_ids:
+                assert ident.symbolic_only.strip(), ident.id
+    assert all(ident.symbolic_only.strip() for ident in TABLES["bargmann"])
+    with pytest.raises(GridConfigError):
+        numeric_table_report(bargmann_generators(), grid, "bargmann", nstates=1)
