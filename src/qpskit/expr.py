@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .coeffs import AlgebraContext, CoeffError, DEFAULT_CONTEXT, ScalarCoeff
+from .coeffs import AlgebraContext, DEFAULT_CONTEXT, ScalarCoeff
 
 Mono = tuple  # (q1, q2, q3, s1, s2, s3, lam)
 
@@ -267,13 +267,21 @@ class OperatorExpr:
 # -- term multiplication ------------------------------------------------------
 
 
+def _shuffle_factor(ctx, n, k):
+    """(i*hbar)^k * C(n, k), memoized on the context."""
+    key = (n, k)
+    c = ctx.shuffle_cache.get(key)
+    if c is None:
+        c = ctx.shuffle_cache[key] = ctx.i_hbar()**k * comb(n, k)
+    return c
+
+
 def _q_shuffle(ctx, qexp, coeff):
     """Move ``coeff`` left through Q1^q1 Q2^q2 Q3^q3.
 
     Yields (beta, c) with Q^q * coeff = sum_beta c_beta * Q^(q - beta),
     using Q_i^n f = sum_k C(n,k) (i*hbar)^k (d^k f/dP_i^k) Q_i^(n-k).
     """
-    ih = ctx.i_hbar()
     pieces = [((0, 0, 0), coeff)]
     for axis in (1, 2, 3):
         n = qexp[axis - 1]
@@ -287,7 +295,7 @@ def _q_shuffle(ctx, qexp, coeff):
                     d = d.diff(axis)
                     if not d:
                         break
-                    term = d * ih**k * comb(n, k)
+                    term = d * _shuffle_factor(ctx, n, k)
                 else:
                     term = c
                 if term:

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .coeffs import AlgebraContext, DEFAULT_CONTEXT
-from .expr import ExprError, OperatorExpr
+from .expr import OperatorExpr
 
 SUPPORTED_SPINS = (Fraction(0), Fraction(1, 2), Fraction(1),
                    Fraction(3, 2), Fraction(2))

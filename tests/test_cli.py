@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -85,6 +86,27 @@ def test_localize_artifacts_and_determinism(tmp_path, capsys):
     header, first = out1.read_text().splitlines()[:2]
     assert header == "x,t,density"
     assert len(first.split(",")) == 3
+
+
+@pytest.mark.parametrize("leak,slope", [(0.0, float("nan")), (0.0, -2.0),
+                                        (1e-3, float("nan")), (1e-3, float("inf"))])
+def test_localize_exit_checks_leak_and_slope(monkeypatch, tmp_path, capsys,
+                                             leak, slope):
+    """localize exits 1 when nothing leaks or the tail slope is not finite."""
+    real = cli.nw_evolution
+
+    def doctored(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs),
+                                   outside_cone_probability=leak,
+                                   fitted_slope=slope)
+
+    args = ["localize", "--npts", "2048", "--pmax", "40"]
+    assert run(args) == 0
+    monkeypatch.setattr(cli, "nw_evolution", doctored)
+    assert run(args + ["--out", str(tmp_path / "d.csv")]) == 1
+    doc = json.loads((tmp_path / "d.json").read_text())
+    assert doc["outside_cone_probability"] == leak
+    capsys.readouterr()
 
 
 def test_localize_wraparound_is_usage_error(capsys):

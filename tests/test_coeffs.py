@@ -1,12 +1,14 @@
 """Exact coefficient arithmetic: canonical forms, inversion, derivations."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from sympy.polys.domains import QQ
 
 from qpskit.coeffs import (AlgebraContext, CoeffError, DEFAULT_CONTEXT,
-                           scalar_sqrt)
+                           _reduce, scalar_sqrt)
 
 ctx = DEFAULT_CONTEXT
 w = ctx.gen("omega")
@@ -121,3 +123,81 @@ def test_numeric_evaluation_matches_python():
     om = math.sqrt(SAMPLE[0]**2 + SAMPLE[1]**2 + SAMPLE[2]**2 + SAMPLE[3]**2)
     direct = (SAMPLE[0]**2 - SAMPLE[3] * om) / (om + SAMPLE[3])
     assert num(x) == pytest.approx(direct, rel=1e-13)
+
+
+# -- fraction reduction over the factor registry ------------------------------
+
+
+def _random_poly(rng, ring, pool, nfactors):
+    """A random rational constant times a product of pool factors, plus an
+    occasional extra term so the result need not factor at all."""
+    p = ring.ground_new(QQ(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3, 4])))
+    for _ in range(nfactors):
+        p *= rng.choice(pool)
+    if rng.random() < 0.2:
+        p += ring.gens[rng.randrange(8)] * rng.randint(-2, 2)
+    return p
+
+
+def test_reduce_matches_cancel_on_random_pairs():
+    """Seeded: trial division over the registry returns exactly the
+    (numer, denom) pair of sympy's GCD-based cancel."""
+    fresh = AlgebraContext(1)
+    ring = fresh.ring
+    P1, P2, P3, mm, t, hb, M, E0 = ring.gens
+    seeded = list(fresh.factors)
+    outside = [P1 + mm, P1 - 2 * P2, 3 * P1**2 - P2**2 - mm**2, hb * t + 1,
+               P1 * P2 + E0, M - mm]
+    pool = seeded + outside
+    rng = random.Random(20240917)
+    cases = 0
+    for _ in range(1200):
+        common = _random_poly(rng, ring, pool, rng.randint(0, 2))
+        n = common * _random_poly(rng, ring, pool, rng.randint(0, 3))
+        # the denominator arrives whole or as two parts, as products do
+        parts = [common * _random_poly(rng, ring, pool, rng.randint(0, 2))]
+        if rng.random() < 0.5:
+            parts.append(_random_poly(rng, ring, pool, rng.randint(0, 2)))
+        if not all(parts):
+            continue
+        d = parts[0] * parts[1] if len(parts) == 2 else parts[0]
+        want = n.cancel(d) if n else (ring.zero, ring.one)
+        got = _reduce(fresh, n, *parts)
+        assert got == want, (n, parts)
+        cases += 1
+    assert cases >= 1000
+    grown = [f for f in fresh.factors if f not in seeded]
+    assert grown, "no denominator outside the seed registry was registered"
+
+
+def test_registry_holds_irreducible_factors():
+    fresh = AlgebraContext(1)
+    c = fresh.gen("P1") + fresh.gen("m")
+    _ = (fresh.scalar(3) * fresh.gen("omega") - c * c).inv() * c.inv()
+    assert len(fresh.factors) > 10
+    for f in fresh.factors:
+        assert not f.is_ground
+        _, split = f.factor_list()
+        assert len(split) == 1 and split[0][1] == 1, f
+
+
+def test_mass_factor_seeds_and_separate_registries():
+    ctx2 = AlgebraContext(2)
+    P1, P2, P3, mm = ctx2.ring.gens[:4]
+    assert P1**2 + P2**2 + P3**2 + 4 * mm**2 in ctx2.factors
+    assert P1**2 + P2**2 + P3**2 + mm**2 not in ctx2.factors
+    ctx1 = AlgebraContext(1)
+    before = list(ctx2.factors)
+    _ = (ctx1.gen("P1") + ctx1.gen("m")).inv()
+    assert len(ctx1.factors) == len(before) + 1
+    assert ctx2.factors == before
+    assert ctx1.factors is not ctx2.factors
+    assert ctx1.factorizations is not ctx2.factorizations
+
+
+def test_hot_constants_are_shared():
+    assert ctx.scalar(3) is ctx.scalar(3)
+    assert ctx.scalar(Fraction(1, 2)) is ctx.scalar(Fraction(2, 4))
+    assert ctx.scalar(Fraction(-3, 4)) == ctx.scalar(-3) / ctx.scalar(4)
+    assert ctx.i_hbar() is ctx.i_hbar()
+    assert ctx.i_hbar() == i * hbar
