@@ -71,14 +71,12 @@ class AlgebraContext:
         gens = created[1:]
         (self.P1, self.P2, self.P3, self.m, self.t,
          self.hbar, self.Mmass, self.E0) = gens
-        self.gens = gens
         self.fzero = self.field.zero
         self.fone = self.field.one
         x = self.ring.gens
         psq = x[0]**2 + x[1]**2 + x[2]**2
         # den^2 * (P^2 + (k*m)^2) has integer coefficients of content 1
         norm = psq * k.denominator**2 + x[3]**2 * k.numerator**2
-        self.psq = self.field.raw_new(psq)
         self.radicand = self.field.raw_new(norm, self.ring.ground_new(k.denominator**2))
         # irreducible factors denominators are tried against, and each
         # denominator's factorization over them: {denom: ((factor, exp), ...)}

@@ -2,9 +2,10 @@
 
 States live in the momentum representation on a uniform grid in
 [-pmax, pmax)^d with a half-cell offset (no p = 0 node, so eliminated
-denominators stay finite), with a spin index and a frequency-sector index:
+denominators stay finite), with a spin index and a frequency-sector index.
+The public layout, taken and returned by every map, is
 
-    state shape = (*spatial, 2s+1, 2)        (leading batch axes allowed)
+    state shape = (*batch, *spatial, 2s+1, 2)
 
 P_i acts by multiplication, Q_i = i*hbar d/dp_i spectrally through the
 discrete Fourier transform (kernel exp(+i p x / hbar)/sqrt(2 pi hbar),
@@ -12,6 +13,26 @@ momentum -> position), S_i by Hermitian spin matrices, Lam by the sector
 sign. Functions of P (omega, 1/(omega+m), ...) are exactly diagonal; the
 canonical pair relation [Q, P] = i*hbar holds on band-limited states and
 converges spectrally as the grid grows at fixed physical box.
+
+``realize`` compiles an expression once into a plan: terms grouped by spin
+monomial, then by Q-monomial, each holding ``(coefficient, lam)`` pairs.
+Its maps run the plan in a spin-first inner layout
+
+    inner shape = (2s+1, 2, *batch, *spatial)      (C-contiguous)
+
+so coefficients are plain spatial arrays multiplied over contiguous blocks,
+spin mixing is an explicit combination of the (2s+1)-blocks over the
+nonzero entries of the spin matrix, and Lam (central) is the sign of the
+sector block. Results are returned as a view in the public layout over the
+spin-first memory. A Q-monomial transforms only the axes it uses; along
+axis a, with phase_a = exp(i j dp x0 / hbar),
+
+    Q_a^k phi = conj(phase_a) * fft_a(x_a^k * ifft_a(phase_a * phi)),
+
+because the other factors of ``to_momentum(x^k * to_position(phi))``
+cancel: |phase_b| = 1 and the two scales multiply to
+dp * n * dx / (2 pi hbar) = 1. A multi-axis monomial applies this one axis
+at a time.
 """
 
 from __future__ import annotations
@@ -199,101 +220,124 @@ def map_commutator(a: LinearMap, b: LinearMap) -> LinearMap:
 # -- realization ------------------------------------------------------------------
 
 
+def _spin_rows(mat):
+    """Nonzero entries of a spin matrix by row: ``[[(j, M_ij), ...], ...]``."""
+    return [[(j, complex(v)) for j, v in enumerate(row) if v != 0] for row in mat]
+
+
 def _compile_terms(e: OperatorExpr, grid: GridRep):
+    """Apply plan ``[(rows, adjoint_rows, [(qmono, [(coeff, lam), ...]), ...])]``
+    with one entry per spin monomial (rows None for the identity).
+
+    Coefficients are plain spatial arrays or scalars, so they broadcast over
+    the trailing spatial axes of the spin-first inner layout.
+    """
     groups = {}
     for mono, coeff in e.terms.items():
-        qmono = mono[:3]
-        smono = mono[3:6]
-        lam = mono[6]
+        qmono, smono, lam = mono[:3], mono[3:6], mono[6]
         if grid.d == 1 and (qmono[1] or qmono[2]):
             raise UnsupportedSymbolError(
                 "Q2/Q3 cannot be realized on a 1-dimensional grid")
-        carr = grid.eval_coeff(coeff)
-        if isinstance(carr, np.ndarray):
-            carr = carr[..., None, None]
-        smat = None
+        qgroups = groups.setdefault(smono, {})
+        qgroups.setdefault(qmono, []).append((grid.eval_coeff(coeff), lam))
+    plan = []
+    for smono, qgroups in groups.items():
+        rows = adj_rows = None
         if smono != (0, 0, 0):
             smat = np.eye(grid.nspin, dtype=complex)
             for idx, expnt in enumerate(smono):
                 for _ in range(expnt):
                     smat = smat @ grid.spin_mats[idx]
-        key = (smono, lam)
-        groups.setdefault(key, {"smat": smat, "lam": lam, "terms": []})
-        groups[key]["terms"].append((qmono, carr))
-    return list(groups.values())
+            rows, adj_rows = _spin_rows(smat), _spin_rows(smat.conj().T)
+        plan.append((rows, adj_rows, list(qgroups.items())))
+    return plan
 
 
-def _x_power(grid: GridRep, qmono):
-    axes_vals = None
-    if grid.d == 1:
-        axes_vals = grid.x_axis ** qmono[0]
-        return axes_vals[:, None, None]
-    xs = np.meshgrid(grid.x_axis, grid.x_axis, grid.x_axis, indexing="ij")
-    out = np.ones_like(xs[0])
-    for i in range(3):
-        if qmono[i]:
-            out = out * xs[i] ** qmono[i]
-    return out[..., None, None]
+def _to_inner(grid: GridRep, state):
+    """Public ``(*batch, *spatial, 2s+1, 2)`` -> contiguous
+    ``(2s+1, 2, *batch, *spatial)``."""
+    state = np.asarray(state, dtype=complex)
+    if state.shape[state.ndim - grid.d - 2:] != grid.state_shape:
+        raise GridConfigError(
+            f"state shape {state.shape} does not end in {grid.state_shape}")
+    return np.ascontiguousarray(np.moveaxis(state, (-2, -1), (0, 1)))
+
+
+def _to_public(inner):
+    """Inverse of ``_to_inner`` as a view; the memory stays spin-first."""
+    return np.moveaxis(inner, (0, 1), (-2, -1))
+
+
+def _spin_mix(rows, phi):
+    """(M phi)_i = sum_j M_ij phi_j over the nonzero entries of M."""
+    out = np.empty_like(phi)
+    for i, row in enumerate(rows):
+        if not row:
+            out[i] = 0.0
+            continue
+        (j, c), rest = row[0], row[1:]
+        np.multiply(phi[j], c, out=out[i])
+        for j, c in rest:
+            out[i] += c * phi[j]
+    return out
+
+
+def _q_apply(grid: GridRep, qmono, phi):
+    """Q1^k1 Q2^k2 Q3^k3 phi, transforming only along the axes it uses."""
+    for a, k in enumerate(qmono[:grid.d]):
+        if k:
+            axis = a - grid.d
+            shape = (grid.npts,) + (1,) * (-axis - 1)
+            phase = grid._phase_a.reshape(shape)
+            phi = np.fft.ifft(phi * phase, axis=axis)
+            phi *= (grid.x_axis ** k).reshape(shape)
+            phi = np.fft.fft(phi, axis=axis)
+            phi *= np.conj(phase)
+    return phi
+
+
+def _accumulate(out, carr, chi, lam):
+    """out += carr * Lam^lam chi, Lam acting as the sector sign (+1, -1)."""
+    if not lam:
+        out += carr * chi
+    else:
+        out[:, 0] += carr * chi[:, 0]
+        out[:, 1] -= carr * chi[:, 1]
 
 
 def realize(e: OperatorExpr, grid: GridRep) -> LinearMap:
     """Concrete linear operator for a normal-form expression.
 
     Linear in e; realize(nf(e)) and realize(e) agree to roundoff on
-    band-limited states.
+    band-limited states. The expression is compiled once into a plan
+    (``_compile_terms``) that ``apply`` and the adjoint run in the
+    spin-first inner layout; see the module docstring.
     """
-    groups = _compile_terms(e, grid)
-    qpowers = {}
-    for g in groups:
-        for qmono, _ in g["terms"]:
-            if any(qmono) and qmono not in qpowers:
-                qpowers[qmono] = _x_power(grid, qmono)
+    plan = _compile_terms(e, grid)
 
     def apply_fn(state):
-        state = np.asarray(state, dtype=complex)
-        out = np.zeros(np.broadcast_shapes(state.shape,
-                                           (1,) * (state.ndim - 2) + (grid.nspin, 2)),
-                       dtype=complex)
-        for g in groups:
-            phi = state
-            if g["lam"]:
-                phi = phi * grid.sector_sign
-            if g["smat"] is not None:
-                phi = np.einsum("ij,...jk->...ik", g["smat"], phi)
-            with_q = {}
-            for qmono, carr in g["terms"]:
-                if any(qmono):
-                    with_q.setdefault(qmono, []).append(carr)
-                else:
-                    out = out + carr * phi
-            if with_q:
-                chi = grid.to_position(phi)
-                for qmono, coeffs in with_q.items():
-                    back = grid.to_momentum(qpowers[qmono] * chi)
-                    for carr in coeffs:
-                        out = out + carr * back
-        return out
+        inner = _to_inner(grid, state)
+        out = np.zeros_like(inner)
+        for rows, _, qgroups in plan:
+            phi = inner if rows is None else _spin_mix(rows, inner)
+            for qmono, pairs in qgroups:
+                chi = _q_apply(grid, qmono, phi)
+                for carr, lam in pairs:
+                    _accumulate(out, carr, chi, lam)
+        return _to_public(out)
 
     def adjoint_fn(state):
-        state = np.asarray(state, dtype=complex)
-        out = np.zeros(np.broadcast_shapes(state.shape,
-                                           (1,) * (state.ndim - 2) + (grid.nspin, 2)),
-                       dtype=complex)
-        for g in groups:
-            acc = None
-            for qmono, carr in g["terms"]:
-                phi = np.conj(carr) * state
-                if any(qmono):
-                    phi = grid.to_momentum(qpowers[qmono] * grid.to_position(phi))
-                acc = phi if acc is None else acc + phi
-            if acc is None:
-                continue
-            if g["smat"] is not None:
-                acc = np.einsum("ij,...jk->...ik", np.conj(g["smat"].T), acc)
-            if g["lam"]:
-                acc = acc * grid.sector_sign
-            out = out + acc
-        return out
+        inner = _to_inner(grid, state)
+        out = np.zeros_like(inner)
+        for _, adj_rows, qgroups in plan:
+            acc = np.zeros_like(inner)
+            for qmono, pairs in qgroups:
+                psi = np.zeros_like(inner)
+                for carr, lam in pairs:
+                    _accumulate(psi, np.conj(carr), inner, lam)
+                acc += _q_apply(grid, qmono, psi)
+            out += acc if adj_rows is None else _spin_mix(adj_rows, acc)
+        return _to_public(out)
 
     return LinearMap(grid, apply_fn, adjoint_fn, label="realized")
 

@@ -5,9 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qpskit import (GridRep, UnsupportedSymbolError, gaussian_states,
-                    identity_map, map_commutator, operator_norm, parse_expr,
-                    realize, residual_norm)
+from qpskit import (GridRep, UnsupportedSymbolError, foldy_generators,
+                    gaussian_states, identity_map, map_commutator,
+                    operator_norm, parse_expr, realize, residual_norm)
 from qpskit.grid import GridConfigError, band_limit_fraction
 
 P = parse_expr
@@ -166,3 +166,102 @@ def test_residual_norm_batches_match_loop():
     r = residual_norm(amap, g, states=states)
     byhand = max(g.norm(amap.apply(s)) / g.norm(s) for s in states)
     assert float(r) == pytest.approx(byhand, rel=1e-12)
+
+
+# -- the compiled apply plan against a term-by-term reference -----------------------
+
+
+def _reference_apply(e, g, psi, adjoint=False):
+    """Each term c(P) Q^k S^n Lam^l on its own: the sector sign, einsum with
+    the spin matrix, and full ``to_momentum(x^k to_position(.))`` transforms."""
+    xs = np.meshgrid(*([g.x_axis] * g.d), indexing="ij")
+    out = np.zeros(psi.shape, dtype=complex)
+    for mono, coeff in e.terms.items():
+        qmono, smono, lam = mono[:3], mono[3:6], mono[6]
+        carr = np.asarray(g.eval_coeff(coeff))[..., None, None]
+        smat = np.eye(g.nspin, dtype=complex)
+        for idx, expnt in enumerate(smono):
+            for _ in range(expnt):
+                smat = smat @ g.spin_mats[idx]
+        sign = g.sector_sign ** lam
+        xk = np.ones(xs[0].shape)
+        for a in range(g.d):
+            xk = xk * xs[a] ** qmono[a]
+
+        def q(v):
+            return g.to_momentum(xk[..., None, None] * g.to_position(v)) \
+                if any(qmono) else v
+
+        if adjoint:
+            v = q(np.conj(carr) * psi)
+            out += sign * np.einsum("ij,...jk->...ik", smat.conj().T, v)
+        else:
+            out += carr * q(np.einsum("ij,...jk->...ik", smat, sign * psi))
+    return out
+
+
+def _assert_matches_reference(e, g, psi, label=""):
+    amap = realize(e, g)
+    for got, adjoint in ((amap.apply(psi), False), (amap.adjoint().apply(psi), True)):
+        want = _reference_apply(e, g, psi, adjoint=adjoint)
+        assert got.shape == psi.shape
+        err = np.abs(got - want).max()
+        assert err <= 1e-12 * np.abs(want).max(), (label, adjoint, err)
+
+
+def _two_batch_axes(g, seed):
+    return np.stack([np.stack(gaussian_states(g, nstates=2, seed=seed + k))
+                     for k in range(2)])
+
+
+@pytest.mark.parametrize("spin", [Fraction(1, 2), 0], ids=["s1/2", "s0"])
+def test_plan_matches_reference_on_every_foldy_generator(spin):
+    g = GridRep(d=3, npts=16, pmax=2.0, m=1.0, s=spin, tval=0.3)
+    psi = np.stack(gaussian_states(g, nstates=2, seed=11))
+    for name, e in foldy_generators().items():
+        _assert_matches_reference(e, g, psi, name)
+
+
+@pytest.mark.parametrize("spin, text, d, npts", [
+    (1, "Q1*Q1*Q3*S1*S2 + Lam*S3*Q2 + omega", 3, 16),
+    (Fraction(3, 2), "Q2*S1*Lam + i*P3*S2", 3, 16),
+    (0, "Q1*omega + Lam*P1", 1, 4096),
+], ids=["s1-3d", "s3/2-3d", "s0-1d"])
+def test_plan_matches_reference_with_batch_axes(spin, text, d, npts):
+    g = GridRep(d=d, npts=npts, pmax=2.0, m=1.0, s=spin, tval=0.3)
+    if spin == 1:   # the 3x3 spin matrices of this case have zero entries
+        assert (g.spin_mats[0] == 0).any() and (g.spin_mats[2] == 0).any()
+    _assert_matches_reference(P(text), g, _two_batch_axes(g, 21), text)
+
+
+def test_plan_takes_non_contiguous_views():
+    g = GridRep(d=3, npts=8, pmax=2.0, m=1.0, s=1)
+    psi = _two_batch_axes(g, 31)
+    view = psi[..., ::-1, :]
+    amap = realize(P("Q1*Q1*Q3*S1*S2 + Lam*S3*Q2 + omega"), g)
+    for m in (amap, amap.adjoint()):
+        assert np.array_equal(m.apply(view), m.apply(np.ascontiguousarray(view)))
+
+
+def test_plan_rejects_states_of_another_grid():
+    g = GridRep(d=3, npts=8, pmax=2.0, s=Fraction(1, 2))
+    with pytest.raises(GridConfigError):
+        realize(P("P1"), g).apply(np.zeros((8, 8, 2, 2)))
+
+
+def test_one_axis_q_monomial_costs_one_transform_pair(monkeypatch):
+    calls = {"fft": 0, "ifft": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    g = GridRep(d=3, npts=8, pmax=2.0, s=Fraction(1, 2))
+    psi = np.stack(gaussian_states(g, nstates=2, seed=3))
+    for text, pairs in (("Q2*omega + S1*Lam", 1), ("Q2*S3 + Lam*P1", 1),
+                        ("Q1*Q1*Q3", 2), ("Q1 + Q2*S1", 2)):
+        amap = realize(P(text), g)
+        for m in (amap, amap.adjoint()):
+            calls.update(fft=0, ifft=0)
+            m.apply(psi)
+            assert calls == {"fft": pairs, "ifft": pairs}, text
