@@ -15,6 +15,19 @@ The Fock space keeps occupation vectors of the Ns Fourier modes with total
 particle number <= nmax; identities that close below the cutoff hold
 exactly (the "safe subspace"), so every check here is exact up to float
 roundoff rather than a truncation approximation.
+
+a(psi) = sum_k conj(<e_k, psi>) a_k is built by one scatter. Each nonzero
+entry of a mode annihilator a_k sits at a (row, column) pair that no other
+mode uses (row = column's occupation with one quantum removed from mode k,
+value sqrt(n_k)), so the field keeps only the flat arrays of those pairs,
+their modes and values, and a(psi) writes conj(<e_k, psi>) sqrt(n_k) into
+a zero matrix. Phi(z) is written the same way, a and -a^+ together.
+
+The field CCR holds below the cutoff, so the duality check forms only the
+cutoff block of the commutator, [A, B][:k, :k] = A[:k] B[:, :k] -
+B[:k] A[:, :k] with k = dim of total number <= nmax - 1, and the
+expectation suite contracts phi(x)^2 with the state vector rather than
+forming the dense square.
 """
 
 from __future__ import annotations
@@ -97,12 +110,19 @@ class FockOperator:
     def commutator(self, other):
         return FockOperator(self.field, self.mat @ other.mat - other.mat @ self.mat)
 
+    def commutator_on(self, other, max_total):
+        """Block of [self, other] on total number <= max_total, computed from
+        the rows and columns it reads: A[:k] B[:, :k] - B[:k] A[:, :k]."""
+        k = self.field.block_dim(max_total)
+        a, b = self.mat, other.mat
+        return a[:k] @ b[:, :k] - b[:k] @ a[:, :k]
+
     def expectation(self, vec):
         return complex(np.vdot(vec, self.mat @ vec))
 
     def restricted(self, max_total):
         """Matrix block on the subspace with total number <= max_total."""
-        k = self.field.sector_offsets[max_total + 1]
+        k = self.field.block_dim(max_total)
         return self.mat[:k, :k]
 
     def norm_on(self, max_total=None):
@@ -146,18 +166,29 @@ class FockField:
         self.totals = totals
         self.sector_offsets = np.searchsorted(totals, np.arange(self.nmax + 2))
 
-        self._mode_annihilators = [self._build_annihilator(kk)
-                                   for kk in range(self.nsites)]
-
-    def _build_annihilator(self, mode):
-        mat = np.zeros((self.dim, self.dim))
+        # nonzero entries of the mode annihilators a_k: a_k[row, col] = sqrt(n)
+        rows, cols, modes, counts = [], [], [], []
         for col, occ in enumerate(self.basis):
-            n = occ[mode]
-            if n:
-                target = list(occ)
-                target[mode] = n - 1
-                mat[self.index[tuple(target)], col] = np.sqrt(n)
-        return mat
+            for mode, n in enumerate(occ):
+                if n:
+                    target = list(occ)
+                    target[mode] = n - 1
+                    rows.append(self.index[tuple(target)])
+                    cols.append(col)
+                    modes.append(mode)
+                    counts.append(n)
+        self._ladder_rows = np.array(rows, dtype=np.intp)
+        self._ladder_cols = np.array(cols, dtype=np.intp)
+        self._ladder_modes = np.array(modes, dtype=np.intp)
+        self._ladder_sqrt_n = np.sqrt(np.array(counts, dtype=float))
+
+    def block_dim(self, max_total):
+        """Dimension of the subspace with total number <= max_total."""
+        if not (isinstance(max_total, (int, np.integer))
+                and 0 <= max_total <= self.nmax):
+            raise FockConfigError(
+                f"max_total must be an integer in 0..{self.nmax}, got {max_total!r}")
+        return int(self.sector_offsets[max_total + 1])
 
     # -- spectral operators on lattice functions --------------------------------
 
@@ -186,16 +217,18 @@ class FockField:
         # <e_k, psi> for the orthonormal Fourier modes e_k(x) = exp(2pi i kx/Ns)/sqrt(Ns)
         return np.fft.fft(np.asarray(psi, dtype=complex)) / np.sqrt(self.nsites)
 
-    def annihilator(self, psi) -> FockOperator:
-        """a(psi), antilinear in psi; a(psi)|0> = 0."""
+    def _ladder_values(self, psi):
+        """Nonzero entries of a(psi), at (_ladder_rows, _ladder_cols)."""
         psi = np.asarray(psi, dtype=complex)
         if not np.any(psi):
             raise FockConfigError("a(psi) needs a nonzero 1-particle vector")
         coeffs = self._mode_coefficients(psi)
+        return np.conj(coeffs)[self._ladder_modes] * self._ladder_sqrt_n
+
+    def annihilator(self, psi) -> FockOperator:
+        """a(psi), antilinear in psi; a(psi)|0> = 0."""
         mat = np.zeros((self.dim, self.dim), dtype=complex)
-        for c, amat in zip(coeffs, self._mode_annihilators):
-            if c:
-                mat += np.conj(c) * amat
+        mat[self._ladder_rows, self._ladder_cols] = self._ladder_values(psi)
         return FockOperator(self, mat)
 
     def creator(self, psi) -> FockOperator:
@@ -223,9 +256,14 @@ class FockField:
 
     def field_op(self, z: PhasePoint) -> FockOperator:
         """Phi(z) = -i hbar (a(Kz) - a^+(Kz)); self-adjoint."""
-        a = self.annihilator(self.one_particle_map(z))
-        adag = a.adjoint()
-        return (a - adag) * (-1j * self.hbar)
+        # a lowers the total number and a^+ raises it, so their entries
+        # never share a position
+        vals = self._ladder_values(self.one_particle_map(z))
+        scale = -1j * self.hbar
+        mat = np.zeros((self.dim, self.dim), dtype=complex)
+        mat[self._ladder_rows, self._ladder_cols] = vals * scale
+        mat[self._ladder_cols, self._ladder_rows] = -np.conj(vals) * scale
+        return FockOperator(self, mat)
 
     def local_field(self, x: int) -> FockOperator:
         """phi_hat(x) = Phi(0, -delta_x)."""
@@ -287,11 +325,10 @@ def expectation_suite(psi, field: FockField) -> ExpectationCurves:
     predicted = field.hbar * field.smeared_profile(psi)
     for x in range(ns):
         phi = field.local_field(x)
-        phi_sq = phi @ phi
-        vac_first[x] = phi.expectation(vac).real
-        one_first[x] = phi.expectation(one).real
-        vac_sq[x] = phi_sq.expectation(vac).real
-        one_sq[x] = phi_sq.expectation(one).real
+        for vec, first, sq in ((vac, vac_first, vac_sq), (one, one_first, one_sq)):
+            phi_vec = phi.apply(vec)
+            first[x] = np.vdot(vec, phi_vec).real
+            sq[x] = np.vdot(vec, phi.apply(phi_vec)).real
     delta_profile = np.zeros(ns)
     for x in range(ns):
         d = np.zeros(ns)
@@ -357,10 +394,10 @@ def fock_report(suite, sites=8, nmax=3, m=1.0, seed=0, tol=1e-10):
         for trial in range(3):
             z = PhasePoint(rng.normal(size=sites), rng.normal(size=sites))
             zp = PhasePoint(rng.normal(size=sites), rng.normal(size=sites))
-            ccr = field.field_op(z).commutator(field.field_op(zp)) \
-                - 1j * field.hbar * field.symplectic(z, zp)
+            ccr = field.field_op(z).commutator_on(field.field_op(zp), field.nmax - 1)
+            ccr -= 1j * field.hbar * field.symplectic(z, zp) * np.eye(len(ccr))
             within_tol(f"ccr[{trial}]", "[Phi(z),Phi(z')]", "i*hbar*Omega(z,z')",
-                       ccr.norm_on(field.nmax - 1))
+                       float(np.linalg.norm(ccr, 2)))
             a = field.annihilator(field.one_particle_map(z))
             rhs = (1j * field.field_op(z)
                    - field.field_op(field.complex_structure(z))) * (1 / (2 * field.hbar))

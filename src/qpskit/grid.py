@@ -82,10 +82,15 @@ class GridRep:
         x0 = self.x_axis[0]
         j = np.arange(n)
         self._phase_a = np.exp(1j * j * self.dp * x0 / self.hbar)
-        self._phase_b = np.exp(1j * j * p0 * self.dx / self.hbar)
-        self._phase0 = np.exp(1j * p0 * x0 / self.hbar)
-        self._fwd_scale = self.dp * n / np.sqrt(2.0 * np.pi * self.hbar) * self._phase0
-        self._bwd_scale = self.dx / np.sqrt(2.0 * np.pi * self.hbar) * np.conj(self._phase0)
+        phase_b = np.exp(1j * j * p0 * self.dx / self.hbar)
+        phase0 = np.exp(1j * p0 * x0 / self.hbar)
+        fwd_scale = self.dp * n / np.sqrt(2.0 * np.pi * self.hbar) * phase0
+        bwd_scale = self.dx / np.sqrt(2.0 * np.pi * self.hbar) * np.conj(phase0)
+        # one factor on each side of a per-axis FFT, scales folded into the
+        # factor applied after it
+        self._fwd_out = phase_b * fwd_scale
+        self._bwd_in = np.conj(phase_b)
+        self._bwd_out = np.conj(self._phase_a) * bwd_scale
 
         if d == 1:
             self.pmesh = (self.p_axis, 0.0, 0.0)
@@ -133,17 +138,15 @@ class GridRep:
         for ax in self._spatial_axes(out):
             out = self._axis_mul(out, self._phase_a, ax)
             out = np.fft.ifft(out, axis=ax)
-            out = self._axis_mul(out, self._phase_b, ax)
-            out = out * self._fwd_scale
+            out = self._axis_mul(out, self._fwd_out, ax)
         return out
 
     def to_momentum(self, state):
         out = np.asarray(state, dtype=complex)
         for ax in self._spatial_axes(out):
-            out = self._axis_mul(out, np.conj(self._phase_b), ax)
+            out = self._axis_mul(out, self._bwd_in, ax)
             out = np.fft.fft(out, axis=ax)
-            out = self._axis_mul(out, np.conj(self._phase_a), ax)
-            out = out * self._bwd_scale
+            out = self._axis_mul(out, self._bwd_out, ax)
         return out
 
     # -- coefficient evaluation -------------------------------------------------

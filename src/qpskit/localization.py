@@ -117,15 +117,16 @@ def nw_projector(grid: GridRep, interval, t: float = 0.0) -> LinearMap:
     the positive-frequency 1-particle sector.
     """
     _plain_grid(grid)
-    ind = _indicator(grid, interval)
-    evo = np.exp(-1j * grid.omega * t / grid.hbar)
+    ind = _indicator(grid, interval)[:, None, None]
+    evo = np.exp(-1j * grid.omega * t / grid.hbar)[:, None, None]
+    evo_back = np.conj(evo)
 
     def apply_fn(state):
-        out = np.asarray(state, dtype=complex) * evo[:, None, None]
+        out = np.asarray(state, dtype=complex) * evo
         out = grid.to_position(out)
-        out = out * ind[:, None, None]
+        out = out * ind
         out = grid.to_momentum(out)
-        return out * np.conj(evo)[:, None, None]
+        return out * evo_back
 
     # self-adjoint: unitary conjugation of a real indicator
     return LinearMap(grid, apply_fn, apply_fn,

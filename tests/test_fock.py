@@ -4,8 +4,8 @@ expectation curves, truncation stability."""
 import numpy as np
 import pytest
 
-from qpskit import (FockConfigError, FockField, PhasePoint, expectation_suite,
-                    profile_fwhm)
+from qpskit import (FockConfigError, FockField, FockOperator, PhasePoint,
+                    expectation_suite, profile_fwhm)
 
 
 @pytest.fixture(scope="module")
@@ -207,3 +207,96 @@ def test_zero_vector_refused(field):
         field.annihilator(np.zeros(8))
     with pytest.raises(FockConfigError):
         expectation_suite(np.zeros(8), field)
+
+
+def test_block_bounds_are_checked(field):
+    rng = np.random.default_rng(13)
+    a = field.annihilator(rand_state(rng, 8))
+    for bad in (-2, -1, field.nmax + 1, 1.5):
+        with pytest.raises(FockConfigError):
+            a.restricted(bad)
+        with pytest.raises(FockConfigError):
+            a.norm_on(bad)
+        with pytest.raises(FockConfigError):
+            a.commutator_on(a, bad)
+    assert a.restricted(0).shape == (1, 1)
+    assert a.restricted(field.nmax).shape == (field.dim, field.dim)
+
+
+def _dense_mode_annihilators(field):
+    """Per-mode a_k as dense matrices, from the occupation basis directly."""
+    mats = []
+    for mode in range(field.nsites):
+        mat = np.zeros((field.dim, field.dim))
+        for col, occ in enumerate(field.basis):
+            n = occ[mode]
+            if n:
+                target = list(occ)
+                target[mode] = n - 1
+                mat[field.index[tuple(target)], col] = np.sqrt(n)
+        mats.append(mat)
+    return mats
+
+
+@pytest.mark.parametrize("sites,nmax,hbar", [(4, 2, 1.0), (6, 4, 0.7), (8, 3, 1.0)])
+def test_annihilator_matches_dense_mode_sum(sites, nmax, hbar):
+    field = FockField(sites, 1.3, nmax, hbar=hbar)
+    modes = _dense_mode_annihilators(field)
+    rng = np.random.default_rng(sites)
+    x = np.arange(sites)
+    sparse_psi = (1.0 + (-1.0) ** x) + 0j          # only k = 0 and k = Ns/2
+    assert (np.fft.fft(sparse_psi) == 0).any()
+    for psi in (rand_state(rng, sites), sparse_psi):
+        coeffs = np.fft.fft(psi) / np.sqrt(sites)
+        want = np.zeros((field.dim, field.dim), dtype=complex)
+        for c, amat in zip(coeffs, modes):
+            if c:
+                want += np.conj(c) * amat
+        assert np.array_equal(field.annihilator(psi).mat, want)
+    z = rand_phase(rng, sites)
+    a = field.annihilator(field.one_particle_map(z)).mat
+    assert np.array_equal(field.field_op(z).mat, (a - a.conj().T) * (-1j * hbar))
+
+
+@pytest.mark.parametrize("sites,nmax", [(6, 2), (8, 3), (6, 4)])
+def test_ccr_block_matches_full_commutator(sites, nmax):
+    field = FockField(sites, 1.0, nmax)
+    rng = np.random.default_rng(14)
+    phi = field.field_op(rand_phase(rng, sites))
+    phi_p = field.field_op(rand_phase(rng, sites))
+    shift = 1j * field.hbar * 0.37
+    block = phi.commutator_on(phi_p, nmax - 1)
+    block -= shift * np.eye(field.block_dim(nmax - 1))
+    full = phi.commutator(phi_p) - shift
+    assert np.abs(block - full.restricted(nmax - 1)).max() <= 1e-13
+    assert abs(np.linalg.norm(block, 2) - full.norm_on(nmax - 1)) <= 1e-13
+
+
+def test_expectation_squares_match_dense_square(field):
+    rng = np.random.default_rng(15)
+    psi = rand_state(rng, 8)
+    curves = expectation_suite(psi, field)
+    vac = field.vacuum()
+    one = field.one_particle_state(psi)
+    for x in range(8):
+        phi = field.local_field(x)
+        sq = phi @ phi
+        assert abs(curves.vacuum_sq[x] - sq.expectation(vac).real) <= 1e-14
+        assert abs(curves.one_particle_sq[x] - sq.expectation(one).real) <= 1e-14
+
+
+def test_expectation_suite_forms_no_operator_products(monkeypatch):
+    field = FockField(10, 1.0, 4)
+    for name, val in vars(field).items():
+        for arr in val if isinstance(val, (list, tuple)) else [val]:
+            if isinstance(arr, np.ndarray):
+                assert arr.size < field.dim ** 2, name
+
+    def refuse(self, other):
+        raise AssertionError("dense operator product formed")
+
+    monkeypatch.setattr(FockOperator, "__matmul__", refuse)
+    psi = np.zeros(10)
+    psi[5] = 1.0
+    curves = expectation_suite(psi, field)
+    assert curves.max_difference_error <= 1e-10
