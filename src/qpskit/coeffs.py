@@ -6,51 +6,440 @@ plain QQ:
 
     value = (ar + ai*i) + (br + bi*i)*omega
 
-Keeping real and imaginary parts as separate QQ fractions sidesteps sympy's
-very slow QQ_I fraction field while preserving exact, canonical arithmetic:
 {1, i, omega, i*omega} is a basis of the extension over QQ(vars), so equality
 of values is component-wise equality of canonical fractions.
 
 The mass rescaling k (default 1) supports algebras built on a different
 energy-momentum relation, e.g. omega'^2 = P^2 + (2m)^2.
 
-Fractions are sympy ``FracElement``s in sympy's canonical form: numerator
-and denominator coprime, with integer coefficients of joint content 1 and a
-positive leading coefficient in the denominator. They are reduced here, not
-by sympy's GCD-based ``cancel``. Every denominator the engine meets is a
-constant times powers of a few irreducible polynomials, so each context
-keeps a registry of irreducible factors, seeded with the eight generators,
-P^2 = P1^2+P2^2+P3^2 and the radicand P^2 + (k*m)^2, and caches each
-denominator's factorization over it. An operation passes its operands'
-denominators as the parts of the new one, whose factorization is then the
-sum of theirs. Reducing n/d divides every factor of d out of n as often as
-it goes (exact trial division), then fixes content and sign with integer
-arithmetic. A polynomial with a factor outside the registry (user input
-such as 1/(P1+m), or the norm of an inverted coefficient such as
-c^2 P1^2 - P^2 - m^2) is split once by ``factor_list``; its irreducible
-factors join the registry.
+The polynomial ring is this module's own. A ``Poly`` is an immutable,
+hashable dict from a packed exponent ``int`` to a nonzero ``int``
+coefficient. Each generator owns an 8-bit field of the packed exponent, P1
+the highest, so comparing packed ints is lex order in GEN_NAMES order and
+the product of two monomials is the sum of their ints. The top bit of every
+field is a guard: exponents stay at most MAX_EXPONENT, a product that
+reaches the guard raises ``CoeffError`` instead of carrying into the next
+generator, and one subtraction tests whether a monomial divides another.
+
+A fraction is a pair ``(numer, denom)`` of Polys in canonical form:
+coprime, with integer coefficients of joint content 1 and a positive
+leading coefficient in the denominator. Every denominator the engine meets
+is a constant times powers of a few irreducible polynomials, so each context
+keeps a registry of primitive irreducible factors, seeded with the eight
+generators, P^2 = P1^2+P2^2+P3^2 and the radicand P^2 + (k*m)^2, and caches
+each denominator's factorization over it as ``(content, ((factor, exp),
+...))``. By Gauss's lemma an integer polynomial divided exactly by a
+primitive factor has an integer quotient, so exact trial division never
+leaves the integers: a remainder coefficient that the factor's leading
+coefficient does not divide proves that the factor does not divide.
+
+* A product cancels crosswise: each numerator is trial-divided only by the
+  factors of the other operand's denominator (Henrici, JACM 3(1), 1956).
+* A sum is taken over the lcm of the two factorizations, and its numerator
+  is trial-divided by the lcm's factors.
+* Content and sign are fixed with integer gcds.
+
+A polynomial with a factor outside the registry (user input such as
+1/(P1+m), or the norm of an inverted coefficient such as
+c^2 P1^2 - P^2 - m^2) is split once by sympy's ``factor_list``, imported
+only then; its irreducible factors join the registry.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain
-
-from sympy.polys.domains import QQ
-from sympy.polys.fields import field as _frac_field
-from sympy.polys.monomials import monomial_div
+from functools import reduce
+from operator import or_
 
 GEN_NAMES = ("P1", "P2", "P3", "m", "t", "hbar", "Mmass", "E0")
 AXES = (1, 2, 3)
+
+_BITS = 8
+_SHIFT = tuple(_BITS * (len(GEN_NAMES) - 1 - g) for g in range(len(GEN_NAMES)))
+MAX_EXPONENT = (1 << (_BITS - 1)) - 1
+_GUARD = sum(1 << (s + _BITS - 1) for s in _SHIFT)   # top bit of every field
+_LOW = sum(1 << s for s in _SHIFT)                    # low bit of every field
 
 
 class CoeffError(ArithmeticError):
     """Raised for malformed coefficient arithmetic (e.g. division by zero)."""
 
 
+class Poly(dict):
+    """Immutable polynomial {packed exponent: nonzero int coefficient}."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash(frozenset(self.items()))
+            return h
+
+    def _immutable(self, *args, **kwargs):
+        raise TypeError("Poly is immutable")
+
+    __setitem__ = __delitem__ = __ior__ = _immutable
+    clear = pop = popitem = setdefault = update = _immutable
+
+    def __repr__(self):
+        from .parser import _render_poly
+        return f"Poly({_render_poly(self)})"
+
+
+def _pack(exponents) -> int:
+    key = 0
+    for e, s in zip(exponents, _SHIFT):
+        if not 0 <= e <= MAX_EXPONENT:
+            raise CoeffError(f"exponent {e} outside 0..{MAX_EXPONENT}")
+        key |= e << s
+    return key
+
+
+def _unpack(key: int) -> tuple:
+    """Exponents of a packed monomial, in GEN_NAMES order."""
+    return tuple((key >> s) & MAX_EXPONENT for s in _SHIFT)
+
+
+ZERO = Poly()
+ONE = Poly({0: 1})
+GENS = tuple(Poly({1 << s: 1}) for s in _SHIFT)
+_FZERO = (ZERO, ONE)
+_FONE = (ONE, ONE)
+
+
+# -- polynomial arithmetic --------------------------------------------------------
+
+
+def _checked(out):
+    if reduce(or_, out, 0) & _GUARD:
+        raise CoeffError(f"exponent above {MAX_EXPONENT} in a product")
+    return Poly(out)
+
+
+def _pmul(p, q):
+    if len(p) < len(q):
+        p, q = q, p
+    if len(q) == 1:
+        ((b, cb),) = q.items()
+        return _checked({a + b: ca * cb for a, ca in p.items()})
+    out = {}
+    get = out.get
+    for b, cb in q.items():
+        for a, ca in p.items():
+            k = a + b
+            out[k] = get(k, 0) + ca * cb
+    if 0 in out.values():
+        out = {k: c for k, c in out.items() if c}
+    return _checked(out)
+
+
+def _padd(p, q, sign=1):
+    """p + sign*q."""
+    out = dict(p)
+    get = out.get
+    for k, c in q.items():
+        v = get(k, 0) + sign * c
+        if v:
+            out[k] = v
+        else:
+            del out[k]
+    return Poly(out)
+
+
+def _pscale(p, s):
+    return Poly({k: c * s for k, c in p.items()})
+
+
+def _pdiv_ground(p, s):
+    return Poly({k: c // s for k, c in p.items()})
+
+
+def _ppow(p, e):
+    out = p
+    for _ in range(e - 1):
+        out = _pmul(out, p)
+    return out
+
+
+def _pdiff(p, gen_index):
+    s = _SHIFT[gen_index]
+    one = 1 << s
+    return Poly({k - one: c * e for k, c in p.items()
+                 if (e := (k >> s) & MAX_EXPONENT)})
+
+
+def _is_ground(p):
+    return len(p) == 1 and 0 in p
+
+
+def _content(p, g=0):
+    """gcd of g and the coefficients of p, stopping once it is 1."""
+    for c in p.values():
+        g = math.gcd(g, c)
+        if g == 1:
+            break
+    return g
+
+
+def _exquo(p, f):
+    """p / f when the primitive f divides the integer polynomial p, else None.
+
+    Long division in lex order that stops at the first remainder term the
+    leading term of f does not divide, or at the first coefficient its
+    leading coefficient does not divide: if f | p, every remainder is an
+    integer multiple of f (Gauss's lemma). The lex-last terms are checked
+    first, since they must divide as well.
+    """
+    if len(f) == 1:
+        ((fm, fc),) = f.items()
+        out = {}
+        for mono, c in p.items():
+            q = (mono | _GUARD) - fm
+            if q & _GUARD != _GUARD:
+                return None
+            if fc != 1:
+                c, r = divmod(c, fc)
+                if r:
+                    return None
+            out[q ^ _GUARD] = c
+        return Poly(out)
+    if ((min(p) | _GUARD) - min(f)) & _GUARD != _GUARD:
+        return None
+    fm = max(f)
+    fc = f[fm]
+    tail = [(mono, c) for mono, c in f.items() if mono != fm]
+    rem = dict(p)
+    out = {}
+    while rem:
+        lead = max(rem)
+        q = (lead | _GUARD) - fm
+        if q & _GUARD != _GUARD:
+            return None
+        q ^= _GUARD
+        c, r = divmod(rem.pop(lead), fc)
+        if r:
+            return None
+        out[q] = c
+        for mono, tc in tail:
+            key = mono + q
+            v = rem.get(key, 0) - c * tc
+            if v:
+                rem[key] = v
+            else:
+                del rem[key]
+    return Poly(out)
+
+
+# -- fraction reduction -----------------------------------------------------------
+
+
+def _primitive(p):
+    """p divided by its content, with a positive leading coefficient."""
+    g = _content(p)
+    if p[max(p)] < 0:
+        g = -g
+    return p if g == 1 else _pdiv_ground(p, g)
+
+
+def _factorization(ctx, p):
+    """(content, ((factor, exponent), ...)) of p over ctx.factors, cached by
+    p; the content carries the sign of p's leading coefficient.
+
+    Whatever the registry leaves over is split by ``factor_list`` once and
+    its irreducible factors join the registry.
+    """
+    if _is_ground(p):
+        return p[0], ()
+    fac = ctx.factorizations.get(p)
+    if fac is not None:
+        return fac
+    rest = p
+    out = []
+    for f in ctx.factors:
+        if _is_ground(rest):
+            break
+        e = 0
+        while (q := _exquo(rest, f)) is not None:
+            rest = q
+            e += 1
+        if e:
+            out.append((f, e))
+    if not _is_ground(rest):
+        from sympy.polys.domains import ZZ
+        from sympy.polys.rings import ring
+
+        zring = ring(",".join(GEN_NAMES), ZZ)[0]
+        split = zring.from_dict({_unpack(k): c for k, c in rest.items()})
+        # no registry factor divides rest, so each of these is new
+        for f, e in split.factor_list()[1]:
+            f = _primitive(Poly({_pack(m): int(c) for m, c in f.items()}))
+            ctx.factors.append(f)
+            out.append((f, e))
+    g = _content(p)
+    fac = ctx.factorizations[p] = (g if p[max(p)] > 0 else -g, tuple(out))
+    return fac
+
+
+def _strip(n, d, fac, left):
+    """Divide each factor of ``fac``, (factor, exponent) pairs of d, out of
+    n as often as it goes and out of d as often; add what is left of its
+    exponent to ``left``."""
+    for f, e in fac:
+        k = 0
+        while k < e and (q := _exquo(n, f)) is not None:
+            n = q
+            k += 1
+        if k:
+            d = _exquo(d, _ppow(f, k))
+        if k < e:
+            left[f] = left.get(f, 0) + e - k
+    return n, d
+
+
+def _cancel(ctx, n, d, fac):
+    """Canonical (numer, denom) of n/d, where ``fac`` holds d's factors."""
+    left: dict = {}
+    n, d = _strip(n, d, fac, left)
+    return _settle(ctx, n, d, tuple(left.items()))
+
+
+def _settle(ctx, n, d, fac):
+    """Fix the joint content and sign of the coprime n/d, whose denominator
+    factors are ``fac``, and cache d's factorization."""
+    cd = _content(d)
+    g = _content(n, cd) if cd != 1 else 1
+    if d[max(d)] < 0:
+        g = -g
+    if g != 1:
+        n = _pdiv_ground(n, g)
+        d = _pdiv_ground(d, g)
+    if fac and d not in ctx.factorizations:
+        ctx.factorizations[d] = (cd // abs(g), fac)
+    return n, d
+
+
+def _reduce(ctx, n, *dens):
+    """Canonical (numer, denom) of n / (dens[0] * dens[1] * ...).
+
+    The denominator's factorization is the sum of its parts'. Each part is
+    factored once and cached, so a product of denominators is never
+    factored as a whole.
+    """
+    if not n:
+        return _FZERO
+    d = dens[0]
+    exps: dict = {}
+    for i, p in enumerate(dens):
+        if i:
+            d = _pmul(d, p)
+        for f, e in _factorization(ctx, p)[1]:
+            exps[f] = exps.get(f, 0) + e
+    return _cancel(ctx, n, d, exps.items())
+
+
+def _fneg(f):
+    return (_pscale(f[0], -1), f[1]) if f[0] else f
+
+
+def _fadd(ctx, f, g, sign=1):
+    """f + sign*g, over the lcm of the two denominators."""
+    n1, d1 = f
+    n2, d2 = g
+    if not n2:
+        return f
+    if not n1:
+        return _fneg(g) if sign < 0 else g
+    if d1 == d2:
+        n = _padd(n1, n2, sign)
+        if not n:
+            return _FZERO
+        if _is_ground(d1):
+            return _settle(ctx, n, d1, ())
+        return _cancel(ctx, n, d1, _factorization(ctx, d1)[1])
+    c1, fac1 = _factorization(ctx, d1)
+    c2, fac2 = _factorization(ctx, d2)
+    c = math.lcm(c1, c2)
+    # cofactors lcm/d1 and lcm/d2
+    cof1 = ONE if c == c1 else Poly({0: c // c1})
+    cof2 = ONE if c == c2 else Poly({0: c // c2})
+    e1 = dict(fac1)
+    e2 = dict(fac2)
+    exps = {}
+    for f in {**e1, **e2}:
+        a = e1.get(f, 0)
+        b = e2.get(f, 0)
+        if a < b:
+            cof1 = _pmul(cof1, _ppow(f, b - a))
+        elif b < a:
+            cof2 = _pmul(cof2, _ppow(f, a - b))
+        exps[f] = max(a, b)
+    n = _padd(_pmul(n1, cof1), _pmul(n2, cof2), sign)
+    if not n:
+        return _FZERO
+    return _cancel(ctx, n, _pmul(d1, cof1), exps.items())
+
+
+def _fmul(ctx, f, g):
+    n1, d1 = f
+    n2, d2 = g
+    if not n1 or not n2:
+        return _FZERO
+    if _is_ground(d1) and _is_ground(d2):
+        if d1 == ONE and d2 == ONE:
+            return _pmul(n1, n2), ONE
+        return _settle(ctx, _pmul(n1, n2), Poly({0: d1[0] * d2[0]}), ())
+    # n1/d1 and n2/d2 are coprime, so only n1 and d2, and n2 and d1, can
+    # share factors
+    left: dict = {}
+    n1, d2 = _strip(n1, d2, _factorization(ctx, d2)[1], left)
+    n2, d1 = _strip(n2, d1, _factorization(ctx, d1)[1], left)
+    return _settle(ctx, _pmul(n1, n2), _pmul(d1, d2), tuple(left.items()))
+
+
+def _fdiv(ctx, f, g):
+    n2, d2 = g
+    if not n2:
+        raise CoeffError("division by zero")
+    if n2[max(n2)] < 0:
+        return _fmul(ctx, f, (_pscale(d2, -1), _pscale(n2, -1)))
+    return _fmul(ctx, f, (d2, n2))
+
+
+def _fdiff(ctx, fr, gen_index):
+    """d/d gen of a fraction, by the quotient rule."""
+    n, d = fr
+    dn = _pdiff(n, gen_index)
+    dd = _pdiff(d, gen_index)
+    if not dd:
+        if not dn:
+            return _FZERO
+        return _reduce(ctx, dn, d)
+    return _reduce(ctx, _padd(_pmul(dn, d), _pmul(n, dd), -1), d, d)
+
+
+def _feval(fr, values):
+    """Evaluate a fraction numerically; values indexed like GEN_NAMES.
+
+    Entries of ``values`` may be scalars or numpy arrays (broadcastable).
+    """
+    def poly_eval(p):
+        total = 0.0
+        for key, coeff in sorted(p.items(), reverse=True):
+            term = float(coeff)
+            for g, e in enumerate(_unpack(key)):
+                if e:
+                    term = term * values[g]**e
+            total = total + term
+        return total
+
+    return poly_eval(fr[0]) / poly_eval(fr[1])
+
+
 class AlgebraContext:
-    """Shared ring data: the rational-function field and the omega radicand.
+    """Shared ring data: the omega radicand and the factor registry.
 
     Expressions from different contexts must not be mixed; the square root
     adjoined in one context is not an element of another. Each context owns
@@ -65,22 +454,14 @@ class AlgebraContext:
         if k <= 0:
             raise ValueError("mass_factor must be positive")
         self.mass_factor = k
-        created = _frac_field(",".join(GEN_NAMES), QQ)
-        self.field = created[0]
-        self.ring = self.field.ring
-        gens = created[1:]
-        (self.P1, self.P2, self.P3, self.m, self.t,
-         self.hbar, self.Mmass, self.E0) = gens
-        self.fzero = self.field.zero
-        self.fone = self.field.one
-        x = self.ring.gens
-        psq = x[0]**2 + x[1]**2 + x[2]**2
+        p1, p2, p3, m = GENS[:4]
+        psq = _padd(_padd(_pmul(p1, p1), _pmul(p2, p2)), _pmul(p3, p3))
         # den^2 * (P^2 + (k*m)^2) has integer coefficients of content 1
-        norm = psq * k.denominator**2 + x[3]**2 * k.numerator**2
-        self.radicand = self.field.raw_new(norm, self.ring.ground_new(k.denominator**2))
+        norm = _padd(_pscale(psq, k.denominator**2), _pscale(_pmul(m, m), k.numerator**2))
+        self.radicand = (norm, Poly({0: k.denominator**2}))
         # irreducible factors denominators are tried against, and each
-        # denominator's factorization over them: {denom: ((factor, exp), ...)}
-        self.factors = [*x, psq, norm]
+        # denominator's factorization over them
+        self.factors = [*GENS, psq, norm]
         self.factorizations: dict = {}
         # caches used by the operator layer
         self.s_left_cache: dict = {}
@@ -88,8 +469,9 @@ class AlgebraContext:
         self.spin_matrix_cache: dict = {}
         self.scalar_cache: dict = {}
         self.shuffle_cache: dict = {}
-        self._i_hbar = ScalarCoeff(self, self.fzero, self.hbar, self.fzero, self.fzero)
-        self.p_over_w = tuple(_fdiv(self, g, self.radicand) for g in gens[:3])
+        self._i_hbar = ScalarCoeff(self, _FZERO, (GENS[GEN_NAMES.index("hbar")], ONE),
+                                   _FZERO, _FZERO)
+        self.p_over_w = tuple(_fdiv(self, (g, ONE), self.radicand) for g in GENS[:3])
 
     @classmethod
     def get(cls, mass_factor=1) -> "AlgebraContext":
@@ -112,218 +494,28 @@ class AlgebraContext:
         c = self.scalar_cache.get(value)
         if c is None:
             f = Fraction(value)
-            fr = self.field.raw_new(self.ring.ground_new(f.numerator),
-                                    self.ring.ground_new(f.denominator))
-            c = self.scalar_cache[value] = ScalarCoeff(
-                self, fr, self.fzero, self.fzero, self.fzero)
+            fr = (Poly({0: f.numerator}) if f else ZERO, Poly({0: f.denominator}))
+            c = self.scalar_cache[value] = ScalarCoeff(self, fr, _FZERO, _FZERO, _FZERO)
         return c
 
     def imag_unit(self) -> "ScalarCoeff":
-        return ScalarCoeff(self, self.fzero, self.fone, self.fzero, self.fzero)
+        return ScalarCoeff(self, _FZERO, _FONE, _FZERO, _FZERO)
 
     def gen(self, name: str) -> "ScalarCoeff":
         if name == "omega":
-            return ScalarCoeff(self, self.fzero, self.fzero, self.fone, self.fzero)
+            return ScalarCoeff(self, _FZERO, _FZERO, _FONE, _FZERO)
         if name == "i":
             return self.imag_unit()
         if name not in GEN_NAMES:
             raise KeyError(name)
-        fr = getattr(self, name)
-        return ScalarCoeff(self, fr, self.fzero, self.fzero, self.fzero)
+        fr = (GENS[GEN_NAMES.index(name)], ONE)
+        return ScalarCoeff(self, fr, _FZERO, _FZERO, _FZERO)
 
     def zero_coeff(self) -> "ScalarCoeff":
-        return ScalarCoeff(self, self.fzero, self.fzero, self.fzero, self.fzero)
+        return ScalarCoeff(self, _FZERO, _FZERO, _FZERO, _FZERO)
 
     def i_hbar(self) -> "ScalarCoeff":
         return self._i_hbar
-
-
-# -- fraction reduction ---------------------------------------------------------
-
-
-def _exquo(p, f):
-    """p / f when f divides p exactly, else None.
-
-    Long division in the ring's lex order that stops at the first remainder
-    term the leading term of f does not divide: if f | p, every remainder is
-    a multiple of f and so is its leading term.
-    """
-    if len(f) == 1:
-        ((fm, fc),) = f.items()
-        out = {}
-        for mono, c in p.items():
-            q = monomial_div(mono, fm)
-            if q is None:
-                return None
-            out[q] = c / fc
-        return p.new(out)
-    fm = max(f)
-    fc = f[fm]
-    tail = [(mono, c) for mono, c in f.items() if mono != fm]
-    rem = dict(p)
-    out = {}
-    while rem:
-        lead = max(rem)
-        q = monomial_div(lead, fm)
-        if q is None:
-            return None
-        c = rem.pop(lead) / fc
-        out[q] = c
-        for mono, tc in tail:
-            key = tuple(a + b for a, b in zip(mono, q))
-            v = rem.get(key)
-            v = -c * tc if v is None else v - c * tc
-            if v:
-                rem[key] = v
-            else:
-                del rem[key]
-    return p.new(out)
-
-
-def _normalize(n, d):
-    """Scale n/d to integer coefficients of joint content 1 and a positive
-    leading coefficient of d: the normalization ``PolyElement.cancel`` ends
-    with."""
-    # running lcm/gcd: passing all coefficients to one call builds a tuple
-    # per call, and tuples of every length held in CPython's free lists
-    # raised peak memory by about a megabyte over a symbolic run
-    den = 1
-    for c in chain(n.values(), d.values()):
-        den = math.lcm(den, c.denominator)
-    num = 0
-    for c in chain(n.values(), d.values()):
-        num = math.gcd(num, c.numerator * (den // c.denominator))
-    if d[max(d)] < 0:
-        num = -num
-    if den == num == 1:
-        return n, d
-    scale = QQ(den, num)
-    return n.mul_ground(scale), d.mul_ground(scale)
-
-
-def _factorization(ctx, p):
-    """((factor, exponent), ...) of p over ctx.factors, cached by p.
-
-    Whatever the registry leaves over is split by ``factor_list`` once and
-    its irreducible factors join the registry.
-    """
-    fac = ctx.factorizations.get(p)
-    if fac is not None:
-        return fac
-    rest = p
-    fac = []
-    for f in ctx.factors:
-        if rest.is_ground:
-            break
-        e = 0
-        while (q := _exquo(rest, f)) is not None:
-            rest = q
-            e += 1
-        if e:
-            fac.append((f, e))
-    if not rest.is_ground:
-        # no registry factor divides rest, so each of these is new
-        for f, e in rest.factor_list()[1]:
-            ctx.factors.append(f)
-            fac.append((f, e))
-    fac = ctx.factorizations[p] = tuple(fac)
-    return fac
-
-
-def _reduce(ctx, n, *dens):
-    """Canonical (numer, denom) of n / (dens[0] * dens[1] * ...).
-
-    The denominator's factorization is the sum of its parts'. Callers pass
-    their operands' denominators as the parts; each is factored once and
-    cached, so a product of denominators is never factored as a whole.
-    """
-    if not n:
-        return ctx.ring.zero, ctx.ring.one
-    d = dens[0]
-    exps: dict = {}
-    for i, p in enumerate(dens):
-        if i:
-            d = d * p
-        if not p.is_ground:
-            for f, e in _factorization(ctx, p):
-                exps[f] = exps.get(f, 0) + e
-    left = []
-    for f, e in exps.items():
-        k = 0
-        while k < e and (q := _exquo(n, f)) is not None:
-            n = q
-            d = _exquo(d, f)
-            k += 1
-        if k < e:
-            left.append((f, e - k))
-    n, d = _normalize(n, d)
-    if not d.is_ground:
-        ctx.factorizations.setdefault(d, tuple(left))
-    return n, d
-
-
-def _frac(ctx, n, *dens):
-    return ctx.field.raw_new(*_reduce(ctx, n, *dens))
-
-
-def _fadd(ctx, f, g):
-    if not f:
-        return g
-    if not g:
-        return f
-    if f.denom == g.denom:
-        return _frac(ctx, f.numer + g.numer, f.denom)
-    return _frac(ctx, f.numer * g.denom + g.numer * f.denom, f.denom, g.denom)
-
-
-def _fsub(ctx, f, g):
-    return _fadd(ctx, f, -g)
-
-
-def _fmul(ctx, f, g):
-    if not f or not g:
-        return ctx.fzero
-    return _frac(ctx, f.numer * g.numer, f.denom, g.denom)
-
-
-def _fdiv(ctx, f, g):
-    if not f:
-        return ctx.fzero
-    return _frac(ctx, f.numer * g.denom, f.denom, g.numer)
-
-
-def _fdiff(ctx, fr, gen_index):
-    """d/d gen of a fraction, by the quotient rule on sparse polys."""
-    gen = ctx.ring.gens[gen_index]
-    n, d = fr.numer, fr.denom
-    dn = n.diff(gen)
-    dd = d.diff(gen)
-    if not dd:
-        if not dn:
-            return ctx.fzero
-        return _frac(ctx, dn, d)
-    return _frac(ctx, dn * d - n * dd, d, d)
-
-
-def _feval(fr, values):
-    """Evaluate a fraction numerically; values indexed like GEN_NAMES.
-
-    Entries of ``values`` may be scalars or numpy arrays (broadcastable).
-    """
-    def poly_eval(p):
-        total = 0.0
-        for monom, coeff in p.terms():
-            term = float(coeff)
-            for g, e in enumerate(monom):
-                if e:
-                    v = values[g]
-                    term = term * v**e
-            total = total + term
-        return total
-
-    num = poly_eval(fr.numer)
-    den = poly_eval(fr.denom)
-    return num / den
 
 
 class ScalarCoeff:
@@ -341,7 +533,7 @@ class ScalarCoeff:
     # -- structure ----------------------------------------------------------
 
     def __bool__(self):
-        return bool(self.ar) or bool(self.ai) or bool(self.br) or bool(self.bi)
+        return bool(self.ar[0] or self.ai[0] or self.br[0] or self.bi[0])
 
     def is_zero(self):
         return not self
@@ -363,7 +555,7 @@ class ScalarCoeff:
         return (self.ar, self.ai, self.br, self.bi)
 
     def is_real(self):
-        return not self.ai and not self.bi
+        return not self.ai[0] and not self.bi[0]
 
     # -- ring operations ----------------------------------------------------
 
@@ -387,19 +579,22 @@ class ScalarCoeff:
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarCoeff(self.ctx, -self.ar, -self.ai, -self.br, -self.bi)
+        return ScalarCoeff(self.ctx, _fneg(self.ar), _fneg(self.ai),
+                           _fneg(self.br), _fneg(self.bi))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        ctx = self.ctx
+        return ScalarCoeff(ctx, _fadd(ctx, self.ar, o.ar, -1), _fadd(ctx, self.ai, o.ai, -1),
+                           _fadd(ctx, self.br, o.br, -1), _fadd(ctx, self.bi, o.bi, -1))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -410,12 +605,13 @@ class ScalarCoeff:
         # (A + B*w)(C + D*w) = (AC + BD*W) + (AD + BC)*w, complex parts split
         ar, ai, br, bi = self.components()
         cr, ci, dr, di = o.components()
-        zer = ctx.fzero
 
         def cmul(xr, xi, yr, yi):
-            if (not xr and not xi) or (not yr and not yi):
-                return zer, zer
-            re = _fsub(ctx, _fmul(ctx, xr, yr), _fmul(ctx, xi, yi))
+            if (not xr[0] and not xi[0]) or (not yr[0] and not yi[0]):
+                return _FZERO, _FZERO
+            if not xi[0] and not yi[0]:
+                return _fmul(ctx, xr, yr), _FZERO
+            re = _fadd(ctx, _fmul(ctx, xr, yr), _fmul(ctx, xi, yi), -1)
             im = _fadd(ctx, _fmul(ctx, xr, yi), _fmul(ctx, xi, yr))
             return re, im
 
@@ -423,7 +619,7 @@ class ScalarCoeff:
         bd_r, bd_i = cmul(br, bi, dr, di)
         ad_r, ad_i = cmul(ar, ai, dr, di)
         bc_r, bc_i = cmul(br, bi, cr, ci)
-        if bd_r or bd_i:
+        if bd_r[0] or bd_i[0]:
             out_ar = _fadd(ctx, ac_r, _fmul(ctx, bd_r, W))
             out_ai = _fadd(ctx, ac_i, _fmul(ctx, bd_i, W))
         else:
@@ -448,18 +644,20 @@ class ScalarCoeff:
                 out = _fmul(ctx, out, f)
             return out
 
+        def sub(f, g):
+            return _fadd(ctx, f, g, -1)
+
         # complex norm-like element z = A^2 - B^2*W
-        zr = _fsub(ctx, _fsub(ctx, mul(ar, ar), mul(ai, ai)),
-                   mul(_fsub(ctx, mul(br, br), mul(bi, bi)), W))
-        zi = _fsub(ctx, mul(two, ar, ai), mul(two, br, bi, W))
+        zr = sub(sub(mul(ar, ar), mul(ai, ai)), mul(sub(mul(br, br), mul(bi, bi)), W))
+        zi = sub(mul(two, ar, ai), mul(two, br, bi, W))
         # 1/z = conj(z) / |z|^2, with |z|^2 = zr^2 + zi^2 over a real field
         mag = _fadd(ctx, mul(zr, zr), mul(zi, zi))
-        if not mag:
+        if not mag[0]:
             raise CoeffError("non-invertible coefficient (zero norm)")
         inv_zr = _fdiv(ctx, zr, mag)
-        inv_zi = _fdiv(ctx, -zi, mag)
-        conj_top = ScalarCoeff(ctx, ar, ai, -br, -bi)
-        z_inv = ScalarCoeff(ctx, inv_zr, inv_zi, ctx.fzero, ctx.fzero)
+        inv_zi = _fdiv(ctx, _fneg(zi), mag)
+        conj_top = ScalarCoeff(ctx, ar, ai, _fneg(br), _fneg(bi))
+        z_inv = ScalarCoeff(ctx, inv_zr, inv_zi, _FZERO, _FZERO)
         return conj_top * z_inv
 
     def __truediv__(self, other):
@@ -492,7 +690,7 @@ class ScalarCoeff:
     # -- involutions and derivations ----------------------------------------
 
     def conjugate(self):
-        return ScalarCoeff(self.ctx, self.ar, -self.ai, self.br, -self.bi)
+        return ScalarCoeff(self.ctx, self.ar, _fneg(self.ai), self.br, _fneg(self.bi))
 
     def diff(self, axis: int):
         """Formal d/dP_axis with d omega/dP_axis = P_axis/omega."""
@@ -517,24 +715,19 @@ class ScalarCoeff:
                            _fdiff(ctx, self.br, idx), _fdiff(ctx, self.bi, idx))
 
     def uses_gen(self, name: str) -> bool:
-        idx = GEN_NAMES.index(name)
-        for fr in self.components():
-            for p in (fr.numer, fr.denom):
-                for monom in p.monoms():
-                    if monom[idx]:
-                        return True
-        return False
+        mask = MAX_EXPONENT << _SHIFT[GEN_NAMES.index(name)]
+        return any(key & mask for fr in self.components() for p in fr for key in p)
 
     # -- numerics ------------------------------------------------------------
 
     def evaluate(self, values, omega_value):
         """Numeric value; ``values`` maps GEN_NAMES order to numbers/arrays."""
         a = _feval(self.ar, values)
-        if self.ai:
+        if self.ai[0]:
             a = a + 1j * _feval(self.ai, values)
-        if self.br or self.bi:
+        if self.br[0] or self.bi[0]:
             b = _feval(self.br, values)
-            if self.bi:
+            if self.bi[0]:
                 b = b + 1j * _feval(self.bi, values)
             a = a + b * omega_value
         return a
@@ -547,42 +740,24 @@ class ScalarCoeff:
 DEFAULT_CONTEXT = AlgebraContext.get(1)
 
 
-def rational_sqrt(f: Fraction):
-    """Exact square root of a rational, or None."""
-    if f < 0:
-        return None
-    pn = math.isqrt(f.numerator)
-    pd = math.isqrt(f.denominator)
-    if pn * pn != f.numerator or pd * pd != f.denominator:
-        return None
-    return Fraction(pn, pd)
-
-
 def _monomial_sqrt(fr):
     """Square root of a single-monomial fraction (even exponents), or None."""
-    field = fr.field
 
     def half(p):
-        terms = list(p.terms())
-        if len(terms) != 1:
+        if len(p) != 1:
             return None
-        monom, coeff = terms[0]
-        if any(e % 2 for e in monom):
+        ((key, c),) = p.items()
+        if key & _LOW or c < 0 or math.isqrt(c)**2 != c:
             return None
-        c = rational_sqrt(Fraction(int(QQ.numer(coeff)), int(QQ.denom(coeff))))
-        if c is None:
-            return None
-        ring = p.ring
-        out = ring.from_dict({tuple(e // 2 for e in monom): ring.domain.one})
-        return out * c.numerator / c.denominator
+        return Poly({key >> 1: math.isqrt(c)})
 
-    hn = half(fr.numer)
-    hd = half(fr.denom)
+    hn = half(fr[0])
+    hd = half(fr[1])
     if hn is None or hd is None:
         return None
     # roots of coprime monomials with coprime integer coefficients, the
     # denominator's positive: already canonical
-    return field.raw_new(hn, hd)
+    return hn, hd
 
 
 def scalar_sqrt(c: ScalarCoeff):
@@ -592,14 +767,13 @@ def scalar_sqrt(c: ScalarCoeff):
     every square-root extraction the verification suites need (H^2 values and
     squared-mass constants). Returns None when no such form applies.
     """
-    if c.ai or c.br or c.bi:
+    if c.ai[0] or c.br[0] or c.bi[0]:
         return None
     ctx = c.ctx
     root = _monomial_sqrt(c.ar)
     if root is not None:
-        return ScalarCoeff(ctx, root, ctx.fzero, ctx.fzero, ctx.fzero)
-    quot = _fdiv(ctx, c.ar, ctx.radicand)
-    root = _monomial_sqrt(quot)
+        return ScalarCoeff(ctx, root, _FZERO, _FZERO, _FZERO)
+    root = _monomial_sqrt(_fdiv(ctx, c.ar, ctx.radicand))
     if root is not None:
-        return ScalarCoeff(ctx, ctx.fzero, ctx.fzero, root, ctx.fzero)
+        return ScalarCoeff(ctx, _FZERO, _FZERO, root, _FZERO)
     return None

@@ -19,9 +19,9 @@ canonical forms.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
-from .coeffs import AlgebraContext, DEFAULT_CONTEXT, GEN_NAMES, ScalarCoeff
+from .coeffs import (AlgebraContext, DEFAULT_CONTEXT, GEN_NAMES, ONE, ScalarCoeff,
+                     _unpack)
 from .expr import (Mono, OperatorExpr, SCALAR_SYMBOLS, _GENERATOR_MONOS,
                    commutator)
 
@@ -186,38 +186,27 @@ def parse_expr(text: str, bindings=None, ctx: AlgebraContext = DEFAULT_CONTEXT) 
 # -- rendering -----------------------------------------------------------------
 
 
-def _render_rational(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
 def _render_poly(p) -> str:
-    """Render a sparse polynomial (coefficients QQ) in grammar-conformant text."""
+    """Render a polynomial in grammar-conformant text, terms in lex order."""
     if not p:
         return "0"
     chunks = []
-    for monom, coeff in sorted(p.terms(), reverse=True):
-        q = Fraction(int(coeff.numerator), int(coeff.denominator))
+    for key, coeff in sorted(p.items(), reverse=True):
         factors = []
-        for g, e in zip(GEN_NAMES, monom):
+        for g, e in zip(GEN_NAMES, _unpack(key)):
             if e == 1:
                 factors.append(g)
             elif e > 1:
                 factors.append(f"{g}^{e}")
         body = "*".join(factors)
+        mag = abs(coeff)
         if not body:
-            piece = _render_rational(abs(q))
-        elif abs(q) == 1:
+            piece = str(mag)
+        elif mag == 1:
             piece = body
         else:
-            num = abs(q)
-            if num.denominator == 1:
-                piece = f"{num.numerator}*{body}"
-            else:
-                piece = f"({_render_rational(num)})*{body}"
-        sign = "-" if q < 0 else "+"
-        chunks.append((sign, piece))
+            piece = f"{mag}*{body}"
+        chunks.append(("-" if coeff < 0 else "+", piece))
     sign, first = chunks[0]
     text = first if sign == "+" else f"-{first}"
     for sign, piece in chunks[1:]:
@@ -226,22 +215,22 @@ def _render_poly(p) -> str:
 
 
 def _render_frac(fr) -> str:
-    num = _render_poly(fr.numer)
-    if fr.denom == fr.field.ring.one:
+    numer, denom = fr
+    num = _render_poly(numer)
+    if denom == ONE:
         return num
-    den = _render_poly(fr.denom)
-    return f"({num})/({den})"
+    return f"({num})/({_render_poly(denom)})"
 
 
 def render_scalar(c: ScalarCoeff) -> str:
     parts = []
-    if c.ar:
+    if c.ar[0]:
         parts.append(f"({_render_frac(c.ar)})")
-    if c.ai:
+    if c.ai[0]:
         parts.append(f"({_render_frac(c.ai)})*i")
-    if c.br:
+    if c.br[0]:
         parts.append(f"({_render_frac(c.br)})*omega")
-    if c.bi:
+    if c.bi[0]:
         parts.append(f"({_render_frac(c.bi)})*i*omega")
     if not parts:
         return "0"

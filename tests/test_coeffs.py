@@ -5,10 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from sympy.polys.domains import QQ
+from sympy.polys.domains import QQ, ZZ
+from sympy.polys.rings import ring as sympy_ring
 
-from qpskit.coeffs import (AlgebraContext, CoeffError, DEFAULT_CONTEXT,
-                           _reduce, scalar_sqrt)
+from qpskit.coeffs import (AlgebraContext, CoeffError, DEFAULT_CONTEXT, GEN_NAMES,
+                           MAX_EXPONENT, Poly, _pack, _pmul, _reduce, _unpack,
+                           scalar_sqrt)
+from qpskit.parser import _render_poly
 
 ctx = DEFAULT_CONTEXT
 w = ctx.gen("omega")
@@ -126,6 +129,27 @@ def test_numeric_evaluation_matches_python():
 
 
 # -- fraction reduction over the factor registry ------------------------------
+#
+# sympy is the oracle here; its polynomials are converted at the boundary.
+
+RING = sympy_ring(",".join(GEN_NAMES), QQ)[0]
+
+
+def to_sympy(p, ring=RING):
+    return ring.from_dict({_unpack(k): c for k, c in p.items()})
+
+
+def from_sympy(p):
+    """(Poly, den): integer coefficients with p = Poly / den, den > 0."""
+    den = math.lcm(*(int(c.denominator) for c in p.values())) if p else 1
+    return Poly({_pack(m): int(c.numerator) * (den // int(c.denominator))
+                 for m, c in p.items()}), den
+
+
+def exact(p):
+    poly, den = from_sympy(p)
+    assert den == 1, p
+    return poly
 
 
 def _random_poly(rng, ring, pool, nfactors):
@@ -139,16 +163,32 @@ def _random_poly(rng, ring, pool, nfactors):
     return p
 
 
+def _reduce_sympy(ctx, n, parts):
+    """_reduce on rational-coefficient sympy operands: n/(part0*part1*...)
+    is rewritten as integer polynomials, the parts' denominators moved up
+    and the numerator's moved down as one more (constant) part."""
+    scale = 1
+    dens = []
+    for part in parts:
+        poly, den = from_sympy(part)
+        dens.append(poly)
+        scale *= den
+    numer, den = from_sympy(n * scale)
+    if den != 1:
+        dens.append(Poly({0: den}))
+    return _reduce(ctx, numer, *dens)
+
+
 def test_reduce_matches_cancel_on_random_pairs():
     """Seeded: trial division over the registry returns exactly the
     (numer, denom) pair of sympy's GCD-based cancel."""
     fresh = AlgebraContext(1)
-    ring = fresh.ring
+    ring = RING
     P1, P2, P3, mm, t, hb, M, E0 = ring.gens
     seeded = list(fresh.factors)
     outside = [P1 + mm, P1 - 2 * P2, 3 * P1**2 - P2**2 - mm**2, hb * t + 1,
                P1 * P2 + E0, M - mm]
-    pool = seeded + outside
+    pool = [to_sympy(f) for f in seeded] + outside
     rng = random.Random(20240917)
     cases = 0
     for _ in range(1200):
@@ -162,8 +202,8 @@ def test_reduce_matches_cancel_on_random_pairs():
             continue
         d = parts[0] * parts[1] if len(parts) == 2 else parts[0]
         want = n.cancel(d) if n else (ring.zero, ring.one)
-        got = _reduce(fresh, n, *parts)
-        assert got == want, (n, parts)
+        got = _reduce_sympy(fresh, n, parts)
+        assert got == tuple(exact(w) for w in want), (n, parts)
         cases += 1
     assert cases >= 1000
     grown = [f for f in fresh.factors if f not in seeded]
@@ -176,16 +216,19 @@ def test_registry_holds_irreducible_factors():
     _ = (fresh.scalar(3) * fresh.gen("omega") - c * c).inv() * c.inv()
     assert len(fresh.factors) > 10
     for f in fresh.factors:
-        assert not f.is_ground
-        _, split = f.factor_list()
+        # primitive integer polynomials with a positive leading coefficient
+        assert math.gcd(*f.values()) == 1 and f[max(f)] > 0, f
+        g = to_sympy(f)
+        assert not g.is_ground
+        _, split = g.factor_list()
         assert len(split) == 1 and split[0][1] == 1, f
 
 
 def test_mass_factor_seeds_and_separate_registries():
     ctx2 = AlgebraContext(2)
-    P1, P2, P3, mm = ctx2.ring.gens[:4]
-    assert P1**2 + P2**2 + P3**2 + 4 * mm**2 in ctx2.factors
-    assert P1**2 + P2**2 + P3**2 + mm**2 not in ctx2.factors
+    P1, P2, P3, mm = RING.gens[:4]
+    assert exact(P1**2 + P2**2 + P3**2 + 4 * mm**2) in ctx2.factors
+    assert exact(P1**2 + P2**2 + P3**2 + mm**2) not in ctx2.factors
     ctx1 = AlgebraContext(1)
     before = list(ctx2.factors)
     _ = (ctx1.gen("P1") + ctx1.gen("m")).inv()
@@ -193,6 +236,51 @@ def test_mass_factor_seeds_and_separate_registries():
     assert ctx2.factors == before
     assert ctx1.factors is not ctx2.factors
     assert ctx1.factorizations is not ctx2.factorizations
+
+
+# -- the packed-exponent ring ---------------------------------------------------
+
+
+def test_exponent_overflow_raises_instead_of_carrying():
+    top = p2 ** MAX_EXPONENT
+    assert repr(top) == f"(P2^{MAX_EXPONENT})"
+    assert not top.uses_gen("P1")
+    with pytest.raises(CoeffError):
+        _ = top * p2
+    # P2 sits next to P1: a carry out of P2's field would read as a P1
+    half = p2 ** 64
+    with pytest.raises(CoeffError):
+        _ = half * half
+    low = Poly({_pack((0, 0, 0, 0, 0, 0, 0, 100)): 1})   # E0^100, lowest field
+    with pytest.raises(CoeffError):
+        _pmul(low, low)
+    with pytest.raises(CoeffError):
+        _pack((0, MAX_EXPONENT + 1, 0, 0, 0, 0, 0, 0))
+
+
+def test_polys_are_immutable_and_hashable():
+    p = Poly({_pack((1, 0, 0, 2, 0, 0, 0, 0)): 3, 0: -1})
+    assert hash(p) == hash(Poly(dict(reversed(p.items()))))
+    for mutate in (lambda: p.__setitem__(0, 1), lambda: p.pop(0), p.clear,
+                   lambda: p.update({0: 2}), lambda: p.setdefault(7, 1)):
+        with pytest.raises(TypeError):
+            mutate()
+    assert p == {_pack((1, 0, 0, 2, 0, 0, 0, 0)): 3, 0: -1}
+
+
+def test_render_order_matches_sympy_lex():
+    """Seeded: rendered term order and text are sympy's, with sympy's str
+    (lex order over GEN_NAMES) as the oracle."""
+    zring = sympy_ring(",".join(GEN_NAMES), ZZ)[0]
+    rng = random.Random(20261018)
+    for _ in range(300):
+        terms = {}
+        for _ in range(rng.randint(1, 12)):
+            mono = tuple(rng.choice((0, 0, 0, 1, 2, 3, 9, 64, MAX_EXPONENT))
+                         for _ in GEN_NAMES)
+            terms[_pack(mono)] = rng.choice((-7, -2, -1, 1, 1, 2, 12))
+        p = Poly(terms)
+        assert _render_poly(p).replace("^", "**") == str(to_sympy(p, zring))
 
 
 def test_hot_constants_are_shared():

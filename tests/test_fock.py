@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qpskit import (FockConfigError, FockField, FockOperator, PhasePoint,
-                    expectation_suite, profile_fwhm)
+                    expectation_suite, fock_report, profile_fwhm)
 
 
 @pytest.fixture(scope="module")
@@ -147,8 +147,30 @@ def test_local_field_operators(field):
 
 
 def test_vacuum_unique_in_truncation(field):
-    totals = np.diag(field.total_number_op().mat).real
+    totals = field.total_number_diagonal()
     assert int((np.abs(totals) < 1e-12).sum()) == 1
+    assert np.abs(totals - field.totals).max() <= 1e-12
+
+
+def test_vacuum_unique_reads_the_ladder_operators(monkeypatch):
+    def entry(report):
+        return next(e for e in report.entries if e.id == "vacuum_unique")
+
+    assert entry(fock_report("spectrum", sites=6, nmax=2)[0]).passed
+    monkeypatch.setattr(FockField, "_ladder_values",
+                        lambda self, psi: np.zeros(len(self._ladder_cols), dtype=complex))
+    broken = entry(fock_report("spectrum", sites=6, nmax=2)[0])
+    assert not broken.passed and broken.residual == str(FockField(6, 1.0, 2).dim)
+
+
+def test_one_particle_state_matches_creator_on_vacuum():
+    field = FockField(10, 1.0, 4)
+    rng = np.random.default_rng(41)
+    for psi in (rand_state(rng, 10), np.eye(10)[3], np.ones(10) / np.sqrt(10)):
+        want = field.creator(psi).apply(field.vacuum())
+        assert np.array_equal(field.one_particle_state(psi), want)
+    with pytest.raises(FockConfigError):
+        field.one_particle_state(np.zeros(10))
 
 
 def test_expectation_suite(field):
