@@ -3,9 +3,8 @@ operator algebra, relativistic generator decompositions, Newton-Wigner
 localization behavior, and truncated Fock-space field/particle duality."""
 
 from .coeffs import AlgebraContext, CoeffError, DEFAULT_CONTEXT, ScalarCoeff
-from .expr import (ExprError, OperatorExpr, anticommutator, commutator,
-                   normal_form, scalar_derivative, sym_product,
-                   total_time_derivative)
+from .expr import (ExprError, OperatorExpr, commutator, normal_form,
+                   scalar_derivative, sym_product, total_time_derivative)
 from .fock import (ExpectationCurves, FockConfigError, FockField, FockOperator,
                    PhasePoint, expectation_suite, fock_report, profile_fwhm)
 from .generators import (GeneratorSet, bargmann_generators,
@@ -28,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraContext", "CoeffError", "DEFAULT_CONTEXT", "ScalarCoeff",
-    "ExprError", "OperatorExpr", "anticommutator", "commutator", "normal_form",
+    "ExprError", "OperatorExpr", "commutator", "normal_form",
     "scalar_derivative", "sym_product", "total_time_derivative",
     "ExpectationCurves", "FockConfigError", "FockField", "FockOperator",
     "PhasePoint", "expectation_suite", "fock_report", "profile_fwhm",

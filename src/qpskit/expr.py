@@ -448,10 +448,6 @@ def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
     return a * b - b * a
 
 
-def anticommutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
-    return a * b + b * a
-
-
 def sym_product(a: OperatorExpr, b: OperatorExpr):
     """The symmetrized product (a*b + b*a)/2 used for Q.H style couplings."""
     return (a * b + b * a) * Fraction(1, 2)

@@ -16,18 +16,30 @@ particle number <= nmax; identities that close below the cutoff hold
 exactly (the "safe subspace"), so every check here is exact up to float
 roundoff rather than a truncation approximation.
 
-a(psi) = sum_k conj(<e_k, psi>) a_k is built by one scatter. Each nonzero
-entry of a mode annihilator a_k sits at a (row, column) pair that no other
-mode uses (row = column's occupation with one quantum removed from mode k,
-value sqrt(n_k)), so the field keeps only the flat arrays of those pairs,
-their modes and values, and a(psi) writes conj(<e_k, psi>) sqrt(n_k) into
-a zero matrix. Phi(z) is written the same way, a and -a^+ together.
+Every operator here moves the total particle number by a fixed amount:
+a(psi) by -1, a^+(psi) by +1, Phi(z) by +-1 and N(psi) by 0. A
+FockOperator is therefore held as dense blocks between total-number
+sectors, blocks[(m, n)] mapping sector n to sector m, and a missing block
+is zero. Products sum over the middle sector, so the report suites never
+form a dim x dim matrix; at 10 sites and nmax = 4 (dim 1001) the largest
+block is 715 x 715. The assembled matrix (`FockOperator.mat`) exists for
+tests and dense oracles only.
+
+a(psi) = sum_k conj(<e_k, psi>) a_k is built by one scatter per sector.
+Each nonzero entry of a mode annihilator a_k sits at a (row, column) pair
+that no other mode uses (row = column's occupation with one quantum
+removed from mode k, value sqrt(n_k)). The field keeps the flat arrays of
+those pairs, their modes and values, cut once into one run per column
+sector with block-local indices, and a(psi) writes conj(<e_k, psi>)
+sqrt(n_k) into the zero (n-1, n) blocks. Phi(z) = -i hbar (a(Kz) - a^+(Kz))
+writes its a part into the (n-1, n) blocks and its a^+ part into the
+(n, n-1) blocks.
 
 The field CCR holds below the cutoff, so the duality check forms only the
-cutoff block of the commutator, [A, B][:k, :k] = A[:k] B[:, :k] -
-B[:k] A[:, :k] with k = dim of total number <= nmax - 1, and the
+block products that land on total number <= nmax - 1. N(psi) has only
+diagonal blocks, so its spectrum is the union of the blocks' spectra. The
 expectation suite contracts phi(x)^2 with the state vector rather than
-forming the dense square.
+forming the square.
 """
 
 from __future__ import annotations
@@ -71,36 +83,131 @@ class PhasePoint:
     __rmul__ = __mul__
 
 
+# rows per slab when a product is added into a block that already exists
+_SLAB = 32
+
+
+def _pairs(left, right):
+    """(m, n, x, y) for every pair of blocks x = left[(m, k)], y = right[(k, n)]."""
+    for (m, k), x in left.blocks.items():
+        for (j, n), y in right.blocks.items():
+            if j == k:
+                yield m, n, x, y
+
+
+def _add_product(blocks, key, x, y, sign):
+    """blocks[key] += sign * (x @ y). A missing block takes the product itself;
+    an existing one takes it in row slabs, so no second full product is held."""
+    out = blocks.get(key)
+    if out is None:
+        prod = x @ y
+        blocks[key] = prod if sign > 0 else np.negative(prod, out=prod)
+        return
+    ufunc = np.add if sign > 0 else np.subtract
+    for r in range(0, len(x), _SLAB):
+        rows = out[r:r + _SLAB]
+        ufunc(rows, x[r:r + _SLAB] @ y, out=rows)
+
+
 class FockOperator:
-    """Dense operator on the truncated Fock space."""
+    """Operator on the truncated Fock space, graded by total particle number.
 
-    __slots__ = ("field", "mat")
+    ``blocks[(m, n)]`` is the dense (d_m, d_n) matrix mapping sector n to
+    sector m; a missing key is a zero block. Each operator owns its blocks
+    (the constructor keeps the complex arrays it is given, and no method
+    shares an array between two operators), so the in-place operators
+    ``+=``, ``-=`` and ``*=`` write into them. A scalar in ``+`` and ``-``
+    means that multiple of the identity.
+    """
 
-    def __init__(self, field, mat):
+    __slots__ = ("field", "blocks")
+
+    def __init__(self, field, blocks):
         self.field = field
-        self.mat = np.asarray(mat, dtype=complex)
+        self.blocks = {}
+        dims = field.sector_dims
+        for (m, n), blk in blocks.items():
+            blk = np.asarray(blk, dtype=complex)
+            if blk.shape != (dims[m], dims[n]):
+                raise FockConfigError(
+                    f"block ({m}, {n}) has shape {blk.shape}, "
+                    f"want {(int(dims[m]), int(dims[n]))}")
+            self.blocks[(m, n)] = blk
+
+    def copy(self):
+        return FockOperator(self.field, {k: b.copy() for k, b in self.blocks.items()})
+
+    def restricted(self, max_total):
+        """Dense matrix on the subspace with total number <= max_total."""
+        k = self.field.block_dim(max_total)
+        sl = self.field.sector_slices
+        out = np.zeros((k, k), dtype=complex)
+        for (m, n), blk in self.blocks.items():
+            if m <= max_total and n <= max_total:
+                out[sl[m], sl[n]] = blk
+        return out
+
+    @property
+    def mat(self):
+        """Assembled dim x dim matrix, for tests and dense oracles."""
+        return self.restricted(self.field.nmax)
 
     def apply(self, vec):
-        return self.mat @ vec
+        vec = np.asarray(vec)
+        sl = self.field.sector_slices
+        out = np.zeros(vec.shape, dtype=complex)
+        for (m, n), blk in self.blocks.items():
+            out[sl[m]] += blk @ vec[sl[n]]
+        return out
 
     def adjoint(self):
-        return FockOperator(self.field, self.mat.conj().T)
+        return FockOperator(self.field, {(n, m): blk.conj().T
+                                         for (m, n), blk in self.blocks.items()})
 
     def __matmul__(self, other):
-        return FockOperator(self.field, self.mat @ other.mat)
+        blocks = {}
+        for m, n, x, y in _pairs(self, other):
+            _add_product(blocks, (m, n), x, y, 1)
+        return FockOperator(self.field, blocks)
+
+    def _accumulate(self, other, sign):
+        if isinstance(other, FockOperator):
+            ufunc = np.add if sign > 0 else np.subtract
+            for key, blk in other.blocks.items():
+                mine = self.blocks.get(key)
+                if mine is None:
+                    self.blocks[key] = blk.copy() if sign > 0 else -blk
+                else:
+                    ufunc(mine, blk, out=mine)
+            return self
+        c = sign * other
+        for n, d in enumerate(self.field.sector_dims):
+            blk = self.blocks.get((n, n))
+            if blk is None:
+                self.blocks[(n, n)] = c * np.eye(d, dtype=complex)
+            else:
+                blk[np.diag_indices(d)] += c
+        return self
+
+    def __iadd__(self, other):
+        return self._accumulate(other, 1)
+
+    def __isub__(self, other):
+        return self._accumulate(other, -1)
+
+    def __imul__(self, c):
+        for blk in self.blocks.values():
+            blk *= c
+        return self
 
     def __add__(self, other):
-        if isinstance(other, FockOperator):
-            return FockOperator(self.field, self.mat + other.mat)
-        return FockOperator(self.field, self.mat + other * np.eye(len(self.mat)))
+        return self.copy()._accumulate(other, 1)
 
     def __sub__(self, other):
-        if isinstance(other, FockOperator):
-            return FockOperator(self.field, self.mat - other.mat)
-        return FockOperator(self.field, self.mat - other * np.eye(len(self.mat)))
+        return self.copy()._accumulate(other, -1)
 
     def __mul__(self, c):
-        return FockOperator(self.field, self.mat * c)
+        return FockOperator(self.field, {k: b * c for k, b in self.blocks.items()})
 
     __rmul__ = __mul__
 
@@ -108,26 +215,47 @@ class FockOperator:
         return self * (-1.0)
 
     def commutator(self, other):
-        return FockOperator(self.field, self.mat @ other.mat - other.mat @ self.mat)
+        blocks = {}
+        for left, right, sign in ((self, other, 1), (other, self, -1)):
+            for m, n, x, y in _pairs(left, right):
+                _add_product(blocks, (m, n), x, y, sign)
+        return FockOperator(self.field, blocks)
 
     def commutator_on(self, other, max_total):
-        """Block of [self, other] on total number <= max_total, computed from
-        the rows and columns it reads: A[:k] B[:, :k] - B[:k] A[:, :k]."""
+        """Dense block of [self, other] on total number <= max_total, from the
+        block products whose both sectors lie there."""
         k = self.field.block_dim(max_total)
-        a, b = self.mat, other.mat
-        return a[:k] @ b[:, :k] - b[:k] @ a[:, :k]
+        sl = self.field.sector_slices
+        out = np.zeros((k, k), dtype=complex)
+        for left, right, ufunc in ((self, other, np.add), (other, self, np.subtract)):
+            for m, n, x, y in _pairs(left, right):
+                if m <= max_total and n <= max_total:
+                    target = out[sl[m], sl[n]]
+                    ufunc(target, x @ y, out=target)
+        return out
 
     def expectation(self, vec):
-        return complex(np.vdot(vec, self.mat @ vec))
-
-    def restricted(self, max_total):
-        """Matrix block on the subspace with total number <= max_total."""
-        k = self.field.block_dim(max_total)
-        return self.mat[:k, :k]
+        return complex(np.vdot(vec, self.apply(vec)))
 
     def norm_on(self, max_total=None):
-        m = self.mat if max_total is None else self.restricted(max_total)
-        return float(np.linalg.norm(m, 2))
+        if max_total is None:
+            max_total = self.field.nmax
+        return float(np.linalg.norm(self.restricted(max_total), 2))
+
+    def max_abs(self):
+        """Largest entry modulus, block by block."""
+        return max((float(np.abs(b).max()) for b in self.blocks.values() if b.size),
+                   default=0.0)
+
+    def eigvalsh(self):
+        """All dim eigenvalues of a Hermitian number-conserving operator,
+        sorted, from its diagonal blocks; a sector with no block adds zeros."""
+        if any(m != n for m, n in self.blocks):
+            raise FockConfigError(
+                "eigvalsh needs an operator with only diagonal sector blocks")
+        parts = [np.linalg.eigvalsh(self.blocks[(n, n)]) if (n, n) in self.blocks
+                 else np.zeros(d) for n, d in enumerate(self.field.sector_dims)]
+        return np.sort(np.concatenate(parts))
 
 
 class FockField:
@@ -165,6 +293,9 @@ class FockField:
         totals = np.array([sum(occ) for occ in basis])
         self.totals = totals
         self.sector_offsets = np.searchsorted(totals, np.arange(self.nmax + 2))
+        self.sector_dims = np.diff(self.sector_offsets)
+        self.sector_slices = [slice(int(lo), int(hi)) for lo, hi
+                              in zip(self.sector_offsets[:-1], self.sector_offsets[1:])]
 
         # nonzero entries of the mode annihilators a_k: a_k[row, col] = sqrt(n)
         rows, cols, modes, counts = [], [], [], []
@@ -181,6 +312,15 @@ class FockField:
         self._ladder_cols = np.array(cols, dtype=np.intp)
         self._ladder_modes = np.array(modes, dtype=np.intp)
         self._ladder_sqrt_n = np.sqrt(np.array(counts, dtype=float))
+        # the entries come column by column, so those whose column lies in
+        # sector n are one run; each is kept with block-local indices into
+        # the (n-1, n) block
+        runs = np.searchsorted(self._ladder_cols, self.sector_offsets)
+        self._ladder_sectors = [
+            (n, slice(int(runs[n]), int(runs[n + 1])),
+             self._ladder_rows[runs[n]:runs[n + 1]] - self.sector_offsets[n - 1],
+             self._ladder_cols[runs[n]:runs[n + 1]] - self.sector_offsets[n])
+            for n in range(1, self.nmax + 1)]
         # basis index of |1_k>, mode by mode
         self._one_particle_index = np.array(
             [self.index[tuple(int(j == k) for j in range(self.nsites))]
@@ -229,11 +369,22 @@ class FockField:
         coeffs = self._mode_coefficients(psi)
         return np.conj(coeffs)[self._ladder_modes] * self._ladder_sqrt_n
 
+    def _ladder_blocks(self, vals, raising=False):
+        """Blocks holding ``vals`` at the ladder positions: the (n-1, n)
+        blocks of a lowering operator, or with ``raising`` the transposed
+        positions in the (n, n-1) blocks."""
+        dims = self.sector_dims
+        blocks = {}
+        for n, run, rows, cols in self._ladder_sectors:
+            (m, k), at = ((n, n - 1), (cols, rows)) if raising else ((n - 1, n), (rows, cols))
+            blk = np.zeros((dims[m], dims[k]), dtype=complex)
+            blk[at] = vals[run]
+            blocks[(m, k)] = blk
+        return blocks
+
     def annihilator(self, psi) -> FockOperator:
         """a(psi), antilinear in psi; a(psi)|0> = 0."""
-        mat = np.zeros((self.dim, self.dim), dtype=complex)
-        mat[self._ladder_rows, self._ladder_cols] = self._ladder_values(psi)
-        return FockOperator(self, mat)
+        return FockOperator(self, self._ladder_blocks(self._ladder_values(psi)))
 
     def creator(self, psi) -> FockOperator:
         return self.annihilator(psi).adjoint()
@@ -275,13 +426,12 @@ class FockField:
     def field_op(self, z: PhasePoint) -> FockOperator:
         """Phi(z) = -i hbar (a(Kz) - a^+(Kz)); self-adjoint."""
         # a lowers the total number and a^+ raises it, so their entries
-        # never share a position
+        # lie in different blocks
         vals = self._ladder_values(self.one_particle_map(z))
         scale = -1j * self.hbar
-        mat = np.zeros((self.dim, self.dim), dtype=complex)
-        mat[self._ladder_rows, self._ladder_cols] = vals * scale
-        mat[self._ladder_cols, self._ladder_rows] = -np.conj(vals) * scale
-        return FockOperator(self, mat)
+        blocks = self._ladder_blocks(vals * scale)
+        blocks.update(self._ladder_blocks(-np.conj(vals) * scale, raising=True))
+        return FockOperator(self, blocks)
 
     def local_field(self, x: int) -> FockOperator:
         """phi_hat(x) = Phi(0, -delta_x)."""
@@ -391,6 +541,41 @@ def profile_fwhm(profile) -> float:
 
 # -- reports ----------------------------------------------------------------------
 
+# Each duality check builds its operators in a helper of its own, so they die
+# with it, and takes differences in place (x -= y), so no more than two
+# field-operator-sized operators are alive at once.
+
+
+def _ccr_gap(field, z, zp):
+    """||[Phi(z), Phi(z')] - i hbar Omega(z, z')|| below the cutoff."""
+    ccr = field.field_op(z).commutator_on(field.field_op(zp), field.nmax - 1)
+    ccr -= 1j * field.hbar * field.symplectic(z, zp) * np.eye(len(ccr))
+    return float(np.linalg.norm(ccr, 2))
+
+
+def _interdefinability_gap(field, z):
+    """max |a(Kz) - (i Phi(z) - Phi(Jz)) / (2 hbar)|."""
+    gap = field.field_op(z)
+    gap *= 1j
+    gap -= field.field_op(field.complex_structure(z))
+    gap *= 1 / (2 * field.hbar)
+    gap -= field.annihilator(field.one_particle_map(z))
+    return gap.max_abs()
+
+
+def _ladder_shift_gap(a):
+    """max |(N + 1) a - a N| for N = a^+ a, formed as [N, a] + a."""
+    gap = (a.adjoint() @ a).commutator(a)
+    gap += a
+    return gap.max_abs()
+
+
+def _self_adjoint_gap(op):
+    """max |op - op^+|."""
+    gap = op.adjoint()
+    gap -= op
+    return gap.max_abs()
+
 
 def fock_report(suite, sites=8, nmax=3, m=1.0, seed=0, tol=1e-10):
     """Run the Fock suite 'duality', 'spectrum' or 'expectation' on an
@@ -412,36 +597,27 @@ def fock_report(suite, sites=8, nmax=3, m=1.0, seed=0, tol=1e-10):
         for trial in range(3):
             z = PhasePoint(rng.normal(size=sites), rng.normal(size=sites))
             zp = PhasePoint(rng.normal(size=sites), rng.normal(size=sites))
-            ccr = field.field_op(z).commutator_on(field.field_op(zp), field.nmax - 1)
-            ccr -= 1j * field.hbar * field.symplectic(z, zp) * np.eye(len(ccr))
             within_tol(f"ccr[{trial}]", "[Phi(z),Phi(z')]", "i*hbar*Omega(z,z')",
-                       float(np.linalg.norm(ccr, 2)))
-            a = field.annihilator(field.one_particle_map(z))
-            rhs = (1j * field.field_op(z)
-                   - field.field_op(field.complex_structure(z))) * (1 / (2 * field.hbar))
+                       _ccr_gap(field, z, zp))
             within_tol(f"interdefinability[{trial}]", "a(Kz)",
-                       "(i*Phi(z) - Phi(Jz))/(2*hbar)",
-                       float(np.abs(a.mat - rhs.mat).max()))
+                       "(i*Phi(z) - Phi(Jz))/(2*hbar)", _interdefinability_gap(field, z))
             kj = field.one_particle_map(field.complex_structure(z)) \
                 - 1j * field.one_particle_map(z)
             within_tol(f"complex_structure[{trial}]", "K(Jz)", "i*K(z)",
                        float(np.abs(kj).max()))
         psi = rng.normal(size=sites) + 1j * rng.normal(size=sites)
         psi /= np.linalg.norm(psi)
-        a, adag = field.ladder(psi)
-        n_op = adag @ a
         within_tol("ladder_shift", "(N(psi)+1)*a(psi)", "a(psi)*N(psi)",
-                   float(np.abs(((n_op + 1.0) @ a).mat - (a @ n_op).mat).max()))
+                   _ladder_shift_gap(field.annihilator(psi)))
         within_tol("vacuum_condition", "a(psi)|0>", "0",
-                   float(np.abs(a.apply(field.vacuum())).max()))
-        phi_x = field.local_field(0)
+                   float(np.abs(field.annihilator(psi).apply(field.vacuum())).max()))
         within_tol("field_self_adjoint", "phi(0) - phi(0)^dag", "0",
-                   float(np.abs(phi_x.mat - phi_x.adjoint().mat).max()))
+                   _self_adjoint_gap(field.local_field(0)))
         return report, None
     if suite == "spectrum":
         psi = rng.normal(size=sites) + 1j * rng.normal(size=sites)
         psi /= np.linalg.norm(psi)
-        evals = np.linalg.eigvalsh(field.number_op(psi).mat)
+        evals = field.number_op(psi).eigvalsh()
         within_tol("integer_spectrum", "spec N(psi)", "integers",
                    float(np.abs(evals - np.round(evals)).max()))
         present = sorted(set(int(round(v)) for v in evals))

@@ -148,6 +148,31 @@ def test_fock_subcommands(tmp_path):
     assert len(lines) == 9
 
 
+FOCK_IDS = {
+    "duality": [f"{check}[{trial}]" for trial in range(3)
+                for check in ("ccr", "interdefinability", "complex_structure")]
+    + ["ladder_shift", "vacuum_condition", "field_self_adjoint"],
+    "spectrum": ["integer_spectrum", "spectrum_range", "vacuum_unique"],
+    "expectation": ["first_moments", "vacuum_value", "difference_formula",
+                    "peak_narrows_with_mass"],
+}
+
+
+@pytest.mark.parametrize("seed", ["0", "901"])
+@pytest.mark.parametrize("suite", sorted(FOCK_IDS))
+def test_fock_suites_at_benchmark_size(tmp_path, suite, seed):
+    """The fock commands the benchmark runs (--sites 10 --nmax 4) pass and
+    keep their entry ids, order and counts (12, 3 and 4)."""
+    out = tmp_path / f"{suite}.json"
+    assert run(["fock", suite, "--sites", "10", "--nmax", "4", "--seed", seed,
+                "--out", str(out)]) == 0
+    entries = json.loads(out.read_text())["entries"]
+    assert [e["id"] for e in entries] == FOCK_IDS[suite]
+    assert len(entries) == {"duality": 12, "spectrum": 3, "expectation": 4}[suite]
+    assert all(e["pass"] for e in entries)
+    assert all(e["residual_norm"] <= 1e-10 for e in entries if "residual_norm" in e)
+
+
 def test_numeric_casimir_small(tmp_path):
     out = tmp_path / "cas.json"
     assert run(["numeric", "casimir", "--npts", "16", "--pmax", "2.0",

@@ -1,6 +1,8 @@
 """Truncated Fock space: structure maps, ladder algebra, field operators,
 expectation curves, truncation stability."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -322,3 +324,155 @@ def test_expectation_suite_forms_no_operator_products(monkeypatch):
     psi[5] = 1.0
     curves = expectation_suite(psi, field)
     assert curves.max_difference_error <= 1e-10
+
+
+# -- graded operators against dense numpy --------------------------------------------
+
+
+def _graded_zoo(field, rng):
+    """Random graded operators built from a, a^+, Phi and N: pure ladder
+    and field operators plus mixed-grade sums and products."""
+    n = field.nsites
+    a = field.annihilator(rand_state(rng, n))
+    adag = field.creator(rand_state(rng, n))
+    phi = field.field_op(rand_phase(rng, n))
+    num = field.number_op(rand_state(rng, n))
+    return {"a": a, "adag": adag, "phi": phi, "N": num,
+            "mixed": 0.3 * a - 0.5j * adag + phi,
+            "NPhi": num @ phi, "shifted": num + (0.25 - 0.5j)}
+
+
+@pytest.mark.parametrize("sites,nmax", [(6, 4), (8, 3)])
+def test_graded_algebra_matches_dense(sites, nmax):
+    field = FockField(sites, 1.1, nmax, hbar=0.7)
+    rng = np.random.default_rng(100 + sites)
+    zoo = _graded_zoo(field, rng)
+    dense = {name: op.mat for name, op in zoo.items()}
+    vec = rand_state(rng, field.dim)
+    c = 0.4 - 1.3j
+    tol = 1e-13
+
+    def close(op, want):
+        assert isinstance(op, FockOperator)
+        assert np.abs(op.mat - want).max() <= tol
+
+    for name, x in zoo.items():
+        dx = dense[name]
+        assert np.abs(x.apply(vec) - dx @ vec).max() <= tol
+        assert np.array_equal(x.adjoint().mat, dx.conj().T)
+        close(x * c, dx * c)
+        close(c * x, c * dx)
+        close(-x, -dx)
+        close(x + c, dx + c * np.eye(field.dim))
+        close(x - c, dx - c * np.eye(field.dim))
+        assert abs(x.expectation(vec) - np.vdot(vec, dx @ vec)) <= tol
+        assert x.max_abs() == np.abs(dx).max()
+        assert abs(x.norm_on() - np.linalg.norm(dx, 2)) <= tol
+        for cut in range(nmax + 1):
+            k = field.block_dim(cut)
+            assert np.array_equal(x.restricted(cut), dx[:k, :k])
+            assert abs(x.norm_on(cut) - np.linalg.norm(dx[:k, :k], 2)) <= tol
+        for other, dy in dense.items():
+            y = zoo[other]
+            close(x + y, dx + dy)
+            close(x - y, dx - dy)
+            close(x @ y, dx @ dy)
+            close(x.commutator(y), dx @ dy - dy @ dx)
+            for cut in range(nmax + 1):
+                k = field.block_dim(cut)
+                full = dx @ dy - dy @ dx
+                assert np.abs(x.commutator_on(y, cut) - full[:k, :k]).max() <= tol
+        # in-place forms agree with the dense ones and leave the operands alone
+        acc = x.copy()
+        acc += zoo["phi"]
+        acc -= zoo["N"]
+        acc -= c
+        acc *= c
+        close(acc, (dx + dense["phi"] - dense["N"] - c * np.eye(field.dim)) * c)
+        for other, op in zoo.items():
+            assert np.array_equal(op.mat, dense[other])
+
+
+@pytest.mark.parametrize("sites,nmax", [(6, 4), (8, 3)])
+def test_sums_own_their_blocks(sites, nmax):
+    """An in-place update of a sum, product or adjoint never writes into the
+    operators it was built from."""
+    field = FockField(sites, 1.0, nmax, hbar=0.7)
+    rng = np.random.default_rng(sites)
+    a = field.annihilator(rand_state(rng, sites))
+    phi = field.field_op(rand_phase(rng, sites))
+    before = a.mat, phi.mat
+    for made in (a + phi, phi + a, a - phi, a + 0.0, a * 1.0, a.adjoint(), a.copy(),
+                 a @ a.adjoint()):
+        made += 1.0
+        made -= phi
+        made *= 2.0
+    assert np.array_equal(a.mat, before[0]) and np.array_equal(phi.mat, before[1])
+
+
+def test_blocks_are_checked_against_the_sectors(field):
+    with pytest.raises(FockConfigError):
+        FockOperator(field, {(0, 1): np.zeros((1, 3))})
+    op = FockOperator(field, {(1, 2): np.ones((8, 36))})
+    assert op.mat[1:9, 9:45].sum() == 8 * 36 and op.max_abs() == 1.0
+    assert FockOperator(field, {}).max_abs() == 0.0
+
+
+@pytest.mark.parametrize("sites,nmax", [(6, 4), (8, 3)])
+def test_eigvalsh_refuses_off_diagonal_blocks(sites, nmax):
+    field = FockField(sites, 1.0, nmax, hbar=0.7)
+    rng = np.random.default_rng(sites + 1)
+    psi = rand_state(rng, sites)
+    num = field.number_op(psi)
+    for op in (field.annihilator(psi), field.field_op(rand_phase(rng, sites)),
+               num + field.annihilator(psi)):
+        with pytest.raises(FockConfigError):
+            op.eigvalsh()
+    assert len(num.eigvalsh()) == field.dim
+
+
+@pytest.mark.parametrize("sites,nmax", [(6, 4), (8, 3)])
+def test_number_block_spectrum_matches_dense(sites, nmax):
+    field = FockField(sites, 1.0, nmax, hbar=0.7)
+    psi = rand_state(np.random.default_rng(sites + 2), sites)
+    num = field.number_op(psi)
+    assert (0, 0) not in num.blocks          # the vacuum sector has no block
+    evals = num.eigvalsh()
+    dense = np.linalg.eigvalsh(num.mat)
+    assert len(evals) == field.dim
+    assert np.array_equal(evals, np.sort(evals))
+    assert np.abs(evals - dense).max() <= 1e-12
+    # the vacuum's 0, plus one 0 per state with no psi quantum
+    zeros = int((np.abs(evals) <= 1e-12).sum())
+    assert zeros == int((np.abs(dense) <= 1e-12).sum()) >= 1
+    shifted = (num + 2.5).eigvalsh()
+    assert np.abs(shifted - (dense + 2.5)).max() <= 1e-12
+
+
+# -- what the report suites may allocate ------------------------------------------
+
+
+@pytest.mark.parametrize("suite", ["duality", "spectrum"])
+def test_fock_suite_peak_memory_below_one_dense_matrix(suite):
+    """At the benchmark size (10 sites, nmax 4, dim 1001) a suite never holds
+    as much as one dense dim x dim complex matrix."""
+    dim = FockField(10, 1.0, 4).dim
+    tracemalloc.start()
+    try:
+        report, _ = fock_report(suite, sites=10, nmax=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_passed()
+    assert peak < dim ** 2 * 16, f"{suite}: peak {peak} B"
+
+
+def test_fock_suites_never_assemble_dense_operators(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dense operator assembled")
+
+    monkeypatch.setattr(FockOperator, "restricted", refuse)
+    monkeypatch.setattr(FockOperator, "mat", property(refuse))
+    for suite in ("duality", "spectrum", "expectation"):
+        report, _ = fock_report(suite, sites=10, nmax=4)
+        assert report.all_passed(), suite
