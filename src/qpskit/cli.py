@@ -19,18 +19,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coeffs import AlgebraContext
-from .expr import ExprError
+from .coeffs import AlgebraContext, CoeffError
 from .fock import fock_report
 from .generators import (bargmann_generators, boost_matrix_identities,
                          casimirs, check_table, energy_momentum_constraint_check,
                          foldy_generators, lemma_suite, pauli_lubanski)
-from .grid import GridRep, GridConfigError
+from .grid import GridRep
 from .localization import microcausality_check, nw_evolution
 from .numcheck import (convergence_report, numeric_casimir_report,
                        numeric_lemma_report, numeric_pl_report,
                        numeric_table_report)
-from .parser import ExprSyntaxError, parse_expr
+from .parser import parse_expr
 from .report import VerificationReport
 
 
@@ -62,13 +61,15 @@ def _report_csv(report: VerificationReport):
     return out.getvalue()
 
 
-def _emit_report(report: VerificationReport, args):
+def _emit_report(report: VerificationReport, args, csv_text=None):
+    """Print the report; write it to ``--out`` as JSON, or as CSV (``csv_text``
+    when the caller has its own table, the entries otherwise)."""
     for line in report.lines():
         print(line)
     print(report.summary())
     if args.out:
         if args.format == "csv":
-            _write_atomic(args.out, _report_csv(report))
+            _write_atomic(args.out, csv_text or _report_csv(report))
         else:
             _write_atomic(args.out, report.to_json() + "\n")
     return 0 if report.all_passed() else 1
@@ -104,12 +105,7 @@ def _cmd_verify(args):
     elif args.suite == "boost":
         rep = boost_matrix_identities(ctx=ctx)
     else:  # emrelation
-        try:
-            h = parse_expr(args.h, ctx=ctx)
-            rep = energy_momentum_constraint_check(h, ctx=ctx)
-        except (ExprSyntaxError, ExprError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        rep = energy_momentum_constraint_check(parse_expr(args.h, ctx=ctx), ctx=ctx)
     return _emit_report(rep, args)
 
 
@@ -150,11 +146,7 @@ def _cmd_numeric(args):
 
 def _cmd_localize(args):
     grid = GridRep(d=1, npts=args.npts, pmax=args.pmax, m=args.m, s=0)
-    try:
-        res = nw_evolution(args.y, args.sigma, args.t, grid)
-    except (GridConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    res = nw_evolution(args.y, args.sigma, args.t, grid)
     summary = {
         "outside_cone_probability": res.outside_cone_probability,
         "fitted_slope": res.fitted_slope,
@@ -180,12 +172,8 @@ def _cmd_causality(args):
     r = tuple(args.r)
     rp = tuple(args.rp)
     report = VerificationReport("causality")
-    try:
-        equal = microcausality_check(r, args.tr, rp, args.tr, grid, seed=args.seed)
-        moved = microcausality_check(r, args.tr, rp, args.trp, grid, seed=args.seed)
-    except (GridConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    equal = microcausality_check(r, args.tr, rp, args.tr, grid, seed=args.seed)
+    moved = microcausality_check(r, args.tr, rp, args.trp, grid, seed=args.seed)
     disjoint = r[1] < rp[0] or rp[1] < r[0]
     gap = max(rp[0] - r[1], r[0] - rp[1])
     spacelike = disjoint and gap > abs(args.trp - args.tr)
@@ -208,19 +196,16 @@ def _cmd_causality(args):
 def _cmd_fock(args):
     rep, curves = fock_report(args.suite, sites=args.sites, nmax=args.nmax,
                               m=args.m, seed=args.seed, tol=args.tol)
-    if curves is not None and args.out and args.format == "csv":
+    csv_text = None
+    if curves is not None:
         lines = ["x,vacuum_sq,one_particle_sq,difference,predicted"]
         for i in range(args.sites):
             lines.append(f"{int(curves.sites[i])},{float(curves.vacuum_sq[i])!r},"
                          f"{float(curves.one_particle_sq[i])!r},"
                          f"{float(curves.difference[i])!r},"
                          f"{float(curves.predicted[i])!r}")
-        _write_atomic(args.out, "\n".join(lines) + "\n")
-        for line in rep.lines():
-            print(line)
-        print(rep.summary())
-        return 0 if rep.all_passed() else 1
-    return _emit_report(rep, args)
+        csv_text = "\n".join(lines) + "\n"
+    return _emit_report(rep, args, csv_text)
 
 
 # -- parser --------------------------------------------------------------------
@@ -306,7 +291,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GridConfigError, ExprSyntaxError, ValueError) as exc:
+    except (CoeffError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

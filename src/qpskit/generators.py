@@ -3,9 +3,10 @@ symbolic verification suites: commutator tables, Casimir invariants, the
 Pauli-Lubanski identities, boost-matrix identities, the conservation/
 covariance lemma chain, and the energy-momentum closure test.
 
-The table, lemma and Pauli-Lubanski identities are declared once as data
-(``TABLES``, ``LEMMAS``, ``PAULI_LUBANSKI``); numcheck reads the same
-declarations for its grid twins.
+The table, lemma, Casimir, Pauli-Lubanski and boost-matrix identities are
+declared once as data (``TABLES``, ``LEMMAS``, ``CASIMIRS``,
+``PAULI_LUBANSKI``, ``BOOST_MATRIX``) and checked by one exact evaluator;
+numcheck reads the same declarations for its grid twins.
 """
 
 from __future__ import annotations
@@ -85,6 +86,24 @@ def _qps(ctx):
     return Q, P, S
 
 
+def _meff(ctx) -> OperatorExpr:
+    """The effective mass k*m of omega^2 = P^2 + (k*m)^2."""
+    return OperatorExpr.from_scalar(ctx.gen("m") * ctx.scalar(ctx.mass_factor), ctx)
+
+
+def _orbital_spin(Q, P, S, H, meff):
+    """L = QxP, J = L + S, M = tP - sym(Q, H), N = Lam SxP/(omega+meff) and
+    K = M + N: the orbital/spin split of the rotation and boost generators."""
+    ctx = H.ctx
+    g = lambda n: OperatorExpr.generator(n, ctx)
+    L = cross(Q, P)
+    inv_om_m = (g("omega") + meff).invert()
+    N = [g("Lam") * x * inv_om_m for x in cross(S, P)]
+    M = [g("t") * p - sym_product(q, H) for q, p in zip(Q, P)]
+    return (L, [a + b for a, b in zip(L, S)], M, N,
+            [a + b for a, b in zip(M, N)])
+
+
 def foldy_generators(sector: str = "full", spin_zero: bool = False,
                      ctx: AlgebraContext = DEFAULT_CONTEXT) -> GeneratorSet:
     """Relativistic generator set H = Lam*omega, J = QxP + S,
@@ -96,19 +115,8 @@ def foldy_generators(sector: str = "full", spin_zero: bool = False,
     if spin_zero:
         S = [OperatorExpr.zero(ctx)] * 3
     lam = OperatorExpr.generator("Lam", ctx)
-    omega = OperatorExpr.generator("omega", ctx)
-    tsym = OperatorExpr.generator("t", ctx)
-    meff = OperatorExpr.from_scalar(
-        ctx.gen("m") * ctx.scalar(ctx.mass_factor), ctx)
-
-    H = lam * omega
-    L = cross(Q, P)
-    J = [L[i] + S[i] for i in range(3)]
-    M = [tsym * P[i] - sym_product(Q[i], H) for i in range(3)]
-    sxp = cross(S, P)
-    inv_om_m = (omega + meff).invert()
-    N = [lam * sxp[i] * inv_om_m for i in range(3)]
-    K = [M[i] + N[i] for i in range(3)]
+    H = lam * OperatorExpr.generator("omega", ctx)
+    L, J, M, N, K = _orbital_spin(Q, P, S, H, _meff(ctx))
     ih = OperatorExpr.from_scalar(ctx.i_hbar(), ctx)
     V = [commutator(Q[i], H) * ih.invert() for i in range(3)]
     W0 = dot(J, P)
@@ -163,7 +171,7 @@ def bargmann_generators(ctx: AlgebraContext = DEFAULT_CONTEXT) -> GeneratorSet:
 # for c * (i*hbar)**k * word. A word is "1" (the identity; psi on the grid),
 # a name, a product "A*B*C", a commutator "[A,B]" or a total time derivative
 # "d/dt A". Names are generators of the set under test; symbolic-only
-# identities may also read the scalar names of ``_scalar_name``.
+# identities may also read the derived names of ``_derived_name``.
 
 _NOT_YET = ("grid twin not added yet: it would add entries to the "
             "174-entry numeric residuals report")
@@ -173,6 +181,7 @@ _SPIN_ZERO = "needs the S -> 0 substitution"
 _NONZERO = "a nonzero test, not an identity"
 _SQUARE = "needs a perfect-square test"
 _MASS = "Mmass has no grid realization"
+_DERIVED = "reads C1, C2 or m^2, which only the exact evaluator computes"
 
 
 @dataclass(frozen=True, slots=True)
@@ -218,15 +227,31 @@ def _eps_terms(prefix, i, j, k=0, c=1, suffix=""):
                  for n in AXES if eps(i, j, n))
 
 
-def _scalar_name(gens, name):
+def _pxsxp(i, c=1, prefix="", suffix="*1/(omega+m)"):
+    """c * prefix*(Px(SxP))_i*suffix."""
+    return tuple((c * e1 * e2, 0, f"{prefix}P{j}*S{n}*P{p}{suffix}")
+                 for e1, j, k in _eps_pairs(i) for e2, n, p in _eps_pairs(k))
+
+
+def _derived_name(gens, name):
     """Value of a non-generator name read by symbolic-only identities."""
     ctx = gens.ctx
     omega = OperatorExpr.generator("omega", ctx)
-    meff = OperatorExpr.from_scalar(ctx.gen("m") * ctx.scalar(ctx.mass_factor), ctx)
-    if name == "t":
-        return OperatorExpr.generator("t", ctx)
+    meff = _meff(ctx)
+    if name in ("t", "omega"):
+        return OperatorExpr.generator(name, ctx)
+    if name == "m":
+        return meff
+    if name == "m^2":
+        return meff * meff
+    if name == "C1":
+        return gens["H"] * gens["H"] - dot(gens.vec("P"), gens.vec("P"))
+    if name == "C2":
+        return gens["W0"] * gens["W0"] - dot(gens.vec("W"), gens.vec("W"))
     if name == "1/H":
         return gens["H"].invert()
+    if name == "1/P.P":
+        return dot(gens.vec("P"), gens.vec("P")).invert()
     if name == "1/omega":
         return omega.invert()
     if name == "1/(omega+m)":
@@ -258,7 +283,7 @@ def _exact_report(suite, identities, gens, casimir_spin=None) -> VerificationRep
 
     def name_value(name):
         if name not in names:
-            names[name] = gens[name] if name in gens else _scalar_name(gens, name)
+            names[name] = gens[name] if name in gens else _derived_name(gens, name)
         return names[name]
 
     def value(word):
@@ -391,38 +416,27 @@ def check_table(gens: GeneratorSet, which: str = "poincare",
 # -- Casimir invariants ----------------------------------------------------------
 
 
-def _meff_sq(ctx) -> OperatorExpr:
-    k = ctx.mass_factor
-    return OperatorExpr.from_scalar(ctx.gen("m") ** 2 * ctx.scalar(k * k), ctx)
+def _casimir_identities():
+    """C1 = H^2 - P.P and C2 = W0^2 - W.W: values and centrality."""
+    names = ["H"] + [f"{p}{i}" for p in "PJK" for i in AXES]
+    spin = _one("C2") + tuple((1, 0, f"m^2*S{i}*S{i}") for i in AXES)
+    return (
+        (Identity("casimir1_value", _one("C1"), _one("m^2"), "H^2 - P.P",
+                  symbolic_only=_DERIVED),)
+        + tuple(Identity(f"central[{c},{n}]", _one(f"[{c},{n}]"), (), f"[{c},{n}]",
+                         "0", symbolic_only=_DERIVED)
+                for c in ("C1", "C2") for n in names)
+        + tuple(Identity(f"casimir2_spin[{tag}]", spin, (), "W0^2 - W.W + m^2*S.S",
+                         "0", sector=sign, symbolic_only=_DERIVED)
+                for sign, tag in ((0, "full"), (1, "positive"), (-1, "negative"))))
+
+
+CASIMIRS = _casimir_identities()
 
 
 def casimirs(gens: GeneratorSet) -> VerificationReport:
     """C1 = H^2 - P^2 and C2 = W0^2 - W.W: values and centrality."""
-    report = VerificationReport("casimirs")
-    ctx = gens.ctx
-    P = gens.vec("P")
-    c1 = gens["H"] * gens["H"] - dot(P, P)
-    c2 = gens["W0"] * gens["W0"] - dot(gens.vec("W"), gens.vec("W"))
-    msq = _meff_sq(ctx)
-    residual = c1 - msq
-    report.add(id="casimir1_value", lhs="H^2 - P.P", expected=render_expr(msq),
-               residual=render_expr(residual), passed=residual.is_zero())
-    names = ["H"] + [f"{p}{i}" for p in "PJK" for i in AXES]
-    for label, cas in (("C1", c1), ("C2", c2)):
-        for n in names:
-            r = commutator(cas, gens[n])
-            report.add(id=f"central[{label},{n}]", lhs=f"[{label},{n}]",
-                       expected="0", residual=render_expr(r), passed=r.is_zero())
-    S = gens.vec("S")
-    spin_sq = dot(S, S)
-    full = c2 + msq * spin_sq
-    report.add(id="casimir2_spin[full]", lhs="W0^2 - W.W + m^2*S.S", expected="0",
-               residual=render_expr(full), passed=full.is_zero())
-    for sign, tag in ((1, "positive"), (-1, "negative")):
-        r = full.substitute_sector(sign)
-        report.add(id=f"casimir2_spin[{tag}]", lhs="W0^2 - W.W + m^2*S.S",
-                   expected="0", residual=render_expr(r), passed=r.is_zero())
-    return report
+    return _exact_report("casimirs", CASIMIRS, gens)
 
 
 # -- Pauli-Lubanski ---------------------------------------------------------------
@@ -440,10 +454,9 @@ def _pl_identities():
     for sign, tag in ((1, "positive"), (-1, "negative")):
         inverse = "1/(omega+m)" if sign > 0 else "1/(m-omega)"
         for i in AXES:
-            pxsxp = tuple((-e1 * e2, 0, f"P{j}*S{n}*P{p}*{inverse}")
-                          for e1, j, k in _eps_pairs(i) for e2, n, p in _eps_pairs(k))
             out.append(Identity(
-                f"spatial_form[{tag},{i}]", _one(f"W{i}"), _one(f"H*S{i}") + pxsxp,
+                f"spatial_form[{tag},{i}]", _one(f"W{i}"),
+                _one(f"H*S{i}") + _pxsxp(i, -1, suffix=f"*{inverse}"),
                 f"W{i} on Lam={sign:+d}", f"H*S{i} - (Px(SxP)){i}/(H+m)",
                 asserted=sign > 0,
                 note="" if sign > 0 else
@@ -463,53 +476,42 @@ def pauli_lubanski(gens: GeneratorSet) -> VerificationReport:
 # -- boost matrix identities -------------------------------------------------------
 
 
+def _boost_identities():
+    """Read on Lam = +1, where H = omega and N = SxP/(omega+m)."""
+    def positive(*args):
+        return Identity(*args, sector=1, symbolic_only=_SECTOR)
+
+    out = [positive(f"matrix[{i},{j}]", ((1, 0, f"omega*P{i}*P{j}*1/P.P"),
+                                         (-1, 0, f"m*P{i}*P{j}*1/P.P")),
+                    _one(f"P{i}*P{j}*1/(omega+m)"), f"(H-m)*Phat{i}*Phat{j}",
+                    f"P{i}*P{j}/(H+m)")
+           for i in AXES for j in AXES]
+    out += [positive(f"spatial_rearrangement[{i}]",
+                     _one(f"m*S{i}") + tuple((1, 0, f"S{n}*P{n}*P{i}*1/(omega+m)")
+                                             for n in AXES),
+                     _one(f"omega*S{i}") + _pxsxp(i, -1),
+                     f"m*S{i} + (S.P)*P{i}/(H+m)", f"H*S{i} - (Px(SxP)){i}/(H+m)")
+            for i in AXES]
+    # N is forced: N.P = 0 and PxN = Px(SxP)/(H+m) imply N = -Px(PxN)/P^2
+    out.append(positive("n_perp", tuple((1, 0, f"N{i}*P{i}") for i in AXES), (),
+                        "N.P", "0"))
+    out += [positive(f"n_curl[{i}]", tuple((e, 0, f"P{j}*N{k}")
+                                           for e, j, k in _eps_pairs(i)),
+                     _pxsxp(i), f"(PxN){i}", f"(Px(SxP)){i}/(H+m)") for i in AXES]
+    out += [positive(f"n_forced[{i}]", _one(f"N{i}"),
+                     sum((_pxsxp(k, -e, f"P{j}*", "*1/(omega+m)*1/P.P")
+                          for e, j, k in _eps_pairs(i)), ()),
+                     f"N{i}", f"-(Px(Px(SxP)/(H+m))){i}/P.P") for i in AXES]
+    return tuple(out)
+
+
+BOOST_MATRIX = _boost_identities()
+
+
 def boost_matrix_identities(ctx: AlgebraContext = DEFAULT_CONTEXT) -> VerificationReport:
     """Scalar and spin identities behind the rest-frame boost construction
     (positive sector, H = omega)."""
-    report = VerificationReport("boost_matrix")
-    _, P, S = _qps(ctx)
-    omega = OperatorExpr.generator("omega", ctx)
-    meff = OperatorExpr.from_scalar(ctx.gen("m") * ctx.scalar(ctx.mass_factor), ctx)
-    psq = dot(P, P)
-    inv_psq = psq.invert()
-    inv_om_m = (omega + meff).invert()
-    for i in AXES:
-        for j in AXES:
-            pij = P[i - 1] * P[j - 1]
-            r = (omega - meff) * pij * inv_psq - pij * inv_om_m
-            report.add(id=f"matrix[{i},{j}]",
-                       lhs=f"(H-m)*Phat{i}*Phat{j}",
-                       expected=f"P{i}*P{j}/(H+m)",
-                       residual=render_expr(r), passed=r.is_zero())
-    sdotp = dot(S, P)
-    pxsxp = cross(P, cross(S, P))
-    for i in AXES:
-        lhs = meff * S[i - 1] + sdotp * P[i - 1] * inv_om_m
-        rhs = omega * S[i - 1] - pxsxp[i - 1] * inv_om_m
-        r = lhs - rhs
-        report.add(id=f"spatial_rearrangement[{i}]",
-                   lhs=f"m*S{i} + (S.P)*P{i}/(H+m)",
-                   expected=f"H*S{i} - (Px(SxP)){i}/(H+m)",
-                   residual=render_expr(r), passed=r.is_zero())
-    # N is forced: N.P = 0 and PxN = Px(SxP)/(H+m) imply N = -Px(PxN)/P^2
-    N = [cross(S, P)[i] * inv_om_m for i in range(3)]
-    X = [pxsxp[i] * inv_om_m for i in range(3)]
-    ndotp = dot(N, P)
-    report.add(id="n_perp", lhs="N.P", expected="0",
-               residual=render_expr(ndotp), passed=ndotp.is_zero())
-    pxn = cross(P, N)
-    for i in AXES:
-        r = pxn[i - 1] - X[i - 1]
-        report.add(id=f"n_curl[{i}]", lhs=f"(PxN){i}",
-                   expected=f"(Px(SxP)){i}/(H+m)",
-                   residual=render_expr(r), passed=r.is_zero())
-    pxx = cross(P, X)
-    for i in AXES:
-        r = N[i - 1] + pxx[i - 1] * inv_psq
-        report.add(id=f"n_forced[{i}]", lhs=f"N{i}",
-                   expected=f"-(Px(Px(SxP)/(H+m))){i}/P.P",
-                   residual=render_expr(r), passed=r.is_zero())
-    return report
+    return _exact_report("boost_matrix", BOOST_MATRIX, foldy_generators(ctx=ctx))
 
 
 # -- conservation/covariance lemma chain ----------------------------------------------
@@ -631,24 +633,9 @@ def energy_momentum_constraint_check(h_candidate: OperatorExpr,
                residual="0" if is_const else ("; ".join(grads) or render_expr(relation)),
                passed=is_const)
 
-    meff = None
-    if is_const:
-        meff_coeff = scalar_sqrt(relation.scalar_part())
-        if meff_coeff is not None:
-            meff = OperatorExpr.from_scalar(meff_coeff, ctx)
-    if meff is None:
-        meff = OperatorExpr.from_scalar(
-            ctx.gen("m") * ctx.scalar(ctx.mass_factor), ctx)
-
-    lam = OperatorExpr.generator("Lam", ctx)
-    omega = OperatorExpr.generator("omega", ctx)
-    tsym = OperatorExpr.generator("t", ctx)
-    L = cross(Q, P)
-    J = [L[i] + S[i] for i in range(3)]
-    M = [tsym * P[i] - sym_product(Q[i], h_candidate) for i in range(3)]
-    inv_om_m = (omega + meff).invert()
-    sxp = cross(S, P)
-    K = [M[i] + lam * sxp[i] * inv_om_m for i in range(3)]
+    root = scalar_sqrt(relation.scalar_part()) if is_const else None
+    meff = _meff(ctx) if root is None else OperatorExpr.from_scalar(root, ctx)
+    _, J, _, _, K = _orbital_spin(Q, P, S, h_candidate, meff)
     table = {"H": h_candidate}
     for i in AXES:
         table[f"P{i}"] = P[i - 1]

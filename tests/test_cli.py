@@ -48,8 +48,10 @@ def test_verify_emrelation_scaled(tmp_path):
 
 
 def test_verify_bad_expression_usage_error(capsys):
-    assert run(["verify", "emrelation", "--h", "Lam*("]) == 2
-    assert "error" in capsys.readouterr().err
+    # a syntax error, and an exponent the coefficient ring cannot pack
+    for h in ("Lam*(", "Lam*omega + P1^70"):
+        assert run(["verify", "emrelation", "--h", h]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_bad_flags_exit_two():
@@ -110,9 +112,11 @@ def test_localize_exit_checks_leak_and_slope(monkeypatch, tmp_path, capsys,
 
 
 def test_localize_wraparound_is_usage_error(capsys):
-    code = run(["localize", "--t", "500", "--npts", "2048", "--pmax", "40"])
-    assert code == 2
-    assert "box" in capsys.readouterr().err
+    for argv in (["localize", "--t", "500", "--npts", "2048", "--pmax", "40"],
+                 ["causality", "--npts", "1024", "--pmax", "20",
+                  "--r", "-1000", "-1"]):
+        assert run(argv) == 2
+        assert "box" in capsys.readouterr().err
 
 
 def test_causality_defaults(tmp_path):

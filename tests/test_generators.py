@@ -12,7 +12,8 @@ from qpskit import (AlgebraContext, GridConfigError, GridRep,
                     foldy_generators, lemma_suite, matrix_is_zero,
                     parse_expr, pauli_lubanski, total_time_derivative)
 from qpskit.expr import ExprError
-from qpskit.generators import LEMMAS, PAULI_LUBANSKI, TABLES, dot
+from qpskit.generators import (BOOST_MATRIX, CASIMIRS, LEMMAS, PAULI_LUBANSKI,
+                               TABLES, dot)
 from qpskit.numcheck import (numeric_lemma_report, numeric_pl_report,
                              numeric_table_report)
 
@@ -232,7 +233,8 @@ def test_sector_identities_also_pass_under_matrices(foldy):
 
 def test_registry_feeds_both_backends(foldy):
     # one declaration, one entry per backend under the same id; a declaration
-    # the grid skips must say why
+    # the grid skips must say why, and a suite without grid twins has no
+    # numeric report
     grid = GridRep(d=3, npts=16, pmax=2.0, m=1.0, s=Fraction(1, 2), tval=0.3)
     suites = [
         (TABLES[which], check_table(foldy, which),
@@ -242,12 +244,14 @@ def test_registry_feeds_both_backends(foldy):
         (LEMMAS, lemma_suite(foldy), numeric_lemma_report(foldy, grid, nstates=1)),
         (PAULI_LUBANSKI, pauli_lubanski(foldy),
          numeric_pl_report(foldy, grid, nstates=1)),
+        (CASIMIRS, casimirs(foldy), None),
+        (BOOST_MATRIX, boost_matrix_identities(), None),
     ]
     for identities, exact, numeric in suites:
         exact_ids = [e.id for e in exact.entries]
-        numeric_ids = [e.id for e in numeric.entries]
         assert exact_ids == [ident.id for ident in identities]
         assert len(set(exact_ids)) == len(exact_ids)
+        numeric_ids = [] if numeric is None else [e.id for e in numeric.entries]
         assert numeric_ids == [ident.id for ident in identities
                                if not ident.symbolic_only]
         for ident in identities:
