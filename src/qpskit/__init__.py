@@ -18,7 +18,7 @@ from .localization import (NWEvolutionResult, microcausality_check,
                            nw_evolution, nw_projector)
 from .numcheck import (convergence_report, numeric_casimir_report,
                        numeric_lemma_report, numeric_pl_report,
-                       numeric_table_report)
+                       numeric_residual_reports, numeric_table_report)
 from .parser import ExprSyntaxError, UnknownSymbolError, parse_expr, render_expr
 from .report import CheckEntry, VerificationReport
 from .spin import SpinConfigError, eval_spin_matrices, matrix_is_zero, spin_matrices_exact
@@ -39,7 +39,7 @@ __all__ = [
     "realize", "residual_norm",
     "NWEvolutionResult", "microcausality_check", "nw_evolution", "nw_projector",
     "convergence_report", "numeric_casimir_report", "numeric_lemma_report",
-    "numeric_pl_report", "numeric_table_report",
+    "numeric_pl_report", "numeric_residual_reports", "numeric_table_report",
     "ExprSyntaxError", "UnknownSymbolError", "parse_expr", "render_expr",
     "CheckEntry", "VerificationReport",
     "SpinConfigError", "eval_spin_matrices", "matrix_is_zero",

@@ -6,9 +6,26 @@ batch of band-limited sample states (commutators as differences of
 compositions), so the numeric route never consumes a symbolically
 simplified residual: a relation that the symbolic engine proves equal to
 zero is re-derived here from floating-point operator algebra.
+
+The three suites of ``numeric residuals`` run together over one batch
+(``numeric_residual_reports``; the single-suite reports are the same
+evaluation on one suite). Words are read as *chains*, tuples of map names
+applied right to left: ``("A", "B")`` is A(B psi), ``[A,B]`` reads
+``("A", "B")`` and ``("B", "A")``, and ``A*B*C`` reads ``("A", "B", "C")``,
+which reads ``("B", "C")`` once, when it is computed. Before any map is
+applied, ``_ChainCache`` counts every read of every chain and every
+application of every map, so each chain is computed once and dropped at
+its last read, and each map is realized once and dropped after its last
+application. The identities run in an order that keeps few chains live
+(``[B,A]`` right after ``[A,B]``), and their residuals are reported in
+declaration order. A chain is computed by the same arithmetic whatever the
+order, so the residuals do not depend on it.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from itertools import islice
 
 import numpy as np
 
@@ -20,52 +37,86 @@ from .report import VerificationReport
 DEFAULT_TOL = 1e-6
 
 
-class _MapCache:
-    """Realized generator maps plus their action on the state batch."""
+def _word_chains(word):
+    """(kind, chains) of a declared word; the chain () is the batch itself."""
+    kind, names = parse_word(word)
+    if kind == "1":
+        return kind, ((),)
+    if kind == "[]":
+        a, b = names
+        return kind, ((a, b), (b, a))
+    if kind == "d/dt":
+        (a,) = names
+        return kind, ((f"d/dt {a}",), (a, "H"), ("H", a))
+    return kind, (names,)
 
-    def __init__(self, gens: GeneratorSet, grid: GridRep, batch):
+
+def _norms(arr):
+    return np.sqrt(np.sum(np.abs(arr) ** 2, axis=tuple(range(1, arr.ndim))))
+
+
+class _ChainCache:
+    """Chains and realized maps on one state batch, read-counted over the
+    ``words`` that will be read: each is kept only until its last use."""
+
+    def __init__(self, gens: GeneratorSet, grid: GridRep, batch, words):
         self.gens = gens
         self.grid = grid
         self.batch = batch
+        self.in_norms = _norms(batch)
+        self.reads = Counter()     # chain -> reads left
+        self.applies = Counter()   # map name -> applications left
+        for word in words:
+            for key in _word_chains(word)[1]:
+                self._plan(key)
         self.maps = {}
-        self.applied = {}
-        self.in_norms = self._norms(batch)
+        self.chains = {}
 
-    def _norms(self, arr):
-        axes = tuple(range(1, arr.ndim))
-        return np.sqrt(np.sum(np.abs(arr) ** 2, axis=axes))
+    def _plan(self, key):
+        if not key:
+            return
+        if key not in self.reads:   # the first read computes the chain
+            self.applies[key[0]] += 1
+            self._plan(key[1:])
+        self.reads[key] += 1
 
     def map(self, name):
         if name not in self.maps:
-            self.maps[name] = realize(self.gens[name], self.grid)
-        return self.maps[name]
+            expr = (self.gens[name[5:]].d_dt() if name.startswith("d/dt ")
+                    else self.gens[name])
+            self.maps[name] = realize(expr, self.grid)
+        left = self.applies.pop(name) - 1   # KeyError: an unplanned apply
+        if left:
+            self.applies[name] = left
+            return self.maps[name]
+        return self.maps.pop(name)
 
-    def on_batch(self, name):
-        if name not in self.applied:
-            self.applied[name] = self.map(name).apply(self.batch)
-        return self.applied[name]
-
-    def residual(self, arr):
-        return float(np.max(self._norms(arr) / self.in_norms))
-
-    def comm_batch(self, a, b):
-        """[A, B] applied to the batch via cached single applications."""
-        return self.map(a).apply(self.on_batch(b)) - self.map(b).apply(self.on_batch(a))
+    def chain(self, key):
+        """The maps of ``key`` applied right to left to the batch."""
+        if not key:
+            return self.batch
+        value = self.chains.pop(key, None)
+        if value is None:
+            value = self.map(key[0]).apply(self.chain(key[1:]))
+        left = self.reads.pop(key) - 1      # KeyError: an unplanned read
+        if left:
+            self.reads[key] = left
+            self.chains[key] = value
+        return value
 
     def word(self, word):
         """A declared word applied to the batch."""
-        kind, names = parse_word(word)
-        if kind == "1":
-            return self.batch
+        kind, keys = _word_chains(word)
+        values = [self.chain(key) for key in keys]
         if kind == "[]":
-            return self.comm_batch(*names)
+            return values[0] - values[1]
         if kind == "d/dt":
-            explicit = realize(self.gens[names[0]].d_dt(), self.grid).apply(self.batch)
-            return explicit + self.comm_batch(names[0], "H") / (1j * self.grid.hbar)
-        out = self.on_batch(names[-1])
-        for name in reversed(names[:-1]):
-            out = self.map(name).apply(out)
-        return out
+            explicit, ah, ha = values
+            return explicit + (ah - ha) / (1j * self.grid.hbar)
+        return values[0]
+
+    def residual(self, arr):
+        return float(np.max(_norms(arr) / self.in_norms))
 
 
 def _make_batch(grid, nstates, seed, sector=None):
@@ -73,45 +124,90 @@ def _make_batch(grid, nstates, seed, sector=None):
                                     sector=sector), axis=0)
 
 
-def _grid_report(suite, identities, gens, grid, nstates, seed, tol):
-    """max ||(lhs - expected) psi|| / ||psi|| over the batch for every
-    declared identity with a grid twin, in declaration order."""
-    twins = [ident for ident in identities if not ident.symbolic_only]
-    if not twins:
-        raise GridConfigError(f"{suite}: no declared identity has a grid twin")
-    report = VerificationReport(suite)
-    cache = _MapCache(gens, grid, _make_batch(grid, nstates, seed))
+def _schedule(needs):
+    """Evaluation order for tasks that read the chain sets ``needs``: next is
+    the task that computes the fewest new chains net of the live chains it
+    reads last, ties in declaration order."""
+    pending = Counter(key for need in needs for key in need)
+    seen = set()
+    left = list(range(len(needs)))
+    order = []
+    while left:
+        n = min(left, key=lambda n: len(needs[n] - seen)
+                - sum(pending[key] == 1 for key in needs[n] & seen))
+        left.remove(n)
+        order.append(n)
+        seen |= needs[n]
+        pending.subtract(needs[n])
+    return order
+
+
+def _grid_reports(suites, gens, grid, nstates, seed, tol):
+    """One report per ``(suite, identities)``: max ||(lhs - expected) psi||
+    / ||psi|| over one shared batch for every declared identity with a grid
+    twin, in declaration order."""
+    twins = []
+    for suite, identities in suites:
+        found = [ident for ident in identities if not ident.symbolic_only]
+        if not found:
+            raise GridConfigError(f"{suite}: no declared identity has a grid twin")
+        twins.append(found)
+    idents = [ident for found in twins for ident in found]
+    words = [[word for _, _, word in ident.lhs + ident.expected]
+             for ident in idents]
+    batch = _make_batch(grid, nstates, seed)
+    cache = _ChainCache(gens, grid, batch, [w for ws in words for w in ws])
+    needs = [{key[i:] for w in ws for key in _word_chains(w)[1]
+              for i in range(len(key))} for ws in words]
     ih = 1j * grid.hbar
-    for ident in twins:
+    residuals = [None] * len(idents)
+    for n in _schedule(needs):
         acc = 0
-        for sign, terms in ((1, ident.lhs), (-1, ident.expected)):
+        for sign, terms in ((1, idents[n].lhs), (-1, idents[n].expected)):
             for c, k, word in terms:
                 acc = acc + sign * c * ih**k * cache.word(word)
-        r = cache.residual(acc)
-        report.add(id=ident.id, lhs=f"grid {ident.lhs_text}",
-                   expected=ident.expected_text or "symbolic table value",
-                   residual=f"{r:.3e}", passed=r <= tol, residual_norm=r)
-    return report
+        residuals[n] = cache.residual(acc)
+    rows = zip(idents, residuals)
+    reports = []
+    for (suite, _), found in zip(suites, twins):
+        report = VerificationReport(suite)
+        for ident, r in islice(rows, len(found)):
+            report.add(id=ident.id, lhs=f"grid {ident.lhs_text}",
+                       expected=ident.expected_text or "symbolic table value",
+                       residual=f"{r:.3e}", passed=r <= tol, residual_norm=r)
+        reports.append(report)
+    return reports
+
+
+def numeric_residual_reports(gens: GeneratorSet, grid: GridRep, nstates=8,
+                             seed=0, tol=DEFAULT_TOL) -> list:
+    """Poincare table, lemma and Pauli-Lubanski grid reports, evaluated
+    together over one batch."""
+    return _grid_reports([("numeric_poincare", TABLES["poincare"]),
+                          ("numeric_lemmas", LEMMAS),
+                          ("numeric_pauli_lubanski", PAULI_LUBANSKI)],
+                         gens, grid, nstates, seed, tol)
 
 
 def numeric_table_report(gens: GeneratorSet, grid: GridRep, which="poincare",
                          nstates=8, seed=0, tol=DEFAULT_TOL) -> VerificationReport:
     """Grid residuals for all 100 ordered table commutators."""
-    return _grid_report(f"numeric_{which}", TABLES[which], gens, grid,
-                        nstates, seed, tol)
+    return _grid_reports([(f"numeric_{which}", TABLES[which])], gens, grid,
+                         nstates, seed, tol)[0]
 
 
 def numeric_lemma_report(gens: GeneratorSet, grid: GridRep, nstates=8, seed=0,
                          tol=DEFAULT_TOL) -> VerificationReport:
     """Grid residuals for the conservation/covariance conclusions."""
-    return _grid_report("numeric_lemmas", LEMMAS, gens, grid, nstates, seed, tol)
+    return _grid_reports([("numeric_lemmas", LEMMAS)], gens, grid, nstates,
+                         seed, tol)[0]
 
 
 def numeric_pl_report(gens: GeneratorSet, grid: GridRep, nstates=8, seed=0,
                       tol=DEFAULT_TOL) -> VerificationReport:
     """Grid residuals for W.P orthogonality and W0 = S.P."""
-    return _grid_report("numeric_pauli_lubanski", PAULI_LUBANSKI, gens, grid,
-                        nstates, seed, tol)
+    return _grid_reports([("numeric_pauli_lubanski", PAULI_LUBANSKI)], gens,
+                         grid, nstates, seed, tol)[0]
 
 
 def numeric_casimir_report(gens: GeneratorSet, grid: GridRep, nstates=8,
@@ -127,11 +223,11 @@ def numeric_casimir_report(gens: GeneratorSet, grid: GridRep, nstates=8,
     scale = abs(target) if target else 1.0
     for sector, tag in ((1, "positive"), (-1, "negative")):
         batch = _make_batch(grid, nstates, seed, sector=sector)
-        cache = _MapCache(gens, grid, batch)
-        w0w0 = cache.map("W0").apply(cache.on_batch("W0"))
-        acc = w0w0
-        for i in AXES:
-            acc = acc - cache.map(f"W{i}").apply(cache.on_batch(f"W{i}"))
+        squares = [f"W{i}*W{i}" for i in (0, *AXES)]
+        cache = _ChainCache(gens, grid, batch, squares)
+        acc = cache.word(squares[0])
+        for word in squares[1:]:
+            acc = acc - cache.word(word)
         resid = acc - target * batch
         r = cache.residual(resid) / scale
         report.add(id=f"spectrum[{tag}]", lhs="(W0^2 - W.W) psi",

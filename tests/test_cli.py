@@ -185,6 +185,31 @@ def test_numeric_casimir_small(tmp_path):
     assert doc["failed"] == 0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["numeric", "casimir", "--convergence"], "--convergence"),
+    (["numeric", "residuals", "--nstates", "0"], "--nstates"),
+    (["numeric", "residuals", "--npts", "30", "--convergence"],
+     "half grid (15 points for --npts 30)"),
+])
+def test_numeric_inputs_it_cannot_use_exit_two(capsys, argv, message):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("suite", ["bargmann", "lemmas", "casimirs", "pl",
+                                   "boost", "emrelation"])
+def test_casimir_spin_only_where_read(capsys, suite):
+    assert run(["verify", suite, "--casimir-spin", "1/2"]) == 2
+    assert capsys.readouterr().err.startswith("error: --casimir-spin applies")
+
+
+def test_casimir_spin_must_be_a_spin(capsys):
+    for suite in ("poincare", "spinless"):
+        assert run(["verify", suite, "--casimir-spin", "7/3"]) == 2
+        assert "unsupported spin 7/3" in capsys.readouterr().err
+
+
 def test_verify_report_determinism(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
