@@ -3,10 +3,14 @@ symbolic verification suites: commutator tables, Casimir invariants, the
 Pauli-Lubanski identities, boost-matrix identities, the conservation/
 covariance lemma chain, and the energy-momentum closure test.
 
-The table, lemma, Casimir, Pauli-Lubanski and boost-matrix identities are
-declared once as data (``TABLES``, ``LEMMAS``, ``CASIMIRS``,
-``PAULI_LUBANSKI``, ``BOOST_MATRIX``) and checked by one exact evaluator;
-numcheck reads the same declarations for its grid twins.
+Generators and identities are both declared as data over one word language.
+The Foldy set (``FOLDY``, with its orbital/spin split ``ORBITAL_SPIN``), the
+Bargmann set (``BARGMANN``) and the names that only the exact side reads
+(``DERIVED``) are sums of words over the primitives; the table, lemma,
+Casimir, Pauli-Lubanski and boost-matrix identities (``TABLES``, ``LEMMAS``,
+``CASIMIRS``, ``PAULI_LUBANSKI``, ``BOOST_MATRIX``) are pairs of such sums.
+One read-counted evaluator, ``_Words``, builds the sets and checks the
+identities; numcheck reads the same declarations for its grid twins.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from fractions import Fraction
 
 from .coeffs import AlgebraContext, DEFAULT_CONTEXT, scalar_sqrt
 from .expr import (ExprError, OperatorExpr, commutator, normal_form,
-                   sym_product, total_time_derivative)
+                   total_time_derivative)
 from .parser import render_expr, render_scalar
 from .report import VerificationReport
 
@@ -31,21 +35,6 @@ def eps(i, j, k):
     return _EPS.get((i, j, k), 0)
 
 
-def cross(a, b):
-    """Component list of a x b for 3-vectors of expressions."""
-    out = []
-    for i in AXES:
-        acc = None
-        for j in AXES:
-            for k in AXES:
-                e = eps(i, j, k)
-                if e:
-                    piece = a[j - 1] * b[k - 1] * e
-                    acc = piece if acc is None else acc + piece
-        out.append(acc)
-    return out
-
-
 def dot(a, b):
     acc = a[0] * b[0]
     for i in (1, 2):
@@ -56,20 +45,15 @@ def dot(a, b):
 class GeneratorSet:
     """Named map generator-symbol -> OperatorExpr."""
 
-    def __init__(self, ctx: AlgebraContext, table: dict, kind: str, sector: str = "full"):
+    def __init__(self, ctx: AlgebraContext, table: dict):
         self.ctx = ctx
         self.table = table
-        self.kind = kind
-        self.sector = sector
 
     def __getitem__(self, name: str) -> OperatorExpr:
         return self.table[name]
 
     def __contains__(self, name):
         return name in self.table
-
-    def names(self):
-        return list(self.table)
 
     def items(self):
         return self.table.items()
@@ -78,30 +62,170 @@ class GeneratorSet:
         return [self.table[f"{prefix}{i}"] for i in AXES]
 
 
-def _qps(ctx):
-    g = lambda n: OperatorExpr.generator(n, ctx)
-    Q = [g("Q1"), g("Q2"), g("Q3")]
-    P = [g("P1"), g("P2"), g("P3")]
-    S = [g("S1"), g("S2"), g("S3")]
-    return Q, P, S
+# -- the word language ----------------------------------------------------------
+#
+# A sum is a tuple of terms (c, k, word) standing for c * (i*hbar)**k * word.
+# A word is "1" (the identity; psi on the grid), a name, a product "A*B*C",
+# a commutator "[A,B]" or a total time derivative "d/dt A". A name is a
+# primitive (Q1..3, P1..3, S1..3, Lam, omega, t, the effective mass m = k*m
+# of omega^2 = P^2 + (k*m)^2, Mmass, E0), a generator declared earlier, a
+# ``DERIVED`` name, "1/X" (the inverse of the name X, parenthesized if it
+# has an operator in it) or "(X)^(-1/2)" (the inverse square root of a
+# perfect-square scalar X).
 
 
-def _meff(ctx) -> OperatorExpr:
-    """The effective mass k*m of omega^2 = P^2 + (k*m)^2."""
-    return OperatorExpr.from_scalar(ctx.gen("m") * ctx.scalar(ctx.mass_factor), ctx)
+def parse_word(word):
+    """(kind, names) of a word; kind is "1", "[]", "d/dt" or "*"."""
+    if word == "1":
+        return "1", ()
+    if word.startswith("["):
+        return "[]", tuple(word[1:-1].split(","))
+    if word.startswith("d/dt "):
+        return "d/dt", (word[5:],)
+    return "*", tuple(word.split("*"))
 
 
-def _orbital_spin(Q, P, S, H, meff):
-    """L = QxP, J = L + S, M = tP - sym(Q, H), N = Lam SxP/(omega+meff) and
-    K = M + N: the orbital/spin split of the rotation and boost generators."""
-    ctx = H.ctx
-    g = lambda n: OperatorExpr.generator(n, ctx)
-    L = cross(Q, P)
-    inv_om_m = (g("omega") + meff).invert()
-    N = [g("Lam") * x * inv_om_m for x in cross(S, P)]
-    M = [g("t") * p - sym_product(q, H) for q, p in zip(Q, P)]
-    return (L, [a + b for a, b in zip(L, S)], M, N,
-            [a + b for a, b in zip(M, N)])
+def _one(word):
+    return ((1, 0, word),)
+
+
+def _eps_pairs(i):
+    """(eps_ijk, j, k) over the nonzero entries for fixed i."""
+    return [(eps(i, j, k), j, k) for j in AXES for k in AXES if eps(i, j, k)]
+
+
+def _eps_terms(prefix, i, j, k=0, c=1, suffix=""):
+    """c*(i*hbar)^k * sum_n eps_ijn * prefix_n."""
+    return tuple((c * eps(i, j, n), k, f"{prefix}{n}{suffix}")
+                 for n in AXES if eps(i, j, n))
+
+
+def _cross(a, b, i, c=1, prefix="", suffix=""):
+    """c * prefix*(a x b)_i*suffix."""
+    return tuple((c * e, 0, f"{prefix}{a}{j}*{b}{k}{suffix}")
+                 for e, j, k in _eps_pairs(i))
+
+
+def _pxsxp(i, c=1, prefix="", suffix="*1/(omega+m)"):
+    """c * prefix*(Px(SxP))_i*suffix."""
+    return tuple((c * e1 * e2, 0, f"{prefix}P{j}*S{n}*P{p}{suffix}")
+                 for e1, j, k in _eps_pairs(i) for e2, n, p in _eps_pairs(k))
+
+
+DERIVED = {
+    "P.P": tuple((1, 0, f"P{i}*P{i}") for i in AXES),
+    "omega+m": ((1, 0, "omega"), (1, 0, "m")),
+    "m-omega": ((1, 0, "m"), (-1, 0, "omega")),
+    "m^2": _one("m*m"),
+    "H^2": _one("H*H"),
+    "C1": ((1, 0, "H*H"), (-1, 0, "P.P")),
+    "C2": _one("W0*W0") + tuple((-1, 0, f"W{i}*W{i}") for i in AXES),
+}
+
+# L = QxP and J = L + S
+_ROTATION = tuple([(f"L{i}", _cross("Q", "P", i)) for i in AXES]
+                  + [(f"J{i}", ((1, 0, f"L{i}"), (1, 0, f"S{i}"))) for i in AXES])
+
+# the orbital/spin split of the rotation and boost generators around H and m:
+# L and J, M = tP - sym(Q, H), N = Lam SxP/(omega+m) and K = M + N
+ORBITAL_SPIN = _ROTATION + tuple(
+    [(f"M{i}", ((1, 0, f"t*P{i}"), (Fraction(-1, 2), 0, f"Q{i}*H"),
+                (Fraction(-1, 2), 0, f"H*Q{i}"))) for i in AXES]
+    + [(f"N{i}", _cross("S", "P", i, prefix="Lam*", suffix="*1/(omega+m)"))
+       for i in AXES]
+    + [(f"K{i}", ((1, 0, f"M{i}"), (1, 0, f"N{i}"))) for i in AXES])
+
+# H = Lam*omega, the split above, V = (1/i hbar)[Q, H], W0 = J.P, W = HJ - PxK
+FOLDY = ((("H", _one("Lam*omega")),) + ORBITAL_SPIN
+         + tuple((f"V{i}", ((1, -1, f"[Q{i},H]"),)) for i in AXES)
+         + (("W0", tuple((1, 0, f"J{i}*P{i}") for i in AXES)),)
+         + tuple((f"W{i}", _one(f"H*J{i}") + _cross("P", "K", i, c=-1))
+                 for i in AXES))
+
+# H = P^2/(2 Mmass) + E0, L = QxP, J = L + S, C = tP - Mmass*Q
+BARGMANN = ((("H", ((Fraction(1, 2), 0, "P.P*1/Mmass"), (1, 0, "E0"))),)
+            + _ROTATION
+            + tuple((f"C{i}", ((1, 0, f"t*P{i}"), (-1, 0, f"Mmass*Q{i}")))
+                    for i in AXES))
+
+
+def _primitives(ctx):
+    names = {name: OperatorExpr.generator(name, ctx) for name in
+             ("Q1", "Q2", "Q3", "P1", "P2", "P3", "S1", "S2", "S3", "Lam",
+              "omega", "t", "Mmass", "E0")}
+    names["m"] = OperatorExpr.from_scalar(
+        ctx.gen("m") * ctx.scalar(ctx.mass_factor), ctx)
+    return names
+
+
+class _Words:
+    """Sums of words over the table ``names``, which gains each derived
+    name on its first read. Every word of ``terms`` is computed once, however
+    many sums read it, and dropped after its last read."""
+
+    def __init__(self, ctx, names, terms):
+        self.ctx = ctx
+        self.names = names
+        self.reads = Counter(word for _, _, word in terms)
+        self.words, self.factors = {}, {}
+
+    def name(self, name):
+        if name not in self.names:
+            if name.startswith("1/"):
+                value = self.name(name[2:].strip("()")).invert()
+            elif name.endswith("^(-1/2)"):
+                base = name[:-7].strip("()")
+                try:
+                    root = scalar_sqrt(self.name(base).scalar_part())
+                except ExprError:
+                    root = None
+                if root is None:
+                    raise ExprError(f"{base} is not a recognizable perfect square")
+                value = OperatorExpr.from_scalar(root.inv(), self.ctx)
+            else:
+                terms = DERIVED[name]
+                value = _Words(self.ctx, self.names, terms).side(terms)
+            self.names[name] = value
+        return self.names[name]
+
+    def value(self, word):
+        if word not in self.words:
+            kind, parts = parse_word(word)
+            ops = [self.name(name) for name in parts]
+            if kind == "1":
+                v = OperatorExpr.from_scalar(1, self.ctx)
+            elif kind == "[]":
+                v = commutator(*ops)
+            elif kind == "d/dt":
+                v = total_time_derivative(ops[0], self.names["H"])
+            else:
+                v = ops[0]
+                for op in ops[1:]:
+                    v = v * op
+            self.words[word] = v
+        self.reads[word] -= 1
+        return self.words[word] if self.reads[word] else self.words.pop(word)
+
+    def side(self, terms):
+        total = OperatorExpr.zero(self.ctx)
+        for c, k, word in terms:
+            v = self.value(word)
+            if (c, k) != (1, 0):
+                if (c, k) not in self.factors:
+                    self.factors[c, k] = OperatorExpr.from_scalar(
+                        self.ctx.scalar(c) * self.ctx.i_hbar() ** k, self.ctx)
+                v = v * self.factors[c, k]
+            total = total + v
+        return total
+
+
+def _declare(ctx, names, decls):
+    """``names`` with the declarations ``decls``, (name, sum) pairs, added in
+    order, each evaluated over the names before it."""
+    words = _Words(ctx, names, [term for _, terms in decls for term in terms])
+    for name, terms in decls:
+        names[name] = words.side(terms)
+    return names
 
 
 def foldy_generators(sector: str = "full", spin_zero: bool = False,
@@ -111,67 +235,35 @@ def foldy_generators(sector: str = "full", spin_zero: bool = False,
     """
     if sector not in ("full", "positive", "negative"):
         raise ValueError("sector must be 'full', 'positive' or 'negative'")
-    Q, P, S = _qps(ctx)
+    names = _primitives(ctx)
     if spin_zero:
-        S = [OperatorExpr.zero(ctx)] * 3
-    lam = OperatorExpr.generator("Lam", ctx)
-    H = lam * OperatorExpr.generator("omega", ctx)
-    L, J, M, N, K = _orbital_spin(Q, P, S, H, _meff(ctx))
-    ih = OperatorExpr.from_scalar(ctx.i_hbar(), ctx)
-    V = [commutator(Q[i], H) * ih.invert() for i in range(3)]
-    W0 = dot(J, P)
-    pxk = cross(P, K)
-    W = [H * J[i] - pxk[i] for i in range(3)]
-
-    table = {"H": H, "Lam": lam, "W0": W0}
-    for i in AXES:
-        table[f"P{i}"] = P[i - 1]
-        table[f"Q{i}"] = Q[i - 1]
-        table[f"S{i}"] = S[i - 1]
-        table[f"J{i}"] = J[i - 1]
-        table[f"K{i}"] = K[i - 1]
-        table[f"L{i}"] = L[i - 1]
-        table[f"M{i}"] = M[i - 1]
-        table[f"N{i}"] = N[i - 1]
-        table[f"V{i}"] = V[i - 1]
-        table[f"W{i}"] = W[i - 1]
+        names.update({f"S{i}": OperatorExpr.zero(ctx) for i in AXES})
+    _declare(ctx, names, FOLDY)
+    table = {name: names[name] for name in ("H", "Lam", "W0")}
+    table.update((f"{p}{i}", names[f"{p}{i}"]) for i in AXES for p in "PQSJKLMNVW")
     if sector != "full":
         sign = 1 if sector == "positive" else -1
         table = {k: v.substitute_sector(sign) for k, v in table.items()}
-    return GeneratorSet(ctx, table, "foldy", sector)
+    return GeneratorSet(ctx, table)
 
 
 def bargmann_generators(ctx: AlgebraContext = DEFAULT_CONTEXT) -> GeneratorSet:
     """Nonrelativistic set H = P^2/(2 Mmass) + E0, J = QxP + S,
     C = tP - Mmass*Q, with Mmass and E0 central constants."""
-    Q, P, S = _qps(ctx)
-    tsym = OperatorExpr.generator("t", ctx)
-    mass = OperatorExpr.generator("Mmass", ctx)
-    e0 = OperatorExpr.generator("E0", ctx)
-    H = dot(P, P) / (mass * 2) + e0
-    L = cross(Q, P)
-    J = [L[i] + S[i] for i in range(3)]
-    C = [tsym * P[i] - mass * Q[i] for i in range(3)]
-    table = {"H": H, "Mmass": mass, "E0": e0}
-    for i in AXES:
-        table[f"P{i}"] = P[i - 1]
-        table[f"Q{i}"] = Q[i - 1]
-        table[f"S{i}"] = S[i - 1]
-        table[f"J{i}"] = J[i - 1]
-        table[f"L{i}"] = L[i - 1]
-        table[f"C{i}"] = C[i - 1]
-    return GeneratorSet(ctx, table, "bargmann")
+    names = _declare(ctx, _primitives(ctx), BARGMANN)
+    table = {name: names[name] for name in ("H", "Mmass", "E0")}
+    table.update((f"{p}{i}", names[f"{p}{i}"]) for i in AXES for p in "PQSJLC")
+    return GeneratorSet(ctx, table)
 
 
 # -- declared identities ------------------------------------------------------------
 #
-# The table, lemma and Pauli-Lubanski identities are declared once, as data,
-# and read by two evaluators: the exact one here and the grid one in
-# numcheck. A side of an identity is a tuple of terms (c, k, word) standing
-# for c * (i*hbar)**k * word. A word is "1" (the identity; psi on the grid),
-# a name, a product "A*B*C", a commutator "[A,B]" or a total time derivative
-# "d/dt A". Names are generators of the set under test; symbolic-only
-# identities may also read the derived names of ``_derived_name``.
+# The table, lemma, Casimir, Pauli-Lubanski and boost-matrix identities are
+# declared once, as pairs of sums in the word language above, and read by
+# two evaluators: the exact one here and the grid one in numcheck. Names in
+# an identity are generators of the set under test; symbolic-only identities
+# may also read the primitives t, omega and m, the ``DERIVED`` names and the
+# "1/X" and "(X)^(-1/2)" forms.
 
 _NOT_YET = ("grid twin not added yet: it would add entries to the "
             "174-entry numeric residuals report")
@@ -201,74 +293,6 @@ class Identity:
     symbolic_only: str = ""   # why there is no grid twin; empty if there is one
 
 
-def parse_word(word):
-    """(kind, names) of a word; kind is "1", "[]", "d/dt" or "*"."""
-    if word == "1":
-        return "1", ()
-    if word.startswith("["):
-        return "[]", tuple(word[1:-1].split(","))
-    if word.startswith("d/dt "):
-        return "d/dt", (word[5:],)
-    return "*", tuple(word.split("*"))
-
-
-def _one(word):
-    return ((1, 0, word),)
-
-
-def _eps_pairs(i):
-    """(eps_ijk, j, k) over the nonzero entries for fixed i."""
-    return [(eps(i, j, k), j, k) for j in AXES for k in AXES if eps(i, j, k)]
-
-
-def _eps_terms(prefix, i, j, k=0, c=1, suffix=""):
-    """c*(i*hbar)^k * sum_n eps_ijn * prefix_n."""
-    return tuple((c * eps(i, j, n), k, f"{prefix}{n}{suffix}")
-                 for n in AXES if eps(i, j, n))
-
-
-def _pxsxp(i, c=1, prefix="", suffix="*1/(omega+m)"):
-    """c * prefix*(Px(SxP))_i*suffix."""
-    return tuple((c * e1 * e2, 0, f"{prefix}P{j}*S{n}*P{p}{suffix}")
-                 for e1, j, k in _eps_pairs(i) for e2, n, p in _eps_pairs(k))
-
-
-def _derived_name(gens, name):
-    """Value of a non-generator name read by symbolic-only identities."""
-    ctx = gens.ctx
-    omega = OperatorExpr.generator("omega", ctx)
-    meff = _meff(ctx)
-    if name in ("t", "omega"):
-        return OperatorExpr.generator(name, ctx)
-    if name == "m":
-        return meff
-    if name == "m^2":
-        return meff * meff
-    if name == "C1":
-        return gens["H"] * gens["H"] - dot(gens.vec("P"), gens.vec("P"))
-    if name == "C2":
-        return gens["W0"] * gens["W0"] - dot(gens.vec("W"), gens.vec("W"))
-    if name == "1/H":
-        return gens["H"].invert()
-    if name == "1/P.P":
-        return dot(gens.vec("P"), gens.vec("P")).invert()
-    if name == "1/omega":
-        return omega.invert()
-    if name == "1/(omega+m)":
-        return (omega + meff).invert()
-    if name == "1/(m-omega)":
-        return (meff - omega).invert()
-    if name == "(H^2)^(-1/2)":
-        try:
-            root = scalar_sqrt((gens["H"] * gens["H"]).scalar_part())
-        except ExprError:
-            root = None
-        if root is None:
-            raise ExprError("H^2 is not a recognizable perfect square")
-        return OperatorExpr.from_scalar(root.inv(), ctx)
-    raise KeyError(name)
-
-
 def _exact_report(suite, identities, gens, casimir_spin=None) -> VerificationReport:
     """Check declared identities exactly on ``gens``.
 
@@ -276,50 +300,13 @@ def _exact_report(suite, identities, gens, casimir_spin=None) -> VerificationRep
     and dropped after its last read. With ``casimir_spin`` set, residuals
     are normalized modulo S^2.
     """
-    ctx = gens.ctx
-    reads = Counter(word for ident in identities
-                    for _, _, word in ident.lhs + ident.expected)
-    names, words, factors = {}, {}, {}
-
-    def name_value(name):
-        if name not in names:
-            names[name] = gens[name] if name in gens else _derived_name(gens, name)
-        return names[name]
-
-    def value(word):
-        if word not in words:
-            kind, parts = parse_word(word)
-            ops = [name_value(name) for name in parts]
-            if kind == "1":
-                v = OperatorExpr.from_scalar(1, ctx)
-            elif kind == "[]":
-                v = commutator(*ops)
-            elif kind == "d/dt":
-                v = total_time_derivative(ops[0], gens["H"])
-            else:
-                v = ops[0]
-                for op in ops[1:]:
-                    v = v * op
-            words[word] = v
-        reads[word] -= 1
-        return words[word] if reads[word] else words.pop(word)
-
-    def side(terms):
-        total = OperatorExpr.zero(ctx)
-        for c, k, word in terms:
-            v = value(word)
-            if (c, k) != (1, 0):
-                if (c, k) not in factors:
-                    factors[c, k] = OperatorExpr.from_scalar(
-                        ctx.scalar(c) * ctx.i_hbar() ** k, ctx)
-                v = v * factors[c, k]
-            total = total + v
-        return total
-
+    words = _Words(gens.ctx, {**_primitives(gens.ctx), **gens.table},
+                   [term for ident in identities
+                    for term in ident.lhs + ident.expected])
     report = VerificationReport(suite)
     for ident in identities:
         try:
-            lhs, want = side(ident.lhs), side(ident.expected)
+            lhs, want = words.side(ident.lhs), words.side(ident.expected)
         except ExprError as exc:
             report.add(id=ident.id, lhs=ident.lhs_text,
                        expected=ident.expected_text or "", residual=str(exc),
@@ -495,9 +482,8 @@ def _boost_identities():
     # N is forced: N.P = 0 and PxN = Px(SxP)/(H+m) imply N = -Px(PxN)/P^2
     out.append(positive("n_perp", tuple((1, 0, f"N{i}*P{i}") for i in AXES), (),
                         "N.P", "0"))
-    out += [positive(f"n_curl[{i}]", tuple((e, 0, f"P{j}*N{k}")
-                                           for e, j, k in _eps_pairs(i)),
-                     _pxsxp(i), f"(PxN){i}", f"(Px(SxP)){i}/(H+m)") for i in AXES]
+    out += [positive(f"n_curl[{i}]", _cross("P", "N", i), _pxsxp(i),
+                     f"(PxN){i}", f"(Px(SxP)){i}/(H+m)") for i in AXES]
     out += [positive(f"n_forced[{i}]", _one(f"N{i}"),
                      sum((_pxsxp(k, -e, f"P{j}*", "*1/(omega+m)*1/P.P")
                           for e, j, k in _eps_pairs(i)), ()),
@@ -529,7 +515,7 @@ def _lemma_identities():
 
     for i in AXES:
         add(f"velocity_parallel[{i}]",
-            tuple((e, 0, f"V{j}*P{k}") for e, j, k in _eps_pairs(i)), (),
+            _cross("V", "P", i), (),
             f"(VxP){i}", "0")
     for i in AXES:
         for j in AXES:
@@ -617,8 +603,8 @@ def energy_momentum_constraint_check(h_candidate: OperatorExpr,
         raise ExprError("candidate Hamiltonian must not contain Q "
                         "(construction presumes translation invariance)")
     report = VerificationReport("emrelation")
-    Q, P, S = _qps(ctx)
-    relation = h_candidate * h_candidate - dot(P, P)
+    names = {**_primitives(ctx), "H": h_candidate}
+    relation = _Words(ctx, names, ()).name("C1")
     grads = []
     is_const = relation.is_scalar() and not relation.d_dt()
     if relation.is_scalar():
@@ -634,14 +620,9 @@ def energy_momentum_constraint_check(h_candidate: OperatorExpr,
                passed=is_const)
 
     root = scalar_sqrt(relation.scalar_part()) if is_const else None
-    meff = _meff(ctx) if root is None else OperatorExpr.from_scalar(root, ctx)
-    _, J, _, _, K = _orbital_spin(Q, P, S, h_candidate, meff)
-    table = {"H": h_candidate}
-    for i in AXES:
-        table[f"P{i}"] = P[i - 1]
-        table[f"J{i}"] = J[i - 1]
-        table[f"K{i}"] = K[i - 1]
-    gens = GeneratorSet(ctx, table, "candidate")
-    report.extend(check_table(gens, "poincare"))
+    if root is not None:
+        names["m"] = OperatorExpr.from_scalar(root, ctx)
+    report.extend(check_table(GeneratorSet(ctx, _declare(ctx, names, ORBITAL_SPIN)),
+                              "poincare"))
     report.suite = "emrelation"
     return report

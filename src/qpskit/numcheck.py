@@ -29,7 +29,7 @@ from itertools import islice
 
 import numpy as np
 
-from .generators import (AXES, LEMMAS, PAULI_LUBANSKI, TABLES, GeneratorSet,
+from .generators import (DERIVED, LEMMAS, PAULI_LUBANSKI, TABLES, GeneratorSet,
                          parse_word)
 from .grid import GridConfigError, GridRep, gaussian_states, realize
 from .report import VerificationReport
@@ -214,20 +214,21 @@ def numeric_casimir_report(gens: GeneratorSet, grid: GridRep, nstates=8,
                            seed=0, tol=DEFAULT_TOL) -> VerificationReport:
     """Spectrum of W0^2 - W.W on per-sector band-limited states.
 
-    The squared Pauli-Lubanski vector must act as -hbar^2 m^2 s(s+1) on each
-    frequency sector, both as a quadratic form and in residual norm.
+    The squared Pauli-Lubanski vector, read from the declared ``C2``, must
+    act as -hbar^2 m^2 s(s+1) on each frequency sector, both as a quadratic
+    form and in residual norm.
     """
+    c2 = DERIVED["C2"]
     report = VerificationReport("numeric_casimir")
     s = float(grid.s)
     target = -grid.hbar**2 * grid.m**2 * s * (s + 1.0)
     scale = abs(target) if target else 1.0
     for sector, tag in ((1, "positive"), (-1, "negative")):
         batch = _make_batch(grid, nstates, seed, sector=sector)
-        squares = [f"W{i}*W{i}" for i in (0, *AXES)]
-        cache = _ChainCache(gens, grid, batch, squares)
-        acc = cache.word(squares[0])
-        for word in squares[1:]:
-            acc = acc - cache.word(word)
+        cache = _ChainCache(gens, grid, batch, [word for _, _, word in c2])
+        acc = 0
+        for c, k, word in c2:
+            acc = acc + c * (1j * grid.hbar)**k * cache.word(word)
         resid = acc - target * batch
         r = cache.residual(resid) / scale
         report.add(id=f"spectrum[{tag}]", lhs="(W0^2 - W.W) psi",

@@ -26,6 +26,18 @@ def test_foldy_contents(foldy):
     assert foldy["N1"] == P("Lam*(S2*P3 - S3*P2)/(omega+m)")
     assert foldy["V1"] == P("Lam*P1/omega")
     assert foldy["M3"] == P("t*P3 - (Q3*Lam*omega + Lam*omega*Q3)/2")
+    assert foldy["K1"] == P("t*P1 - (Q1*Lam*omega + Lam*omega*Q1)/2"
+                            " + Lam*(S2*P3 - S3*P2)/(omega+m)")
+    # L.P = 0, so W0 = S.P; and P x sym(Q, H) = -H L, so W = H S - P x N
+    assert foldy["W0"] == P("S1*P1 + S2*P2 + S3*P3")
+    assert foldy["W1"] == P("Lam*omega*S1 - Lam*(S1*P2^2 + S1*P3^2"
+                            " - S2*P1*P2 - S3*P1*P3)/(omega+m)")
+    ctx2 = AlgebraContext.get(2)
+    assert foldy_generators(ctx=ctx2)["N1"] == \
+        P("Lam*(S2*P3 - S3*P2)/(omega+2*m)", ctx=ctx2)
+    bg = bargmann_generators()
+    assert bg["H"] == P("(P1^2 + P2^2 + P3^2)/(2*Mmass) + E0")
+    assert bg["C2"] == P("t*P2 - Mmass*Q2")
 
 
 def test_decomposition_invariants(foldy):
@@ -53,8 +65,18 @@ def test_sector_substituted_sets():
     pos = foldy_generators(sector="positive")
     assert pos["H"] == P("omega")
     assert pos["N2"] == P("(S3*P1 - S1*P3)/(omega+m)")
+    assert pos["K1"] == P("t*P1 - (Q1*omega + omega*Q1)/2"
+                          " + (S2*P3 - S3*P2)/(omega+m)")
+    assert pos["W1"] == P("omega*S1 - (S1*P2^2 + S1*P3^2"
+                          " - S2*P1*P2 - S3*P1*P3)/(omega+m)")
     neg = foldy_generators(sector="negative")
     assert neg["H"] == P("-omega")
+    assert neg["N2"] == P("-(S3*P1 - S1*P3)/(omega+m)")
+    assert neg["W0"] == P("S1*P1 + S2*P2 + S3*P3")
+    ctx2 = AlgebraContext.get(2)
+    assert foldy_generators(sector="negative", ctx=ctx2)["K3"] == \
+        P("t*P3 + (Q3*omega + omega*Q3)/2 - (S1*P2 - S2*P1)/(omega+2*m)",
+          ctx=ctx2)
 
 
 def test_poincare_table_passes(foldy):
@@ -88,7 +110,7 @@ def test_table_failure_reported():
     broken = dict(gens.items())
     broken["H"] = P("Lam*omega + P1")
     from qpskit.generators import GeneratorSet
-    rep = check_table(GeneratorSet(gens.ctx, broken, "broken"), "poincare")
+    rep = check_table(GeneratorSet(gens.ctx, broken), "poincare")
     assert rep.failed > 0
     assert all(e.residual != "" for e in rep.failures())
 
@@ -97,7 +119,7 @@ def test_table_missing_generator_is_config_failure():
     from qpskit.generators import GeneratorSet
     gens = foldy_generators()
     partial = {k: v for k, v in gens.items() if k != "K2"}
-    rep = check_table(GeneratorSet(gens.ctx, partial, "partial"), "poincare")
+    rep = check_table(GeneratorSet(gens.ctx, partial), "poincare")
     assert rep.failed == 1
     assert rep.entries[0].id == "configuration"
 

@@ -4,13 +4,20 @@ The hashes were recorded from the sympy-backed coefficient field that the
 packed-exponent ring replaced. The two closure artifacts render residual
 polynomials, so they pin lex term order and the canonical form of the
 fractions as well as the pass/fail pattern.
+
+The generator-set hashes cover each generator's rendering and its terms in
+insertion order. Term order sets the order of ``realize``'s plan, so they
+also pin the bits of the grid residuals.
 """
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
+from qpskit import AlgebraContext, bargmann_generators, foldy_generators
 from qpskit.cli import main
+from qpskit.parser import render_expr, render_scalar
 
 GOLDEN = {
     "poincare": (["poincare"],
@@ -46,3 +53,38 @@ def test_verify_artifact_is_byte_identical(name, tmp_path, capsys):
     capsys.readouterr()
     assert code == (1 if name.startswith("closure") else 0)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+GENERATOR_SETS = {
+    "full": ({}, "1618c9baca24d4b9666da2ad4ef3dc44c082bf3eba5891060ac380e528ef79c6"),
+    "positive": ({"sector": "positive"},
+                 "cf87a6f1bc0a2a3ac2f5c202639290ec10f2ba36b366d768467100d988ddf249"),
+    "negative": ({"sector": "negative"},
+                 "5d78eac347e5ff71df61b4ad20d59879a34456ba0b46fda7d971637a6c85967d"),
+    "spin_zero": ({"spin_zero": True},
+                  "88145cd29baef60fdc305be267df0c296ea3d3c056dbe0edf496105962e30d0a"),
+    "k2": ({"ctx": 2},
+           "6b4c51f410872266083cb572eea83bf90c863283a730e49b7de3b6001288e986"),
+    "k3/2": ({"ctx": Fraction(3, 2)},
+             "50b721b2142a849f5b18e3d441c7fba65eb08d3ea36f24ce7593d511ca576760"),
+    "bargmann": (None,
+                 "f6000151298fee3983533a9fc356479d1fc48b50dd675c18f0d74aaee2c5fcdb"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_SETS))
+def test_generator_set_is_term_for_term_identical(name):
+    kwargs, digest = GENERATOR_SETS[name]
+    if kwargs is None:
+        gens = bargmann_generators()
+    else:
+        if "ctx" in kwargs:
+            kwargs = dict(kwargs, ctx=AlgebraContext.get(kwargs["ctx"]))
+        gens = foldy_generators(**kwargs)
+    h = hashlib.sha256()
+    for gen in sorted(dict(gens.items())):
+        expr = gens[gen]
+        h.update(f"{gen} = {render_expr(expr)}\n".encode())
+        for mono, c in expr.terms.items():
+            h.update(f"  {mono} {render_scalar(c)}\n".encode())
+    assert h.hexdigest() == digest
