@@ -4,7 +4,7 @@ localization behavior, and truncated Fock-space field/particle duality."""
 
 from .coeffs import AlgebraContext, CoeffError, DEFAULT_CONTEXT, ScalarCoeff
 from .expr import (ExprError, OperatorExpr, commutator, normal_form,
-                   scalar_derivative, sym_product, total_time_derivative)
+                   total_time_derivative)
 from .fock import (ExpectationCurves, FockConfigError, FockField, FockOperator,
                    PhasePoint, expectation_suite, fock_report, profile_fwhm)
 from .generators import (GeneratorSet, bargmann_generators,
@@ -12,8 +12,7 @@ from .generators import (GeneratorSet, bargmann_generators,
                          energy_momentum_constraint_check, foldy_generators,
                          lemma_suite, pauli_lubanski)
 from .grid import (GridConfigError, GridRep, LinearMap, UnsupportedSymbolError,
-                   gaussian_states, identity_map, map_commutator, operator_norm,
-                   realize, residual_norm)
+                   gaussian_states, operator_norm, realize)
 from .localization import (NWEvolutionResult, microcausality_check,
                            nw_evolution, nw_projector)
 from .numcheck import (convergence_report, numeric_casimir_report,
@@ -28,15 +27,14 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraContext", "CoeffError", "DEFAULT_CONTEXT", "ScalarCoeff",
     "ExprError", "OperatorExpr", "commutator", "normal_form",
-    "scalar_derivative", "sym_product", "total_time_derivative",
+    "total_time_derivative",
     "ExpectationCurves", "FockConfigError", "FockField", "FockOperator",
     "PhasePoint", "expectation_suite", "fock_report", "profile_fwhm",
     "GeneratorSet", "bargmann_generators", "boost_matrix_identities",
     "casimirs", "check_table", "energy_momentum_constraint_check",
     "foldy_generators", "lemma_suite", "pauli_lubanski",
     "GridConfigError", "GridRep", "LinearMap", "UnsupportedSymbolError",
-    "gaussian_states", "identity_map", "map_commutator", "operator_norm",
-    "realize", "residual_norm",
+    "gaussian_states", "operator_norm", "realize",
     "NWEvolutionResult", "microcausality_check", "nw_evolution", "nw_projector",
     "convergence_report", "numeric_casimir_report", "numeric_lemma_report",
     "numeric_pl_report", "numeric_residual_reports", "numeric_table_report",

@@ -554,9 +554,6 @@ class ScalarCoeff:
     def components(self):
         return (self.ar, self.ai, self.br, self.bi)
 
-    def is_real(self):
-        return not self.ai[0] and not self.bi[0]
-
     # -- ring operations ----------------------------------------------------
 
     def _coerce(self, other):

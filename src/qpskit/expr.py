@@ -448,16 +448,6 @@ def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
     return a * b - b * a
 
 
-def sym_product(a: OperatorExpr, b: OperatorExpr):
-    """The symmetrized product (a*b + b*a)/2 used for Q.H style couplings."""
-    return (a * b + b * a) * Fraction(1, 2)
-
-
-def scalar_derivative(r: ScalarCoeff, axis: int) -> ScalarCoeff:
-    """Formal d/dP_axis on scalars, with d omega/dP_axis = P_axis/omega."""
-    return r.diff(axis)
-
-
 def total_time_derivative(e: OperatorExpr, h: OperatorExpr) -> OperatorExpr:
     """d e/dt = partial_t e + (1/i hbar)[e, H]."""
     ih = OperatorExpr.from_scalar(e.ctx.i_hbar(), e.ctx)

@@ -237,11 +237,6 @@ class FockOperator:
     def expectation(self, vec):
         return complex(np.vdot(vec, self.apply(vec)))
 
-    def norm_on(self, max_total=None):
-        if max_total is None:
-            max_total = self.field.nmax
-        return float(np.linalg.norm(self.restricted(max_total), 2))
-
     def max_abs(self):
         """Largest entry modulus, block by block."""
         return max((float(np.abs(b).max()) for b in self.blocks.values() if b.size),
@@ -386,13 +381,6 @@ class FockField:
         """a(psi), antilinear in psi; a(psi)|0> = 0."""
         return FockOperator(self, self._ladder_blocks(self._ladder_values(psi)))
 
-    def creator(self, psi) -> FockOperator:
-        return self.annihilator(psi).adjoint()
-
-    def ladder(self, psi):
-        a = self.annihilator(psi)
-        return a, a.adjoint()
-
     def number_op(self, psi) -> FockOperator:
         a = self.annihilator(psi)
         return a.adjoint() @ a
@@ -438,12 +426,6 @@ class FockField:
         delta = np.zeros(self.nsites)
         delta[x % self.nsites] = 1.0
         return self.field_op(PhasePoint(np.zeros(self.nsites), -delta))
-
-    def local_momentum(self, x: int) -> FockOperator:
-        """pi_hat(x) = Phi(delta_x, 0)."""
-        delta = np.zeros(self.nsites)
-        delta[x % self.nsites] = 1.0
-        return self.field_op(PhasePoint(delta, np.zeros(self.nsites)))
 
     def smeared_profile(self, psi) -> np.ndarray:
         """|(omega^-1/2 psi)(x)|^2 site by site."""

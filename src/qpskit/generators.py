@@ -35,13 +35,6 @@ def eps(i, j, k):
     return _EPS.get((i, j, k), 0)
 
 
-def dot(a, b):
-    acc = a[0] * b[0]
-    for i in (1, 2):
-        acc = acc + a[i] * b[i]
-    return acc
-
-
 class GeneratorSet:
     """Named map generator-symbol -> OperatorExpr."""
 
@@ -57,9 +50,6 @@ class GeneratorSet:
 
     def items(self):
         return self.table.items()
-
-    def vec(self, prefix: str):
-        return [self.table[f"{prefix}{i}"] for i in AXES]
 
 
 # -- the word language ----------------------------------------------------------

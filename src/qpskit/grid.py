@@ -162,7 +162,7 @@ class GridRep:
 
 
 class LinearMap:
-    """Composable linear operator on grid states."""
+    """Linear operator on grid states, with an optional adjoint."""
 
     def __init__(self, grid: GridRep, apply_fn, adjoint_fn=None, label=""):
         self.grid = grid
@@ -181,43 +181,6 @@ class LinearMap:
             raise GridConfigError(f"map {self.label or '<anon>'} has no adjoint")
         return LinearMap(self.grid, self._adjoint, self._apply,
                          label=f"adj({self.label})")
-
-    def __matmul__(self, other: "LinearMap") -> "LinearMap":
-        if self.grid is not other.grid:
-            raise GridConfigError("composing maps over different grids")
-        adj = None
-        if self._adjoint is not None and other._adjoint is not None:
-            adj = lambda v: other._adjoint(self._adjoint(v))
-        return LinearMap(self.grid, lambda v: self._apply(other._apply(v)), adj,
-                         label=f"({self.label} @ {other.label})")
-
-    def __add__(self, other: "LinearMap") -> "LinearMap":
-        adj = None
-        if self._adjoint is not None and other._adjoint is not None:
-            adj = lambda v: self._adjoint(v) + other._adjoint(v)
-        return LinearMap(self.grid, lambda v: self._apply(v) + other._apply(v),
-                         adj, label=f"({self.label} + {other.label})")
-
-    def __sub__(self, other: "LinearMap") -> "LinearMap":
-        return self + (other * (-1.0))
-
-    def __mul__(self, c) -> "LinearMap":
-        c = complex(c)
-        adj = None
-        if self._adjoint is not None:
-            adj = lambda v: np.conj(c) * self._adjoint(v)
-        return LinearMap(self.grid, lambda v: c * self._apply(v), adj,
-                         label=f"({c} * {self.label})")
-
-    __rmul__ = __mul__
-
-
-def identity_map(grid: GridRep) -> LinearMap:
-    return LinearMap(grid, lambda v: v.copy(), lambda v: v.copy(), label="1")
-
-
-def map_commutator(a: LinearMap, b: LinearMap) -> LinearMap:
-    return a @ b - b @ a
 
 
 # -- realization ------------------------------------------------------------------
@@ -345,7 +308,7 @@ def realize(e: OperatorExpr, grid: GridRep) -> LinearMap:
     return LinearMap(grid, apply_fn, adjoint_fn, label="realized")
 
 
-# -- sample states and residual norms -----------------------------------------------
+# -- sample states ----------------------------------------------------------------
 
 
 def gaussian_states(grid: GridRep, nstates=8, seed=0, width_scale=1.0, sector=None):
@@ -382,60 +345,6 @@ def gaussian_states(grid: GridRep, nstates=8, seed=0, width_scale=1.0, sector=No
         state = envelope[..., None, None] * amps
         states.append(grid.normalize(state))
     return states
-
-
-def band_limit_fraction(grid: GridRep, state, cells=10):
-    """Probability mass within ``cells`` grid cells of the momentum-box edge."""
-    mask = np.zeros((grid.npts,), dtype=bool)
-    mask[:cells] = True
-    mask[-cells:] = True
-    prob = np.abs(state) ** 2
-    total = prob.sum()
-    if total == 0:
-        return 1.0
-    edge = 0.0
-    for a in range(grid.d):
-        sl = [slice(None)] * prob.ndim
-        sl[prob.ndim - 2 - grid.d + a] = mask
-        edge += prob[tuple(sl)].sum()
-    return float(edge / total)
-
-
-class ResidualResult(float):
-    """Max relative residual over the sample family, with warnings attached."""
-
-    def __new__(cls, value, per_state, warnings):
-        obj = super().__new__(cls, value)
-        obj.per_state = per_state
-        obj.warnings = warnings
-        return obj
-
-
-def residual_norm(e_or_map, grid: GridRep, states=None, nstates=8, seed=0) -> ResidualResult:
-    """max over sample states of ||A psi|| / ||psi||.
-
-    ``e_or_map`` may be an OperatorExpr (realized here) or a prebuilt
-    LinearMap (e.g. a numerically composed commutator residual).
-    """
-    amap = e_or_map if isinstance(e_or_map, LinearMap) else realize(e_or_map, grid)
-    if states is None:
-        states = gaussian_states(grid, nstates=nstates, seed=seed)
-    warnings = []
-    for k, psi in enumerate(states):
-        frac = band_limit_fraction(grid, psi)
-        # 1e-3 of mass ten cells in (with Gaussian falloff) still leaves the
-        # edge itself at roundoff level; larger fractions mean real clipping
-        if frac > 1e-3:
-            warnings.append(
-                f"state {k}: {frac:.2e} of probability within 10 cells of "
-                f"the momentum-box edge (band-limit precondition)")
-    batch = np.stack(states, axis=0)
-    out = amap.apply(batch)
-    axes = tuple(range(1, out.ndim))
-    out_norms = np.sqrt(np.sum(np.abs(out) ** 2, axis=axes))
-    in_norms = np.sqrt(np.sum(np.abs(batch) ** 2, axis=axes))
-    values = list(out_norms / in_norms)
-    return ResidualResult(max(values), values, warnings)
 
 
 def operator_norm(amap: LinearMap, seed=0, iterations=200, tol=1e-12) -> float:

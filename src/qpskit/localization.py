@@ -140,5 +140,7 @@ def microcausality_check(r_interval, t_r: float, rp_interval, t_rp: float,
     _plain_grid(grid)
     p1 = nw_projector(grid, r_interval, t_r)
     p2 = nw_projector(grid, rp_interval, t_rp)
-    comm = p1 @ p2 - p2 @ p1
+    # both projectors are self-adjoint, so [p1, p2]^dag = [p2, p1]
+    comm = LinearMap(grid, lambda v: p1(p2(v)) - p2(p1(v)),
+                     lambda v: p2(p1(v)) - p1(p2(v)), label="[P_R, P_R']")
     return operator_norm(comm, seed=seed, iterations=iterations)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from qpskit import (DEFAULT_CONTEXT, OperatorExpr, commutator,
                     eval_spin_matrices, matrix_is_zero, normal_form,
-                    parse_expr, render_expr, scalar_derivative)
+                    parse_expr, render_expr)
 
 ctx = DEFAULT_CONTEXT
 
@@ -116,7 +116,7 @@ def law_derivation_consistency(rng):
     scal = OperatorExpr.from_scalar(r, ctx)
     ih = OperatorExpr.from_scalar(ctx.i_hbar(), ctx)
     lhs = commutator(q, scal)
-    rhs = ih * OperatorExpr.from_scalar(scalar_derivative(r, axis), ctx)
+    rhs = ih * OperatorExpr.from_scalar(r.diff(axis), ctx)
     assert (lhs - rhs).is_zero()
 
 

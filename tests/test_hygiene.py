@@ -1,5 +1,6 @@
 """Source hygiene: no module-level import of a name the module never uses,
-and no module-level private function or class the package never references."""
+no module-level private function or class the package never references, and
+no public one that is neither exported nor read by the package."""
 
 import ast
 from pathlib import Path
@@ -47,23 +48,50 @@ def _referenced_names(node):
     return names
 
 
-def _unreferenced_privates(trees):
-    """``module:name`` of each module-level ``_name`` function or class that
-    no module of ``trees`` (name -> parsed module) references outside the
-    definition itself."""
-    where = {}   # name -> top-level statements that reference it
+def _read_names(node):
+    """Names read in ``node``: loaded ``ast.Name``s and imported names.
+    Attribute names do not count, so ``np.dot`` is no read of a ``dot``."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names.add(n.id)
+        elif isinstance(n, ast.alias):
+            names.add(n.name)
+    return names
+
+
+def _unused_definitions(trees, names_of, wanted):
+    """``module:name`` of each module-level function or class of ``trees``
+    (name -> parsed module) with ``wanted(name)`` true that no other
+    top-level statement uses, by ``names_of(statement)``."""
+    where = {}   # name -> top-level statements that use it
     for mod, tree in trees.items():
         for k, node in enumerate(tree.body):
-            for name in _referenced_names(node):
+            for name in names_of(node):
                 where.setdefault(name, set()).add((mod, k))
     out = set()
     for mod, tree in trees.items():
         for k, node in enumerate(tree.body):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
-                    and node.name.startswith("_") and not node.name.endswith("__") \
+                    and wanted(node.name) \
                     and not where.get(node.name, set()) - {(mod, k)}:
                 out.add(f"{mod}:{node.name}")
     return out
+
+
+def _unreferenced_privates(trees):
+    """Each ``_name`` definition no other statement references at all."""
+    return _unused_definitions(
+        trees, _referenced_names,
+        lambda name: name.startswith("_") and not name.endswith("__"))
+
+
+def _unread_publics(trees, exported):
+    """Each public definition outside ``exported`` that no other statement
+    reads by name."""
+    return _unused_definitions(
+        trees, _read_names,
+        lambda name: not name.startswith("_") and name not in exported)
 
 
 def test_modules_found():
@@ -99,3 +127,23 @@ def test_guard_flags_an_unreferenced_private():
     b = ast.parse("import a\ndef _shared():\n    return a._by_attribute()\n"
                   "def _by_attribute():\n    return 0\n")
     assert _unreferenced_privates({"a": a, "b": b}) == {"a:_dead", "a:_Unused"}
+
+
+def test_no_unexported_unread_public_definitions():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    dead = _unread_publics(trees, _exported_names(trees["__init__.py"]))
+    assert not dead, f"public definitions neither exported nor read: {sorted(dead)}"
+
+
+def test_guard_flags_an_unread_public():
+    a = ast.parse("import b\n"
+                  "def dead(n):\n    return dead(n - 1) if n else 0\n"
+                  "class Unused:\n    pass\n"
+                  "def exported():\n    return local() + b.by_attribute()\n"
+                  "def local():\n    return 1\n"
+                  "def shared():\n    return 2\n"
+                  "def _private():\n    return 3\n")
+    b = ast.parse("from a import shared as alias\n"
+                  "def by_attribute():\n    return alias()\n")
+    assert _unread_publics({"a": a, "b": b}, {"exported"}) \
+        == {"a:dead", "a:Unused", "b:by_attribute"}

@@ -123,3 +123,21 @@ def test_interval_at_box_edge_refused(causality_grid):
                              (1.0, 2.0), 0.0, g)
     with pytest.raises(ValueError):
         microcausality_check((2.0, 1.0), 0.0, (3.0, 4.0), 0.0, g)
+
+
+@pytest.mark.parametrize("trp", [1.0, 0.5])
+def test_commutator_norm_matches_dense(trp):
+    """The power-iteration estimate equals the 2-norm of the dense
+    [P_R(0), P_R'(trp)]; it reads 0 if the iteration stops early or if
+    the commutator's adjoint has the wrong sign (A^dag A becomes -A A)."""
+    g = GridRep(d=1, npts=256, pmax=30.0, m=1.0, s=0)
+    basis = np.zeros((g.npts,) + g.state_shape, dtype=complex)
+    basis[:, :, 0, 0] = np.eye(g.npts)   # unit vectors of the positive sector
+
+    def dense(interval, t):
+        return nw_projector(g, interval, t).apply(basis)[:, :, 0, 0].T
+
+    p1, p2 = dense((-2.0, -1.0), 0.0), dense((1.0, 2.0), trp)
+    want = np.linalg.norm(p1 @ p2 - p2 @ p1, 2)
+    got = microcausality_check((-2.0, -1.0), 0.0, (1.0, 2.0), trp, g, seed=1)
+    assert got == pytest.approx(want, rel=1e-12)
