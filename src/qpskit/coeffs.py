@@ -39,10 +39,20 @@ coefficient does not divide proves that the factor does not divide.
   is trial-divided by the lcm's factors.
 * Content and sign are fixed with integer gcds.
 
-A polynomial with a factor outside the registry (user input such as
+A denominator with a factor outside the registry (user input such as
 1/(P1+m), or the norm of an inverted coefficient such as
-c^2 P1^2 - P^2 - m^2) is split once by sympy's ``factor_list``, imported
-only then; its irreducible factors join the registry.
+c^2 P1^2 - P^2 - m^2) is split into squarefree parts by Yun's algorithm over
+a multivariate integer gcd: the heuristic gcd of Char, Geddes & Gonnet,
+falling back to a primitive pseudo-remainder sequence, and accepted only
+after exact division. A part that is linear in some generator, a*x + b, is
+certified: over g = gcd(a, b) it is irreducible, and g is split the same
+way. Certified factors join the registry and its trial division. Any other
+part joins the *base*: pairwise coprime, squarefree elements not known to
+be irreducible. A base element is reduced against a numerator by gcd, and
+a gcd that finds a proper factor splits the element (factor refinement),
+dropping the cached factorizations that name it. So a fraction is always
+canonical, whatever the registry can certify. No module here imports sympy;
+the tests use it as an oracle.
 """
 
 from __future__ import annotations
@@ -87,15 +97,6 @@ class Poly(dict):
     def __repr__(self):
         from .parser import _render_poly
         return f"Poly({_render_poly(self)})"
-
-
-def _pack(exponents) -> int:
-    key = 0
-    for e, s in zip(exponents, _SHIFT):
-        if not 0 <= e <= MAX_EXPONENT:
-            raise CoeffError(f"exponent {e} outside 0..{MAX_EXPONENT}")
-        key |= e << s
-    return key
 
 
 def _unpack(key: int) -> tuple:
@@ -233,9 +234,6 @@ def _exquo(p, f):
     return Poly(out)
 
 
-# -- fraction reduction -----------------------------------------------------------
-
-
 def _primitive(p):
     """p divided by its content, with a positive leading coefficient."""
     g = _content(p)
@@ -244,12 +242,274 @@ def _primitive(p):
     return p if g == 1 else _pdiv_ground(p, g)
 
 
-def _factorization(ctx, p):
-    """(content, ((factor, exponent), ...)) of p over ctx.factors, cached by
-    p; the content carries the sign of p's leading coefficient.
+# -- gcd and squarefree split -----------------------------------------------------
+#
+# A polynomial is read as one in a generator x with coefficients that are
+# polynomials in the others.
 
-    Whatever the registry leaves over is split by ``factor_list`` once and
-    its irreducible factors join the registry.
+
+def _gens_of(*ps):
+    """Indices of the generators any of ``ps`` depends on."""
+    used = reduce(or_, (reduce(or_, p, 0) for p in ps), 0)
+    return [g for g, s in enumerate(_SHIFT) if (used >> s) & MAX_EXPONENT]
+
+
+def _deg(p, gi):
+    s = _SHIFT[gi]
+    return max((k >> s) & MAX_EXPONENT for k in p)
+
+
+def _by_degree(p, gi):
+    """{e: the coefficient of x^e in p}, x the generator ``gi``."""
+    s = _SHIFT[gi]
+    out: dict = {}
+    for k, c in p.items():
+        e = (k >> s) & MAX_EXPONENT
+        out.setdefault(e, {})[k - (e << s)] = c
+    return {e: Poly(q) for e, q in out.items()}
+
+
+def _peval(p, gi, v):
+    """p at x = v, x the generator ``gi``."""
+    s = _SHIFT[gi]
+    out: dict = {}
+    for k, c in p.items():
+        e = (k >> s) & MAX_EXPONENT
+        k -= e << s
+        out[k] = out.get(k, 0) + c * v**e
+    return Poly({k: c for k, c in out.items() if c})
+
+
+def _interpolate(h, gi, xi, top):
+    """The polynomial in x whose coefficients are the symmetric xi-adic
+    digits of h's, or None if it would pass degree ``top``."""
+    s = _SHIFT[gi]
+    half = xi // 2
+    out = {}
+    for k, c in h.items():
+        e = 0
+        while c:
+            if e > top:
+                return None
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[k + (e << s)] = d
+            c = (c - d) // xi
+            e += 1
+    return Poly(out)
+
+
+def _at(p, y):
+    """p at the integer point y, indexed like GEN_NAMES."""
+    return sum(c * math.prod(v**e for v, e in zip(y, _unpack(k))) for k, c in p.items())
+
+
+# integer points at which a leading coefficient is tried for a root bound
+_POINTS = ((1,) * 8, (1, 2) * 4, (2, 1) * 4, (1, 1, 2, 2) * 2, (2, 2, 1, 1) * 2,
+           (1, -1) * 4)
+
+
+def _root_bound(p, gi):
+    """An integer above |z| for every root z of p(x, y) in x at some
+    integer point y where p's leading coefficient in x does not vanish
+    (Cauchy's bound), or None if no point of _POINTS is one."""
+    coeffs = _by_degree(p, gi)
+    top = coeffs.pop(max(coeffs))
+    for y in _POINTS:
+        lc = abs(_at(top, y))
+        if lc:
+            return 2 + max((abs(_at(q, y)) for q in coeffs.values()), default=0) // lc
+    return None
+
+
+def _heugcd(f, g):
+    """gcd(f, g) with its integer content, or None when the heuristic runs
+    out of evaluation points (Char, Geddes & Gonnet, J. Symb. Comput. 7(1),
+    1989).
+
+    x is set to an integer xi, the gcd of the images is taken recursively,
+    and the primitive part h of the polynomial read back from its xi-adic
+    digits is kept only if it divides f and g exactly. Then h is the gcd:
+    the gcd is h*q, and q(xi, y) divides the content of the read-back
+    polynomial, which is at most xi/2; a q of positive degree in x would
+    have |q(xi, y)| > xi - R > xi/2 at the point y where R bounds the roots
+    of f or g, since xi >= 2R + 2, so q is a unit.
+    """
+    if _is_ground(f) or _is_ground(g):
+        return Poly({0: math.gcd(_content(f), _content(g))})
+    c = math.gcd(_content(f), _content(g))
+    if c != 1:
+        f, g = _pdiv_ground(f, c), _pdiv_ground(g, c)
+    gi = _gens_of(f, g)[0]
+    bounds = [b for p in (f, g) if (b := _root_bound(p, gi)) is not None]
+    if not bounds:
+        return None
+    top = min(_deg(f, gi), _deg(g, gi))
+    b = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
+    xi = max(min(b, 99 * math.isqrt(b)), 2 * min(bounds) + 2)
+    for _ in range(6):
+        fx, gx = _peval(f, gi, xi), _peval(g, gi, xi)
+        if fx and gx and (h := _heugcd(fx, gx)) is not None \
+                and (h := _interpolate(h, gi, xi, top)) is not None:
+            h = _primitive(h)
+            if _exquo(f, h) is not None and _exquo(g, h) is not None:
+                return _pscale(h, c) if c != 1 else h
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _prem(f, g, gi):
+    """An integer-polynomial multiple of f's remainder by g in x."""
+    s = _SHIFT[gi]
+    dg = _deg(g, gi)
+    lg = _by_degree(g, gi)[dg]
+    while f and (df := _deg(f, gi)) >= dg:
+        # lc(f) * x^(df - dg)
+        lead = Poly({k - (dg << s): c for k, c in f.items()
+                     if (k >> s) & MAX_EXPONENT == df})
+        f = _padd(_pmul(lg, f), _pmul(lead, g), -1)
+    return f
+
+
+def _prsgcd(f, g):
+    """Primitive gcd of two nonconstant polynomials by a primitive
+    pseudo-remainder sequence in x: slower than the heuristic, and sure to
+    finish."""
+    gi = _gens_of(f, g)[0]
+    cf, cg = _x_content(f, gi), _x_content(g, gi)
+    c = _gcd(cf, cg)
+    f, g = _primitive(_exquo(f, cf)), _primitive(_exquo(g, cg))
+    if _deg(f, gi) < _deg(g, gi):
+        f, g = g, f
+    while _deg(g, gi):
+        r = _prem(f, g, gi)
+        if not r:
+            return _primitive(_pmul(c, g))
+        f, g = g, _primitive(_exquo(r, _x_content(r, gi)))
+    return c
+
+
+def _gcd(f, g):
+    """Primitive gcd of f and g, not both zero, with a positive leading
+    coefficient: the heuristic's once it passes exact division, else the
+    pseudo-remainder sequence's."""
+    if not g or not f:
+        return _primitive(f or g)
+    if _is_ground(f) or _is_ground(g):
+        return ONE
+    h = _heugcd(f, g)
+    return _prsgcd(f, g) if h is None else _primitive(h)
+
+
+def _x_content(p, gi):
+    """Primitive gcd of p's coefficients in x."""
+    out = ZERO
+    for q in sorted(_by_degree(p, gi).values(), key=len):
+        out = _gcd(out, q)
+        if _is_ground(out):
+            break
+    return out
+
+
+def _yun(f, gi):
+    """Squarefree split of f, primitive as a polynomial in x over the other
+    generators: (part, multiplicity) pairs (Yun, SYMSAC 1976). Each
+    division is exact by Gauss's lemma, the gcds being primitive."""
+    df = _pdiff(f, gi)
+    a = _gcd(f, df)
+    b, c = _exquo(f, a), _exquo(df, a)
+    out = []
+    i = 1
+    while not _is_ground(b):
+        d = _padd(c, _pdiff(b, gi), -1)
+        if not d:
+            out.append((_primitive(b), i))
+            break
+        a = _gcd(b, d)
+        b, c = _exquo(b, a), _exquo(d, a)
+        if not _is_ground(a):
+            out.append((a, i))
+        i += 1
+    return out
+
+
+def _squarefree(p):
+    """(part, multiplicity) pairs of pairwise coprime, primitive, squarefree
+    parts whose product is the primitive, nonconstant p. x is a generator
+    of least degree; p's content in x is split on its own."""
+    gi = min(_gens_of(p), key=lambda g: _deg(p, g))
+    c = _x_content(p, gi)
+    out = [(_exquo(p, c), 1)] if _deg(p, gi) == 1 else _yun(_exquo(p, c), gi)
+    return out if _is_ground(c) else out + _squarefree(c)
+
+
+def _certify(s):
+    """(piece, irreducible) pairs whose product is the squarefree primitive
+    s. A primitive a*x + b with gcd(a, b) = 1 is irreducible, since a
+    factor free of x would divide both a and b; if g = gcd(a, b) is not 1,
+    s/g is such a polynomial and g is split the same way."""
+    for gi in _gens_of(s):
+        if _deg(s, gi) == 1:
+            coeffs = _by_degree(s, gi)
+            g = _gcd(coeffs[1], coeffs.get(0, ZERO))
+            if _is_ground(g):
+                return [(s, True)]
+            return [(_exquo(s, g), True), *_certify(g)]
+    return [(s, False)]
+
+
+# -- the factor registry ----------------------------------------------------------
+
+
+def _place(ctx, s):
+    """Register the pieces of the squarefree s, which is coprime to every
+    registered element, and return them."""
+    pieces = _certify(s)
+    for f, irreducible in pieces:
+        (ctx.factors if irreducible else ctx.base).append(f)
+    return [f for f, _ in pieces]
+
+
+def _refine(ctx, b, g):
+    """Split the base element b at its proper factor g (factor refinement,
+    Bach, Driscoll & Shallit, J. Algorithms 15(2), 1993): the pieces of g
+    and of b/g replace b, and every cached factorization that names b is
+    dropped. Returns the pieces of g and of b/g."""
+    ctx.base.remove(b)
+    ctx.splits += 1
+    ctx.factorizations = {p: fac for p, fac in ctx.factorizations.items()
+                          if all(f != b for f, _ in fac[1])}
+    return _place(ctx, g), _place(ctx, _exquo(b, g))
+
+
+def _join(ctx, q):
+    """Registered elements whose product is the squarefree q, which no
+    registered irreducible factor divides. A base element that shares a
+    proper factor with q is split first; what q shares with no element is
+    registered."""
+    out = []
+    for b in list(ctx.base):
+        g = _gcd(q, b)
+        if _is_ground(g):
+            continue
+        out += [b] if g == b else _refine(ctx, b, g)[0]
+        q = _exquo(q, g)
+        if _is_ground(q):
+            return out
+    return out + _place(ctx, q)
+
+
+# -- fraction reduction -----------------------------------------------------------
+
+
+def _factorization(ctx, p):
+    """(content, ((factor, exponent), ...)) of p over the registry, cached
+    by p; the content carries the sign of p's leading coefficient.
+
+    The irreducible factors are tried by exact division. Whatever they leave
+    over is split into squarefree parts, each joined to the base.
     """
     if _is_ground(p):
         return p[0], ()
@@ -268,25 +528,18 @@ def _factorization(ctx, p):
         if e:
             out.append((f, e))
     if not _is_ground(rest):
-        from sympy.polys.domains import ZZ
-        from sympy.polys.rings import ring
-
-        zring = ring(",".join(GEN_NAMES), ZZ)[0]
-        split = zring.from_dict({_unpack(k): c for k, c in rest.items()})
-        # no registry factor divides rest, so each of these is new
-        for f, e in split.factor_list()[1]:
-            f = _primitive(Poly({_pack(m): int(c) for m, c in f.items()}))
-            ctx.factors.append(f)
-            out.append((f, e))
+        for s, e in _squarefree(_primitive(rest)):
+            out += [(f, e) for f in _join(ctx, s)]
     g = _content(p)
     fac = ctx.factorizations[p] = (g if p[max(p)] > 0 else -g, tuple(out))
     return fac
 
 
-def _strip(n, d, fac, left):
-    """Divide each factor of ``fac``, (factor, exponent) pairs of d, out of
+def _strip(ctx, n, d, fac, left):
+    """Divide each factor of ``fac``, (element, exponent) pairs of d, out of
     n as often as it goes and out of d as often; add what is left of its
-    exponent to ``left``."""
+    exponent to ``left``. A base element that shares a proper factor with
+    n is split and its pieces are stripped instead."""
     for f, e in fac:
         k = 0
         while k < e and (q := _exquo(n, f)) is not None:
@@ -295,14 +548,20 @@ def _strip(n, d, fac, left):
         if k:
             d = _exquo(d, _ppow(f, k))
         if k < e:
-            left[f] = left.get(f, 0) + e - k
+            if ctx.base and f in ctx.base and not _is_ground(g := _gcd(n, f)):
+                shared, rest = _refine(ctx, f, g)
+                for r in rest:
+                    left[r] = left.get(r, 0) + e - k
+                n, d = _strip(ctx, n, d, [(s, e - k) for s in shared], left)
+            else:
+                left[f] = left.get(f, 0) + e - k
     return n, d
 
 
 def _cancel(ctx, n, d, fac):
     """Canonical (numer, denom) of n/d, where ``fac`` holds d's factors."""
     left: dict = {}
-    n, d = _strip(n, d, fac, left)
+    n, d = _strip(ctx, n, d, fac, left)
     return _settle(ctx, n, d, tuple(left.items()))
 
 
@@ -331,12 +590,16 @@ def _reduce(ctx, n, *dens):
     if not n:
         return _FZERO
     d = dens[0]
+    splits = ctx.splits
     exps: dict = {}
     for i, p in enumerate(dens):
         if i:
             d = _pmul(d, p)
         for f, e in _factorization(ctx, p)[1]:
             exps[f] = exps.get(f, 0) + e
+    if ctx.splits != splits:
+        # a later part split a base element that an earlier one names
+        return _reduce(ctx, n, *dens)
     return _cancel(ctx, n, d, exps.items())
 
 
@@ -359,8 +622,12 @@ def _fadd(ctx, f, g, sign=1):
         if _is_ground(d1):
             return _settle(ctx, n, d1, ())
         return _cancel(ctx, n, d1, _factorization(ctx, d1)[1])
+    splits = ctx.splits
     c1, fac1 = _factorization(ctx, d1)
     c2, fac2 = _factorization(ctx, d2)
+    if ctx.splits != splits:
+        # factoring d2 split a base element that fac1 names
+        return _fadd(ctx, f, g, sign)
     c = math.lcm(c1, c2)
     # cofactors lcm/d1 and lcm/d2
     cof1 = ONE if c == c1 else Poly({0: c // c1})
@@ -393,9 +660,13 @@ def _fmul(ctx, f, g):
         return _settle(ctx, _pmul(n1, n2), Poly({0: d1[0] * d2[0]}), ())
     # n1/d1 and n2/d2 are coprime, so only n1 and d2, and n2 and d1, can
     # share factors
+    splits = ctx.splits
     left: dict = {}
-    n1, d2 = _strip(n1, d2, _factorization(ctx, d2)[1], left)
-    n2, d1 = _strip(n2, d1, _factorization(ctx, d1)[1], left)
+    n1, d2 = _strip(ctx, n1, d2, _factorization(ctx, d2)[1], left)
+    n2, d1 = _strip(ctx, n2, d1, _factorization(ctx, d1)[1], left)
+    if ctx.splits != splits:
+        # a split may have renamed an element that ``left`` names
+        return _fmul(ctx, f, g)
     return _settle(ctx, _pmul(n1, n2), _pmul(d1, d2), tuple(left.items()))
 
 
@@ -462,6 +733,10 @@ class AlgebraContext:
         # irreducible factors denominators are tried against, and each
         # denominator's factorization over them
         self.factors = [*GENS, psq, norm]
+        # pairwise coprime squarefree elements not known to be irreducible,
+        # and the number of times one of them was split
+        self.base: list = []
+        self.splits = 0
         self.factorizations: dict = {}
         # caches used by the operator layer
         self.s_left_cache: dict = {}

@@ -39,7 +39,8 @@ The field CCR holds below the cutoff, so the duality check forms only the
 block products that land on total number <= nmax - 1. N(psi) has only
 diagonal blocks, so its spectrum is the union of the blocks' spectra. The
 expectation suite contracts phi(x)^2 with the state vector rather than
-forming the square.
+forming the square, and builds only the blocks of phi(x) between sectors
+0-2, the only ones that vector and phi(x) applied to it reach.
 """
 
 from __future__ import annotations
@@ -234,9 +235,6 @@ class FockOperator:
                     ufunc(target, x @ y, out=target)
         return out
 
-    def expectation(self, vec):
-        return complex(np.vdot(vec, self.apply(vec)))
-
     def max_abs(self):
         """Largest entry modulus, block by block."""
         return max((float(np.abs(b).max()) for b in self.blocks.values() if b.size),
@@ -364,13 +362,14 @@ class FockField:
         coeffs = self._mode_coefficients(psi)
         return np.conj(coeffs)[self._ladder_modes] * self._ladder_sqrt_n
 
-    def _ladder_blocks(self, vals, raising=False):
+    def _ladder_blocks(self, vals, raising=False, max_total=None):
         """Blocks holding ``vals`` at the ladder positions: the (n-1, n)
         blocks of a lowering operator, or with ``raising`` the transposed
-        positions in the (n, n-1) blocks."""
+        positions in the (n, n-1) blocks; with ``max_total``, only those
+        with n <= max_total."""
         dims = self.sector_dims
         blocks = {}
-        for n, run, rows, cols in self._ladder_sectors:
+        for n, run, rows, cols in self._ladder_sectors[:max_total]:
             (m, k), at = ((n, n - 1), (cols, rows)) if raising else ((n - 1, n), (rows, cols))
             blk = np.zeros((dims[m], dims[k]), dtype=complex)
             blk[at] = vals[run]
@@ -411,21 +410,24 @@ class FockField:
         vec[self._one_particle_index] = self._mode_coefficients(psi)
         return vec
 
-    def field_op(self, z: PhasePoint) -> FockOperator:
-        """Phi(z) = -i hbar (a(Kz) - a^+(Kz)); self-adjoint."""
+    def field_op(self, z: PhasePoint, max_total=None) -> FockOperator:
+        """Phi(z) = -i hbar (a(Kz) - a^+(Kz)); self-adjoint. With
+        ``max_total``, only its blocks between sectors of total number
+        <= max_total are built."""
         # a lowers the total number and a^+ raises it, so their entries
         # lie in different blocks
         vals = self._ladder_values(self.one_particle_map(z))
         scale = -1j * self.hbar
-        blocks = self._ladder_blocks(vals * scale)
-        blocks.update(self._ladder_blocks(-np.conj(vals) * scale, raising=True))
+        blocks = self._ladder_blocks(vals * scale, max_total=max_total)
+        blocks.update(self._ladder_blocks(-np.conj(vals) * scale, raising=True,
+                                          max_total=max_total))
         return FockOperator(self, blocks)
 
-    def local_field(self, x: int) -> FockOperator:
-        """phi_hat(x) = Phi(0, -delta_x)."""
+    def local_field(self, x: int, max_total=None) -> FockOperator:
+        """phi_hat(x) = Phi(0, -delta_x), optionally cut like ``field_op``."""
         delta = np.zeros(self.nsites)
         delta[x % self.nsites] = 1.0
-        return self.field_op(PhasePoint(np.zeros(self.nsites), -delta))
+        return self.field_op(PhasePoint(np.zeros(self.nsites), -delta), max_total)
 
     def smeared_profile(self, psi) -> np.ndarray:
         """|(omega^-1/2 psi)(x)|^2 site by site."""
@@ -474,7 +476,9 @@ def expectation_suite(psi, field: FockField) -> ExpectationCurves:
     one_first = np.zeros(ns)
     predicted = field.hbar * field.smeared_profile(psi)
     for x in range(ns):
-        phi = field.local_field(x)
+        # |0>, |1_psi> and phi applied to them lie in sectors 0-2; applying
+        # phi again, only its parts back into sectors 0 and 1 are read
+        phi = field.local_field(x, max_total=2)
         for vec, first, sq in ((vac, vac_first, vac_sq), (one, one_first, one_sq)):
             phi_vec = phi.apply(vec)
             first[x] = np.vdot(vec, phi_vec).real

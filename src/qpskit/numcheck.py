@@ -124,21 +124,40 @@ def _make_batch(grid, nstates, seed, sector=None):
                                     sector=sector), axis=0)
 
 
+def _chain_needs(words):
+    """For each identity, given as its list of words, the set of chains it
+    reads, with the shorter chains they read in turn."""
+    return [{key[i:] for w in ws for key in _word_chains(w)[1]
+             for i in range(len(key))} for ws in words]
+
+
 def _schedule(needs):
     """Evaluation order for tasks that read the chain sets ``needs``: next is
     the task that computes the fewest new chains net of the live chains it
-    reads last, ties in declaration order."""
+    reads last, ties in declaration order. Scheduling a task changes only
+    the costs of the tasks that share a chain with it, so only those are
+    scored again."""
     pending = Counter(key for need in needs for key in need)
+    users: dict = {}
+    for n, need in enumerate(needs):
+        for key in need:
+            users.setdefault(key, []).append(n)
     seen = set()
-    left = list(range(len(needs)))
+
+    def cost(n):
+        return len(needs[n] - seen) - sum(pending[key] == 1 for key in needs[n] & seen)
+
+    score = {n: cost(n) for n in range(len(needs))}   # kept in declaration order
     order = []
-    while left:
-        n = min(left, key=lambda n: len(needs[n] - seen)
-                - sum(pending[key] == 1 for key in needs[n] & seen))
-        left.remove(n)
+    while score:
+        n = min(score, key=score.get)
+        del score[n]
         order.append(n)
         seen |= needs[n]
         pending.subtract(needs[n])
+        for m in {m for key in needs[n] for m in users[key]}:
+            if m in score:
+                score[m] = cost(m)
     return order
 
 
@@ -157,8 +176,7 @@ def _grid_reports(suites, gens, grid, nstates, seed, tol):
              for ident in idents]
     batch = _make_batch(grid, nstates, seed)
     cache = _ChainCache(gens, grid, batch, [w for ws in words for w in ws])
-    needs = [{key[i:] for w in ws for key in _word_chains(w)[1]
-              for i in range(len(key))} for ws in words]
+    needs = _chain_needs(words)
     ih = 1j * grid.hbar
     residuals = [None] * len(idents)
     for n in _schedule(needs):

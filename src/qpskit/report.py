@@ -65,9 +65,6 @@ class VerificationReport:
     def all_passed(self) -> bool:
         return self.failed == 0
 
-    def failures(self):
-        return [e for e in self.entries if e.asserted and not e.passed]
-
     def to_dict(self):
         return {
             "suite": self.suite,

@@ -3,14 +3,16 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.rings import ring as sympy_ring
 
 from qpskit.coeffs import (AlgebraContext, CoeffError, DEFAULT_CONTEXT, GEN_NAMES,
-                           MAX_EXPONENT, Poly, _pack, _pmul, _reduce, _unpack,
-                           scalar_sqrt)
+                           MAX_EXPONENT, Poly, _SHIFT, _exquo, _factorization, _fadd, _fmul,
+                           _gcd, _gens_of, _is_ground, _pmul, _primitive, _prsgcd,
+                           _reduce, _squarefree, _unpack, scalar_sqrt)
 from qpskit.parser import _render_poly
 
 ctx = DEFAULT_CONTEXT
@@ -21,6 +23,12 @@ hbar = ctx.gen("hbar")
 i = ctx.imag_unit()
 
 SAMPLE = [0.37, -0.82, 0.55, 1.3, 0.0, 1.0, 1.0, 0.0]   # P1,P2,P3,m,t,hbar,...
+
+
+def _pack(exponents):
+    """Packed monomial of ``exponents``, in GEN_NAMES order."""
+    assert all(0 <= e <= MAX_EXPONENT for e in exponents)
+    return sum(e << s for e, s in zip(exponents, _SHIFT))
 
 
 def num(c, vals=SAMPLE):
@@ -134,6 +142,13 @@ def test_numeric_evaluation_matches_python():
 # sympy is the oracle here; its polynomials are converted at the boundary.
 
 RING = sympy_ring(",".join(GEN_NAMES), QQ)[0]
+P1, P2, P3, MM, T, HB, MMASS, E0 = RING.gens
+# denominator factors outside the seeded registry; 3*P1^2 - P2^2 - m^2 has
+# degree 2 in each of its generators, so no linear certificate covers it
+OUTSIDE = [P1 + MM, P1 - 2 * P2, 3 * P1**2 - P2**2 - MM**2, HB * T + 1,
+           P1 * P2 + E0, MMASS - MM]
+# a cubic of degree at least 2 in every generator it has
+CUBIC = P1**2 * P2 + P1 * P2**2 + MM**3 - 2 * P1 * MM**2
 
 
 def to_sympy(p, ring=RING):
@@ -185,11 +200,8 @@ def test_reduce_matches_cancel_on_random_pairs():
     (numer, denom) pair of sympy's GCD-based cancel."""
     fresh = AlgebraContext(1)
     ring = RING
-    P1, P2, P3, mm, t, hb, M, E0 = ring.gens
     seeded = list(fresh.factors)
-    outside = [P1 + mm, P1 - 2 * P2, 3 * P1**2 - P2**2 - mm**2, hb * t + 1,
-               P1 * P2 + E0, M - mm]
-    pool = [to_sympy(f) for f in seeded] + outside
+    pool = [to_sympy(f) for f in seeded] + OUTSIDE
     rng = random.Random(20240917)
     cases = 0
     for _ in range(1200):
@@ -209,6 +221,144 @@ def test_reduce_matches_cancel_on_random_pairs():
     assert cases >= 1000
     grown = [f for f in fresh.factors if f not in seeded]
     assert grown, "no denominator outside the seed registry was registered"
+    assert fresh.base, "no uncertified part reached the coprime base"
+    _assert_coprime_squarefree(fresh)
+    _assert_factorizations_current(fresh)
+
+
+@lru_cache(maxsize=None)
+def _subring(used):
+    return sympy_ring(",".join(GEN_NAMES[g] for g in used), ZZ)[0]
+
+
+def _in(p, used):
+    """p in sympy's ring over the generators ``used`` only: its dense
+    multivariate arithmetic is far slower over all eight."""
+    return _subring(used).from_dict(
+        {tuple(_unpack(k)[g] for g in used): c for k, c in p.items()})
+
+
+def _normal(p):
+    """Primitive, with a positive leading coefficient."""
+    p = p.primitive()[1]
+    return -p if p.LC < 0 else p
+
+
+def _assert_coprime_squarefree(ctx):
+    """The registry is a coprime base: each element primitive and
+    squarefree with a positive leading coefficient, and every two coprime.
+    sympy is the oracle. A certified factor is irreducible, so it is coprime
+    to another element exactly when it does not divide it."""
+    elements = ctx.factors + ctx.base
+    for f in elements:
+        assert math.gcd(*f.values()) == 1 and f[max(f)] > 0, f
+        assert _in(f, tuple(_gens_of(f))).is_squarefree, f
+    for f in ctx.factors:
+        _, split = _in(f, tuple(_gens_of(f))).factor_list()
+        assert len(split) == 1 and split[0][1] == 1, f
+        assert all(_exquo(g, f) is None for g in elements if g is not f), f
+    for i, f in enumerate(ctx.base):
+        for g in ctx.base[:i]:
+            used = tuple(_gens_of(f, g))
+            assert _in(f, used).gcd(_in(g, used)).is_ground, (f, g)
+
+
+def _assert_factorizations_current(ctx):
+    """Every cached factorization names registered elements only, and its
+    product is the polynomial it was cached for."""
+    registered = ctx.factors + ctx.base
+    for p, (content, fac) in ctx.factorizations.items():
+        prod = RING(content)
+        for f, e in fac:
+            assert f in registered, (p, f)
+            prod *= to_sympy(f) ** e
+        assert prod == to_sympy(p), p
+
+
+def test_gcd_and_squarefree_split_match_sympy():
+    """Seeded: the heuristic gcd, the pseudo-remainder fallback run on its
+    own, and Yun's squarefree split give sympy's gcd and sqf_list."""
+    pool = [to_sympy(f) for f in AlgebraContext(1).factors] + OUTSIDE + [CUBIC]
+    rng = random.Random(20261019)
+    cases = 0
+    for _ in range(1100):
+        common = _random_poly(rng, RING, pool, rng.randint(0, 2))
+        f = from_sympy(common * _random_poly(rng, RING, pool, rng.randint(0, 2)))[0]
+        g = from_sympy(common * _random_poly(rng, RING, pool, rng.randint(0, 2)))[0]
+        if not f or not g:
+            continue
+        used = tuple(_gens_of(f, g))
+        want = _normal(_in(f, used).gcd(_in(g, used)))
+        assert _in(_gcd(f, g), used) == want, (f, g)
+        if cases % 8 == 0 and not (_is_ground(f) or _is_ground(g)):
+            assert _in(_prsgcd(f, g), used) == want, (f, g)
+        if not _is_ground(f):
+            p = _primitive(f)
+            parts: dict = {}
+            for s, e in _squarefree(p):
+                parts[e] = parts.get(e, 1) * _in(s, used)
+            assert parts == {e: _normal(s) for s, e in _in(p, used).sqf_list()[1]}, f
+        cases += 1
+    assert cases >= 1000
+
+
+def _cancelled(n, d):
+    return tuple(exact(w) for w in n.cancel(d))
+
+
+def test_linear_certificate_splits_off_its_content():
+    """A squarefree part linear in P2, whose coefficients in P2 share
+    P1^2 + 1, is split there: P2 + P1 is certified irreducible and
+    P1^2 + 1, which no linear certificate covers, joins the base."""
+    a = (P1**2 + 1) * (P2 + P1)
+    d = a * a * (P2**5 + P1 + 1)
+    ctx = AlgebraContext(1)
+    assert _reduce_sympy(ctx, P3, [d]) == _cancelled(P3, d)
+    assert exact(P2 + P1) in ctx.factors and ctx.base == [exact(P1**2 + 1)]
+    _assert_coprime_squarefree(ctx)
+
+
+def test_base_is_refined_when_a_product_arrives_apart():
+    """Two factors no linear certificate covers arrive first as one product
+    and later apart: the base element splits in two, every result is
+    cancel's, and no cached factorization names the product after it."""
+    u, v = 3 * P1**2 - P2**2 - MM**2, P1**2 + 2 * P2**2 - 5 * MM**2
+    U, V, UV = exact(u), exact(v), exact(u * v)
+    # _reduce: u alone splits the product in the base
+    ctx = AlgebraContext(1)
+    assert _reduce_sympy(ctx, P3, [u * v]) == _cancelled(P3, u * v)
+    assert ctx.base == [UV]
+    assert _reduce_sympy(ctx, P3, [u]) == _cancelled(P3, u)
+    assert set(ctx.base) == {U, V} and ctx.splits == 1
+    _assert_factorizations_current(ctx)
+
+    # two parts, the second splitting the element the first names
+    ctx = AlgebraContext(1)
+    assert _reduce_sympy(ctx, P3 * v, [u * v, u]) == _cancelled(P3, u * u)
+    assert set(ctx.base) == {U, V} and ctx.splits == 1
+    _assert_factorizations_current(ctx)
+
+    # a numerator that shares u with the element: its gcd splits it
+    ctx = AlgebraContext(1)
+    _reduce_sympy(ctx, P3, [u * v])
+    assert _reduce_sympy(ctx, u * P3, [u * v]) == _cancelled(P3, v)
+    assert set(ctx.base) == {U, V} and ctx.splits == 1
+    _assert_factorizations_current(ctx)
+
+    # a product whose second denominator splits what the first one named
+    ctx = AlgebraContext(1)
+    g = _reduce_sympy(ctx, P2, [u * v])
+    assert _fmul(ctx, (exact(P3), U), g) == _cancelled(P2 * P3, u * u * v)
+    assert set(ctx.base) == {U, V}
+    _assert_factorizations_current(ctx)
+
+    # a sum whose second denominator splits the first one's element
+    ctx = AlgebraContext(1)
+    f = _reduce_sympy(ctx, P3, [u * v])
+    assert _fadd(ctx, f, (exact(P2), U)) == _cancelled(P3 + P2 * v, u * v)
+    assert set(ctx.base) == {U, V}
+    _assert_factorizations_current(ctx)
+    assert _factorization(ctx, exact(u * u * v))[1] in (((U, 2), (V, 1)), ((V, 1), (U, 2)))
 
 
 def test_registry_holds_irreducible_factors():
@@ -255,8 +405,6 @@ def test_exponent_overflow_raises_instead_of_carrying():
     low = Poly({_pack((0, 0, 0, 0, 0, 0, 0, 100)): 1})   # E0^100, lowest field
     with pytest.raises(CoeffError):
         _pmul(low, low)
-    with pytest.raises(CoeffError):
-        _pack((0, MAX_EXPONENT + 1, 0, 0, 0, 0, 0, 0))
 
 
 def test_polys_are_immutable_and_hashable():

@@ -42,6 +42,10 @@ GOLDEN = {
                      "cd8b6d96f3fc837d3f4333c3ce4a4ff98b849b9971331b9f23082562cb6f8b09"),
     "closure_den": (["emrelation", "--h", "Lam*omega + m^2/(P2+m)"],
                     "2628dcf27ba4383d667b8f8ba3cb7acf7ba03d9d4147adc9e76ea91a53e573df"),
+    # recorded with sympy's factor_list; no linear certificate covers the
+    # denominator, so it is reduced through the coprime base
+    "closure_base": (["emrelation", "--h", "Lam*omega + m^2/(P1^2+P2^2-3*m^2)"],
+                     "040a2017035e73cbb075283a910a8028fe0c5bacabab839f90e983855dc4c6a6"),
 }
 
 

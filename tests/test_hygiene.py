@@ -1,8 +1,10 @@
 """Source hygiene: no module-level import of a name the module never uses,
-no module-level private function or class the package never references, and
-no public one that is neither exported nor read by the package."""
+no module-level private function or class the package never references, no
+public one that is neither exported nor read by the package, and no public
+method the package never reads."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -147,3 +149,46 @@ def test_guard_flags_an_unread_public():
                   "def by_attribute():\n    return alias()\n")
     assert _unread_publics({"a": a, "b": b}, {"exported"}) \
         == {"a:dead", "a:Unused", "b:by_attribute"}
+
+
+def _attribute_reads(node):
+    """Counter of the attribute and bare names read in ``node``."""
+    return Counter(n.attr if isinstance(n, ast.Attribute) else n.id
+                   for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute)
+                   or (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)))
+
+
+def _unread_methods(trees):
+    """``module:Class.method`` of each public method that no code outside
+    its own body reads, as an attribute or a name."""
+    reads = sum((_attribute_reads(tree) for tree in trees.values()), Counter())
+    out = set()
+    for mod, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not fn.name.startswith("_") \
+                        and reads[fn.name] == _attribute_reads(fn)[fn.name]:
+                    out.add(f"{mod}:{cls.name}.{fn.name}")
+    return out
+
+
+def test_no_unread_public_methods():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    dead = _unread_methods(trees)
+    assert not dead, f"public methods the package never reads: {sorted(dead)}"
+
+
+def test_guard_flags_an_unread_method():
+    a = ast.parse("class A:\n"
+                  "    def used(self):\n        return self.helper()\n"
+                  "    def helper(self):\n        return 1\n"
+                  "    def dead(self, n):\n        return self.dead(n - 1) if n else 0\n"
+                  "    @property\n    def shown(self):\n        return 2\n"
+                  "    def __len__(self):\n        return 0\n"
+                  "    def _private(self):\n        return 3\n")
+    b = ast.parse("from a import A\nprint(A().used(), A().shown)\n")
+    assert _unread_methods({"a": a, "b": b}) == {"a:A.dead"}

@@ -1,7 +1,9 @@
 """Grid twins: the shared read-counted evaluator against direct composition,
 its work and memory, and the convergence plumbing (which needs no grid)."""
 
+import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -190,3 +192,33 @@ def test_convergence_records_unmatched_ids(make_report, lone, where):
     assert not by_id["unnormed"].passed
     assert "no residual_norm" in by_id["unnormed"].residual
     assert rep.failed == 2
+
+
+def _reference_schedule(needs):
+    """The scheduling rule scored from scratch at every step."""
+    pending = Counter(key for need in needs for key in need)
+    seen = set()
+    left = list(range(len(needs)))
+    order = []
+    while left:
+        n = min(left, key=lambda n: len(needs[n] - seen)
+                - sum(pending[key] == 1 for key in needs[n] & seen))
+        left.remove(n)
+        order.append(n)
+        seen |= needs[n]
+        pending.subtract(needs[n])
+    return order
+
+
+def test_incremental_schedule_matches_rescoring_every_step():
+    words = [[word for _, _, word in ident.lhs + ident.expected]
+             for identities in SUITES for ident in _twins(identities)]
+    needs = numcheck._chain_needs(words)
+    assert len(needs) == 174
+    assert numcheck._schedule(needs) == _reference_schedule(needs)
+    rng = random.Random(20261018)
+    for _ in range(200):
+        keys = [(rng.randrange(4),) * rng.randint(1, 3) for _ in range(12)]
+        needs = [set(rng.sample(keys, rng.randint(0, 5)))
+                 for _ in range(rng.randint(0, 30))]
+        assert numcheck._schedule(needs) == _reference_schedule(needs)
