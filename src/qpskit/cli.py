@@ -161,6 +161,12 @@ def _cmd_numeric(args):
 
 
 def _cmd_localize(args):
+    if args.out:
+        base, ext = os.path.splitext(args.out)
+        if ext == ".json":
+            raise ValueError(f"--out {args.out}: localize writes the density "
+                             f"CSV there and the summary to {base}.json, so "
+                             "--out must not end in .json")
     grid = GridRep(d=1, npts=args.npts, pmax=args.pmax, m=args.m, s=0)
     res = nw_evolution(args.y, args.sigma, args.t, grid)
     summary = {
@@ -176,7 +182,6 @@ def _cmd_localize(args):
         for xv, dv in zip(res.x, res.density):
             csv_lines.append(f"{float(xv)!r},{float(args.t)!r},{float(dv)!r}")
         _write_atomic(args.out, "\n".join(csv_lines) + "\n")
-        base, _ = os.path.splitext(args.out)
         _write_atomic(base + ".json", _json_text(summary))
     # the demo shows a leak outside the cone and a finite exponential tail
     leaks = res.outside_cone_probability > 0
@@ -275,7 +280,9 @@ def build_parser():
     pl.add_argument("--t", type=float, default=5.0)
     pl.add_argument("--npts", type=int, default=4096)
     pl.add_argument("--pmax", type=float, default=60.0)
-    common_out(pl)
+    pl.add_argument("--out", default=None,
+                    help="density CSV path; the summary goes to its stem + .json")
+    pl.add_argument("--seed", type=int, default=0)
     pl.set_defaults(func=_cmd_localize)
 
     pc = sub.add_parser("causality", help="localized projector commutator")

@@ -35,8 +35,9 @@ coefficient does not divide proves that the factor does not divide.
 
 * A product cancels crosswise: each numerator is trial-divided only by the
   factors of the other operand's denominator (Henrici, JACM 3(1), 1956).
-* A sum is taken over the lcm of the two factorizations, and its numerator
-  is trial-divided by the lcm's factors.
+* A sum is taken over the lcm of the two factorizations, each named factor
+  at its larger exponent, and its numerator is trial-divided by the lcm's
+  factors.
 * Content and sign are fixed with integer gcds.
 
 A denominator with a factor outside the registry (user input such as
@@ -47,12 +48,12 @@ falling back to a primitive pseudo-remainder sequence, and accepted only
 after exact division. A part that is linear in some generator, a*x + b, is
 certified: over g = gcd(a, b) it is irreducible, and g is split the same
 way. Certified factors join the registry and its trial division. Any other
-part joins the *base*: pairwise coprime, squarefree elements not known to
-be irreducible. A base element is reduced against a numerator by gcd, and
-a gcd that finds a proper factor splits the element (factor refinement),
-dropping the cached factorizations that name it. So a fraction is always
-canonical, whatever the registry can certify. No module here imports sympy;
-the tests use it as an oracle.
+part is a *rest*: named with its multiplicity in the cached factorization,
+and registered nowhere. A rest r left with exponent e after trial division
+is reduced where it stands: if gcd(n, r) is not 1, the numerator n and the
+denominator are divided by g = gcd(n, r^e), and r^e/g, coprime to n/g, is
+kept as a rest. So a fraction is always canonical, whatever the registry
+can certify. No module here imports sympy; the tests use it as an oracle.
 """
 
 from __future__ import annotations
@@ -460,56 +461,17 @@ def _certify(s):
     return [(s, False)]
 
 
-# -- the factor registry ----------------------------------------------------------
-
-
-def _place(ctx, s):
-    """Register the pieces of the squarefree s, which is coprime to every
-    registered element, and return them."""
-    pieces = _certify(s)
-    for f, irreducible in pieces:
-        (ctx.factors if irreducible else ctx.base).append(f)
-    return [f for f, _ in pieces]
-
-
-def _refine(ctx, b, g):
-    """Split the base element b at its proper factor g (factor refinement,
-    Bach, Driscoll & Shallit, J. Algorithms 15(2), 1993): the pieces of g
-    and of b/g replace b, and every cached factorization that names b is
-    dropped. Returns the pieces of g and of b/g."""
-    ctx.base.remove(b)
-    ctx.splits += 1
-    ctx.factorizations = {p: fac for p, fac in ctx.factorizations.items()
-                          if all(f != b for f, _ in fac[1])}
-    return _place(ctx, g), _place(ctx, _exquo(b, g))
-
-
-def _join(ctx, q):
-    """Registered elements whose product is the squarefree q, which no
-    registered irreducible factor divides. A base element that shares a
-    proper factor with q is split first; what q shares with no element is
-    registered."""
-    out = []
-    for b in list(ctx.base):
-        g = _gcd(q, b)
-        if _is_ground(g):
-            continue
-        out += [b] if g == b else _refine(ctx, b, g)[0]
-        q = _exquo(q, g)
-        if _is_ground(q):
-            return out
-    return out + _place(ctx, q)
-
-
 # -- fraction reduction -----------------------------------------------------------
 
 
 def _factorization(ctx, p):
-    """(content, ((factor, exponent), ...)) of p over the registry, cached
-    by p; the content carries the sign of p's leading coefficient.
+    """(content, ((factor, exponent), ...)) of p, cached by p; the content
+    carries the sign of p's leading coefficient.
 
-    The irreducible factors are tried by exact division. Whatever they leave
-    over is split into squarefree parts, each joined to the base.
+    The registered factors are tried by exact division. Whatever they leave
+    over is split into squarefree parts. A certified piece of a part joins
+    the registry; any other piece is a *rest*, named here with the part's
+    multiplicity but registered nowhere.
     """
     if _is_ground(p):
         return p[0], ()
@@ -529,17 +491,21 @@ def _factorization(ctx, p):
             out.append((f, e))
     if not _is_ground(rest):
         for s, e in _squarefree(_primitive(rest)):
-            out += [(f, e) for f in _join(ctx, s)]
+            for f, irreducible in _certify(s):
+                if irreducible:
+                    ctx.factors[f] = None
+                out.append((f, e))
     g = _content(p)
     fac = ctx.factorizations[p] = (g if p[max(p)] > 0 else -g, tuple(out))
     return fac
 
 
 def _strip(ctx, n, d, fac, left):
-    """Divide each factor of ``fac``, (element, exponent) pairs of d, out of
+    """Divide each factor of ``fac``, (factor, exponent) pairs of d, out of
     n as often as it goes and out of d as often; add what is left of its
-    exponent to ``left``. A base element that shares a proper factor with
-    n is split and its pieces are stripped instead."""
+    exponent to ``left``. A rest r left with exponent e that shares a factor
+    with n is reduced by gcd: n and d are divided by g = gcd(n, r^e), and
+    r^e/g, coprime to n/g, is left with exponent 1."""
     for f, e in fac:
         k = 0
         while k < e and (q := _exquo(n, f)) is not None:
@@ -547,14 +513,15 @@ def _strip(ctx, n, d, fac, left):
             k += 1
         if k:
             d = _exquo(d, _ppow(f, k))
-        if k < e:
-            if ctx.base and f in ctx.base and not _is_ground(g := _gcd(n, f)):
-                shared, rest = _refine(ctx, f, g)
-                for r in rest:
-                    left[r] = left.get(r, 0) + e - k
-                n, d = _strip(ctx, n, d, [(s, e - k) for s in shared], left)
-            else:
-                left[f] = left.get(f, 0) + e - k
+        e -= k
+        if not e:
+            continue
+        if f not in ctx.factors and not _is_ground(g := _gcd(n, f)):
+            if e > 1:
+                f = _ppow(f, e)
+                g = _gcd(n, f)
+            n, d, f, e = _exquo(n, g), _exquo(d, g), _exquo(f, g), 1
+        left[f] = left.get(f, 0) + e
     return n, d
 
 
@@ -590,16 +557,12 @@ def _reduce(ctx, n, *dens):
     if not n:
         return _FZERO
     d = dens[0]
-    splits = ctx.splits
     exps: dict = {}
     for i, p in enumerate(dens):
         if i:
             d = _pmul(d, p)
         for f, e in _factorization(ctx, p)[1]:
             exps[f] = exps.get(f, 0) + e
-    if ctx.splits != splits:
-        # a later part split a base element that an earlier one names
-        return _reduce(ctx, n, *dens)
     return _cancel(ctx, n, d, exps.items())
 
 
@@ -622,12 +585,8 @@ def _fadd(ctx, f, g, sign=1):
         if _is_ground(d1):
             return _settle(ctx, n, d1, ())
         return _cancel(ctx, n, d1, _factorization(ctx, d1)[1])
-    splits = ctx.splits
     c1, fac1 = _factorization(ctx, d1)
     c2, fac2 = _factorization(ctx, d2)
-    if ctx.splits != splits:
-        # factoring d2 split a base element that fac1 names
-        return _fadd(ctx, f, g, sign)
     c = math.lcm(c1, c2)
     # cofactors lcm/d1 and lcm/d2
     cof1 = ONE if c == c1 else Poly({0: c // c1})
@@ -660,13 +619,9 @@ def _fmul(ctx, f, g):
         return _settle(ctx, _pmul(n1, n2), Poly({0: d1[0] * d2[0]}), ())
     # n1/d1 and n2/d2 are coprime, so only n1 and d2, and n2 and d1, can
     # share factors
-    splits = ctx.splits
     left: dict = {}
     n1, d2 = _strip(ctx, n1, d2, _factorization(ctx, d2)[1], left)
     n2, d1 = _strip(ctx, n2, d1, _factorization(ctx, d1)[1], left)
-    if ctx.splits != splits:
-        # a split may have renamed an element that ``left`` names
-        return _fmul(ctx, f, g)
     return _settle(ctx, _pmul(n1, n2), _pmul(d1, d2), tuple(left.items()))
 
 
@@ -730,13 +685,10 @@ class AlgebraContext:
         # den^2 * (P^2 + (k*m)^2) has integer coefficients of content 1
         norm = _padd(_pscale(psq, k.denominator**2), _pscale(_pmul(m, m), k.numerator**2))
         self.radicand = (norm, Poly({0: k.denominator**2}))
-        # irreducible factors denominators are tried against, and each
-        # denominator's factorization over them
-        self.factors = [*GENS, psq, norm]
-        # pairwise coprime squarefree elements not known to be irreducible,
-        # and the number of times one of them was split
-        self.base: list = []
-        self.splits = 0
+        # irreducible factors denominators are tried against, in order (the
+        # keys of a dict, so that membership is a hash lookup), and each
+        # denominator's factorization over them and its rests
+        self.factors = dict.fromkeys([*GENS, psq, norm])
         self.factorizations: dict = {}
         # caches used by the operator layer
         self.s_left_cache: dict = {}
@@ -950,12 +902,12 @@ class ScalarCoeff:
         if n < 0:
             return self.inv() ** (-n)
         out = self.ctx.scalar(1)
-        base = self
+        sq = self
         k = n
         while k:
             if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
+                out = out * sq
+            sq = sq * sq if k > 1 else sq
             k >>= 1
         return out
 

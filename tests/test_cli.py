@@ -111,6 +111,20 @@ def test_localize_exit_checks_leak_and_slope(monkeypatch, tmp_path, capsys,
     capsys.readouterr()
 
 
+def test_localize_refuses_json_out_and_format(tmp_path, capsys):
+    """The summary goes to <out stem>.json, so an --out ending in .json
+    would be overwritten by it: a usage error, before anything runs or is
+    written. localize writes one CSV layout and takes no --format."""
+    out = tmp_path / "x.json"
+    assert run(["localize", "--npts", "2048", "--pmax", "40",
+                "--out", str(out)]) == 2
+    assert "must not end in .json" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(SystemExit) as exc:
+        run(["localize", "--format", "csv"])
+    assert exc.value.code == 2
+
+
 def test_localize_wraparound_is_usage_error(capsys):
     for argv in (["localize", "--t", "500", "--npts", "2048", "--pmax", "40"],
                  ["causality", "--npts", "1024", "--pmax", "20",

@@ -221,7 +221,7 @@ def test_reduce_matches_cancel_on_random_pairs():
     assert cases >= 1000
     grown = [f for f in fresh.factors if f not in seeded]
     assert grown, "no denominator outside the seed registry was registered"
-    assert fresh.base, "no uncertified part reached the coprime base"
+    assert _rests(fresh), "no cached factorization names an unregistered rest"
     _assert_coprime_squarefree(fresh)
     _assert_factorizations_current(fresh)
 
@@ -245,32 +245,32 @@ def _normal(p):
 
 
 def _assert_coprime_squarefree(ctx):
-    """The registry is a coprime base: each element primitive and
-    squarefree with a positive leading coefficient, and every two coprime.
-    sympy is the oracle. A certified factor is irreducible, so it is coprime
-    to another element exactly when it does not divide it."""
-    elements = ctx.factors + ctx.base
-    for f in elements:
+    """The registry holds primitive, squarefree, irreducible factors with
+    positive leading coefficients, none dividing another, so every two are
+    coprime. sympy is the oracle."""
+    for f in ctx.factors:
         assert math.gcd(*f.values()) == 1 and f[max(f)] > 0, f
         assert _in(f, tuple(_gens_of(f))).is_squarefree, f
-    for f in ctx.factors:
         _, split = _in(f, tuple(_gens_of(f))).factor_list()
         assert len(split) == 1 and split[0][1] == 1, f
-        assert all(_exquo(g, f) is None for g in elements if g is not f), f
-    for i, f in enumerate(ctx.base):
-        for g in ctx.base[:i]:
-            used = tuple(_gens_of(f, g))
-            assert _in(f, used).gcd(_in(g, used)).is_ground, (f, g)
+        assert all(_exquo(g, f) is None for g in ctx.factors if g is not f), f
+
+
+def _rests(ctx):
+    """The factors cached factorizations name that the registry does not
+    hold."""
+    return {f for _, fac in ctx.factorizations.values() for f, _ in fac
+            if f not in ctx.factors}
 
 
 def _assert_factorizations_current(ctx):
-    """Every cached factorization names registered elements only, and its
-    product is the polynomial it was cached for."""
-    registered = ctx.factors + ctx.base
+    """Every cached factorization names primitive factors with positive
+    leading coefficients, and its product is the polynomial it was cached
+    for."""
     for p, (content, fac) in ctx.factorizations.items():
         prod = RING(content)
         for f, e in fac:
-            assert f in registered, (p, f)
+            assert math.gcd(*f.values()) == 1 and f[max(f)] > 0, (p, f)
             prod *= to_sympy(f) ** e
         assert prod == to_sympy(p), p
 
@@ -309,56 +309,81 @@ def _cancelled(n, d):
 def test_linear_certificate_splits_off_its_content():
     """A squarefree part linear in P2, whose coefficients in P2 share
     P1^2 + 1, is split there: P2 + P1 is certified irreducible and
-    P1^2 + 1, which no linear certificate covers, joins the base."""
+    P1^2 + 1, which no linear certificate covers, is a rest."""
     a = (P1**2 + 1) * (P2 + P1)
     d = a * a * (P2**5 + P1 + 1)
     ctx = AlgebraContext(1)
     assert _reduce_sympy(ctx, P3, [d]) == _cancelled(P3, d)
-    assert exact(P2 + P1) in ctx.factors and ctx.base == [exact(P1**2 + 1)]
+    assert exact(P2 + P1) in ctx.factors and _rests(ctx) == {exact(P1**2 + 1)}
     _assert_coprime_squarefree(ctx)
 
 
-def test_base_is_refined_when_a_product_arrives_apart():
+def test_rest_is_reduced_when_a_product_arrives_apart():
     """Two factors no linear certificate covers arrive first as one product
-    and later apart: the base element splits in two, every result is
-    cancel's, and no cached factorization names the product after it."""
+    and later apart: every result is cancel's, reached by gcd against the
+    product, which stays an unregistered rest, as do its factors."""
     u, v = 3 * P1**2 - P2**2 - MM**2, P1**2 + 2 * P2**2 - 5 * MM**2
     U, V, UV = exact(u), exact(v), exact(u * v)
-    # _reduce: u alone splits the product in the base
+    seeds = list(AlgebraContext(1).factors)
+    # _reduce: u alone is a rest of its own
     ctx = AlgebraContext(1)
     assert _reduce_sympy(ctx, P3, [u * v]) == _cancelled(P3, u * v)
-    assert ctx.base == [UV]
+    assert _rests(ctx) == {UV}
     assert _reduce_sympy(ctx, P3, [u]) == _cancelled(P3, u)
-    assert set(ctx.base) == {U, V} and ctx.splits == 1
+    assert _rests(ctx) == {UV, U} and list(ctx.factors) == seeds
     _assert_factorizations_current(ctx)
 
-    # two parts, the second splitting the element the first names
+    # two parts, the numerator sharing v with the first one's rest
     ctx = AlgebraContext(1)
     assert _reduce_sympy(ctx, P3 * v, [u * v, u]) == _cancelled(P3, u * u)
-    assert set(ctx.base) == {U, V} and ctx.splits == 1
+    assert _rests(ctx) == {UV, U} and list(ctx.factors) == seeds
     _assert_factorizations_current(ctx)
 
-    # a numerator that shares u with the element: its gcd splits it
+    # a numerator that shares u with the rest: gcd leaves v
     ctx = AlgebraContext(1)
     _reduce_sympy(ctx, P3, [u * v])
     assert _reduce_sympy(ctx, u * P3, [u * v]) == _cancelled(P3, v)
-    assert set(ctx.base) == {U, V} and ctx.splits == 1
+    assert _rests(ctx) == {UV, V} and list(ctx.factors) == seeds
     _assert_factorizations_current(ctx)
 
-    # a product whose second denominator splits what the first one named
+    # a product whose denominators name the rest and its factor u
     ctx = AlgebraContext(1)
     g = _reduce_sympy(ctx, P2, [u * v])
     assert _fmul(ctx, (exact(P3), U), g) == _cancelled(P2 * P3, u * u * v)
-    assert set(ctx.base) == {U, V}
+    assert _rests(ctx) == {UV, U} and list(ctx.factors) == seeds
     _assert_factorizations_current(ctx)
 
-    # a sum whose second denominator splits the first one's element
+    # a sum whose common denominator names the rest and u: gcd strips u
     ctx = AlgebraContext(1)
     f = _reduce_sympy(ctx, P3, [u * v])
     assert _fadd(ctx, f, (exact(P2), U)) == _cancelled(P3 + P2 * v, u * v)
-    assert set(ctx.base) == {U, V}
+    assert UV in _rests(ctx) and list(ctx.factors) == seeds
     _assert_factorizations_current(ctx)
     assert _factorization(ctx, exact(u * u * v))[1] in (((U, 2), (V, 1)), ((V, 1), (U, 2)))
+
+    # a squared rest whose square shares u^2 with the numerator: the gcd is
+    # taken against (uv)^2, and v^2 is left as a rest
+    ctx = AlgebraContext(1)
+    uv2 = u * v * u * v
+    assert _reduce_sympy(ctx, u * u * P3, [uv2]) == _cancelled(P3, v * v)
+    assert _rests(ctx) == {UV, exact(v * v)} and list(ctx.factors) == seeds
+    _assert_factorizations_current(ctx)
+
+
+def test_rest_named_before_its_linear_factor_is_certified():
+    """A rest cached before a linear factor of it is certified keeps its
+    name, and gcd reduction against it still gives cancel's results."""
+    lin, q = P1 + P2 + MM, P1**2 + P2**2 - 3 * MM**2
+    r = lin * q
+    ctx = AlgebraContext(1)
+    assert _reduce_sympy(ctx, P3, [r]) == _cancelled(P3, r)
+    assert _rests(ctx) == {exact(r)}
+    assert _reduce_sympy(ctx, RING.one, [lin]) == _cancelled(RING.one, lin)
+    assert exact(lin) in ctx.factors
+    assert _reduce_sympy(ctx, lin * P3, [r]) == _cancelled(lin * P3, r)
+    assert _reduce_sympy(ctx, P3, [r, lin]) == _cancelled(P3, r * lin)
+    _assert_coprime_squarefree(ctx)
+    _assert_factorizations_current(ctx)
 
 
 def test_registry_holds_irreducible_factors():
@@ -384,7 +409,7 @@ def test_mass_factor_seeds_and_separate_registries():
     before = list(ctx2.factors)
     _ = (ctx1.gen("P1") + ctx1.gen("m")).inv()
     assert len(ctx1.factors) == len(before) + 1
-    assert ctx2.factors == before
+    assert list(ctx2.factors) == before
     assert ctx1.factors is not ctx2.factors
     assert ctx1.factorizations is not ctx2.factorizations
 
