@@ -193,8 +193,8 @@ def _cmd_causality(args):
     r = tuple(args.r)
     rp = tuple(args.rp)
     report = VerificationReport("causality")
-    equal = microcausality_check(r, args.tr, rp, args.tr, grid, seed=args.seed)
-    moved = microcausality_check(r, args.tr, rp, args.trp, grid, seed=args.seed)
+    equal = microcausality_check(r, args.tr, rp, args.tr, grid)
+    moved = microcausality_check(r, args.tr, rp, args.trp, grid)
     disjoint = r[1] < rp[0] or rp[1] < r[0]
     gap = max(rp[0] - r[1], r[0] - rp[1])
     spacelike = disjoint and gap > abs(args.trp - args.tr)

@@ -133,6 +133,14 @@ def test_localize_wraparound_is_usage_error(capsys):
         assert "box" in capsys.readouterr().err
 
 
+def test_causality_empty_interval_is_usage_error(capsys):
+    # dx is 0.105 at the defaults, so (0.01, 0.02) holds no grid point and
+    # its projector would be zero, which commutes with everything
+    assert run(["causality", "--r", "0.01", "0.02", "--rp", "0.5", "1.5",
+                "--trp", "1"]) == 2
+    assert "no grid point" in capsys.readouterr().err
+
+
 def test_causality_defaults(tmp_path):
     out = tmp_path / "caus.json"
     assert run(["causality", "--npts", "1024", "--pmax", "20",

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from qpskit import GridRep, microcausality_check, nw_evolution, nw_projector
+from qpskit import (GridRep, LinearMap, microcausality_check, nw_evolution,
+                    nw_projector, operator_norm)
 from qpskit.grid import GridConfigError
 from qpskit.localization import _axis_transform
 
@@ -97,22 +98,22 @@ def test_projector_localizes(causality_grid):
 
 def test_equal_time_disjoint_projectors_commute(causality_grid):
     norm = microcausality_check((-2.0, -1.0), 0.0, (1.0, 2.0), 0.0,
-                                causality_grid, seed=1)
+                                causality_grid)
     assert norm <= 1e-12
     later = microcausality_check((-2.0, -1.0), 0.8, (1.0, 2.0), 0.8,
-                                 causality_grid, seed=1)
+                                 causality_grid)
     assert later <= 1e-10
 
 
 def test_projector_commutes_with_itself(causality_grid):
     norm = microcausality_check((1.0, 2.0), 0.5, (1.0, 2.0), 0.5,
-                                causality_grid, seed=1)
+                                causality_grid)
     assert norm <= 1e-12
 
 
 def test_spacelike_unequal_time_projectors_do_not_commute(causality_grid):
     norm = microcausality_check((-2.0, -1.0), 0.0, (1.0, 2.0), 1.0,
-                                causality_grid, seed=1)
+                                causality_grid)
     assert norm > 1e-6
 
 
@@ -125,11 +126,19 @@ def test_interval_at_box_edge_refused(causality_grid):
         microcausality_check((2.0, 1.0), 0.0, (3.0, 4.0), 0.0, g)
 
 
+def test_interval_without_grid_point_refused(causality_grid):
+    g = causality_grid
+    a = g.x_axis[g.npts // 2] + 0.1 * g.dx
+    with pytest.raises(GridConfigError, match="no grid point"):
+        microcausality_check((a, a + 0.5 * g.dx), 0.0, (1.0, 2.0), 1.0, g)
+    with pytest.raises(GridConfigError, match="no grid point"):
+        nw_projector(g, (a, a + 0.5 * g.dx))
+
+
 @pytest.mark.parametrize("trp", [1.0, 0.5])
 def test_commutator_norm_matches_dense(trp):
-    """The power-iteration estimate equals the 2-norm of the dense
-    [P_R(0), P_R'(trp)]; it reads 0 if the iteration stops early or if
-    the commutator's adjoint has the wrong sign (A^dag A becomes -A A)."""
+    """The range computation equals the 2-norm of the dense
+    [P_R(0), P_R'(trp)] assembled column by column from ``nw_projector``."""
     g = GridRep(d=1, npts=256, pmax=30.0, m=1.0, s=0)
     basis = np.zeros((g.npts,) + g.state_shape, dtype=complex)
     basis[:, :, 0, 0] = np.eye(g.npts)   # unit vectors of the positive sector
@@ -139,5 +148,54 @@ def test_commutator_norm_matches_dense(trp):
 
     p1, p2 = dense((-2.0, -1.0), 0.0), dense((1.0, 2.0), trp)
     want = np.linalg.norm(p1 @ p2 - p2 @ p1, 2)
-    got = microcausality_check((-2.0, -1.0), 0.0, (1.0, 2.0), trp, g, seed=1)
+    got = microcausality_check((-2.0, -1.0), 0.0, (1.0, 2.0), trp, g)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+# (R, t, R', t'); the first six do not commute, the last three do
+REFERENCE_CASES = [
+    ((-2.0, -1.0), 0.0, (1.0, 2.0), 0.3),
+    ((-2.0, -1.0), 0.0, (1.0, 2.0), 0.5),
+    ((-2.0, -1.0), 0.0, (1.0, 2.0), 1.0),
+    ((-2.0, -1.0), 0.0, (1.0, 2.0), 3.0),
+    ((-1.0, 1.0), 0.0, (0.0, 2.0), 0.5),
+    ((-3.0, 0.0), 0.0, (-1.0, 4.0), 1.0),
+    ((1.0, 2.0), 0.5, (1.0, 2.0), 0.5),
+    ((-2.0, -1.0), 0.0, (1.0, 2.0), 0.0),
+    ((-1.0, 1.0), 0.7, (0.0, 2.0), 0.7),
+]
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_commutator_norm_matches_power_iteration(case):
+    """Reference: ``operator_norm`` by power iteration on the commutator
+    composed from the two ``nw_projector`` maps."""
+    r, tr, rp, trp = case
+    g = GridRep(d=1, npts=1024, pmax=20.0, m=1.0, s=0)
+    p1, p2 = nw_projector(g, r, tr), nw_projector(g, rp, trp)
+    comm = LinearMap(g, lambda v: p1(p2(v)) - p2(p1(v)),
+                     lambda v: p2(p1(v)) - p1(p2(v)))
+    want = operator_norm(comm, seed=1, iterations=250)
+    got = microcausality_check(r, tr, rp, trp, g)
+    if tr == trp:
+        assert want <= 1e-12 and got <= 1e-12
+    else:
+        assert want > 1e-3
+        assert got == pytest.approx(want, rel=1e-10)
+
+
+def test_commutator_norm_makes_a_fixed_number_of_ffts(monkeypatch):
+    """No iteration: the FFT count at the CLI defaults is the same small
+    constant at equal and unequal times."""
+    calls = []
+    for name in ("fft", "ifft"):
+        real = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name,
+                            lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
+    g = GridRep(d=1, npts=2048, pmax=30.0, m=1.0, s=0)
+    counts = []
+    for trp in (0.0, 1.0):
+        calls.clear()
+        microcausality_check((-2.0, -1.0), 0.0, (1.0, 2.0), trp, g)
+        counts.append(len(calls))
+    assert 0 < counts[0] == counts[1] <= 4
