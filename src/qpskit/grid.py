@@ -33,9 +33,26 @@ because the other factors of ``to_momentum(x^k * to_position(phi))``
 cancel: |phase_b| = 1 and the two scales multiply to
 dp * n * dx / (2 pi hbar) = 1. A multi-axis monomial applies this one axis
 at a time.
+
+Buffer ownership. A ``GridRep`` keeps a free list of flat complex buffers,
+keyed by size (``take_buffer``, ``recycle``). A realized map draws its
+output and its scratch from it: the transformed state of a Q-monomial, the
+spin-mixed state, a copy of an input that is not already spin-first, and
+one (batch, spatial) block through which each (spin, sector) block of
+``out += c(P) Lam^l chi`` streams, once for all the coefficients of its
+Q-monomial. The scratch goes back before ``apply`` returns. A map never
+writes to its input; the array it returns belongs to the caller, and the
+free list never holds an array that anyone can still read. A caller that
+keeps its results, or lets the garbage collector have them, does nothing;
+one that knows nothing reads a result any more may ``recycle`` it (the
+chain cache of ``numcheck`` does). Each value is computed by the same
+per-element arithmetic, in the same memory layout, as with freshly
+allocated arrays, so results are bit-identical to theirs.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -102,6 +119,28 @@ class GridRep:
         self.omega = np.sqrt(self.psq + self.m**2)
         self.spin_mats = spin_matrices_numeric(self.s, self.hbar)
         self.sector_sign = np.array([1.0, -1.0])
+        self._free = {}   # size -> flat buffers that nothing reads any more
+
+    # -- state-sized buffers ----------------------------------------------------
+
+    def take_buffer(self, shape):
+        """A C-contiguous complex array of ``shape`` with unspecified
+        contents, from the free list when it holds one; the caller owns it.
+
+        The free list is keyed by size, so the spin-first and the public
+        C-ordered layouts of one batch share their buffers."""
+        size = math.prod(shape)
+        free = self._free.get(size)
+        return (free.pop() if free else _new_buffer(size)).reshape(shape)
+
+    def recycle(self, arr):
+        """Give back an array that ``take_buffer`` or a realized map's
+        ``apply`` handed out (or a view of one), once nothing reads it."""
+        buf = arr if arr.base is None else arr.base
+        free = self._free.setdefault(buf.size, [])
+        if any(b is buf for b in free):
+            raise GridConfigError("buffer recycled twice")
+        free.append(buf)
 
     # -- state helpers --------------------------------------------------------
 
@@ -219,14 +258,33 @@ def _compile_terms(e: OperatorExpr, grid: GridRep):
     return plan
 
 
+def _new_buffer(size):
+    """The free list's one allocation: a flat complex buffer."""
+    return np.empty(size, dtype=complex)
+
+
+def _zeros(grid, shape):
+    """A buffer of the grid's, zeroed."""
+    out = grid.take_buffer(shape)
+    out.fill(0.0)
+    return out
+
+
 def _to_inner(grid: GridRep, state):
-    """Public ``(*batch, *spatial, 2s+1, 2)`` -> contiguous
-    ``(2s+1, 2, *batch, *spatial)``."""
-    state = np.asarray(state, dtype=complex)
+    """Public ``(*batch, *spatial, 2s+1, 2)`` -> C-contiguous
+    ``(2s+1, 2, *batch, *spatial)``, and whether that is a copy in a buffer
+    of the grid's (it is a view of ``state`` when the memory is already
+    spin-first)."""
+    state = np.asarray(state)
     if state.shape[state.ndim - grid.d - 2:] != grid.state_shape:
         raise GridConfigError(
             f"state shape {state.shape} does not end in {grid.state_shape}")
-    return np.ascontiguousarray(np.moveaxis(state, (-2, -1), (0, 1)))
+    inner = np.moveaxis(state, (-2, -1), (0, 1))
+    if inner.dtype == complex and inner.flags.c_contiguous:
+        return inner, False
+    buf = grid.take_buffer(inner.shape)
+    np.copyto(buf, inner)
+    return buf, True
 
 
 def _to_public(inner):
@@ -234,9 +292,11 @@ def _to_public(inner):
     return np.moveaxis(inner, (0, 1), (-2, -1))
 
 
-def _spin_mix(rows, phi):
-    """(M phi)_i = sum_j M_ij phi_j over the nonzero entries of M."""
-    out = np.empty_like(phi)
+def _spin_mix(grid, rows, phi):
+    """(M phi)_i = sum_j M_ij phi_j over the nonzero entries of M, into a
+    buffer of the grid's."""
+    out = grid.take_buffer(phi.shape)
+    tmp = grid.take_buffer(phi.shape[2:])
     for i, row in enumerate(rows):
         if not row:
             out[i] = 0.0
@@ -244,31 +304,46 @@ def _spin_mix(rows, phi):
         (j, c), rest = row[0], row[1:]
         np.multiply(phi[j], c, out=out[i])
         for j, c in rest:
-            out[i] += c * phi[j]
+            for sector in (0, 1):
+                dst = out[i, sector]
+                dst += np.multiply(c, phi[j, sector], out=tmp)
+    grid.recycle(tmp)
     return out
 
 
 def _q_apply(grid: GridRep, qmono, phi):
-    """Q1^k1 Q2^k2 Q3^k3 phi, transforming only along the axes it uses."""
+    """Q1^k1 Q2^k2 Q3^k3 phi, transforming only along the axes it uses; phi
+    itself for the empty monomial, else a buffer of the grid's."""
+    out = phi
     for a, k in enumerate(qmono[:grid.d]):
         if k:
             axis = a - grid.d
             shape = (grid.npts,) + (1,) * (-axis - 1)
             phase = grid._phase_a.reshape(shape)
-            phi = np.fft.ifft(phi * phase, axis=axis)
-            phi *= (grid.x_axis ** k).reshape(shape)
-            phi = np.fft.fft(phi, axis=axis)
-            phi *= np.conj(phase)
-    return phi
+            dst = grid.take_buffer(phi.shape) if out is phi else out
+            out = np.multiply(out, phase, out=dst)
+            np.fft.ifft(out, axis=axis, out=out)
+            out *= (grid.x_axis ** k).reshape(shape)
+            np.fft.fft(out, axis=axis, out=out)
+            out *= np.conj(phase)
+    return out
 
 
-def _accumulate(out, carr, chi, lam):
-    """out += carr * Lam^lam chi, Lam acting as the sector sign (+1, -1)."""
-    if not lam:
-        out += carr * chi
-    else:
-        out[:, 0] += carr * chi[:, 0]
-        out[:, 1] -= carr * chi[:, 1]
+def _accumulate(grid, out, pairs, chi):
+    """out += sum of carr * Lam^lam chi over the ``(carr, lam)`` pairs, Lam
+    acting as the sector sign (+1, -1). Each (spin, sector) block of chi is
+    read once, through a block-sized buffer, for all the pairs."""
+    tmp = grid.take_buffer(chi.shape[2:])
+    for i in range(chi.shape[0]):
+        for sector in (0, 1):
+            dst, src = out[i, sector], chi[i, sector]
+            for carr, lam in pairs:
+                np.multiply(carr, src, out=tmp)
+                if lam and sector:
+                    dst -= tmp
+                else:
+                    dst += tmp
+    grid.recycle(tmp)
 
 
 def realize(e: OperatorExpr, grid: GridRep) -> LinearMap:
@@ -277,32 +352,49 @@ def realize(e: OperatorExpr, grid: GridRep) -> LinearMap:
     Linear in e; realize(nf(e)) and realize(e) agree to roundoff on
     band-limited states. The expression is compiled once into a plan
     (``_compile_terms``) that ``apply`` and the adjoint run in the
-    spin-first inner layout; see the module docstring.
+    spin-first inner layout, in buffers of the grid's; see the module
+    docstring. Neither writes to its input, and each returns an array that
+    belongs to its caller.
     """
     plan = _compile_terms(e, grid)
 
     def apply_fn(state):
-        inner = _to_inner(grid, state)
-        out = np.zeros_like(inner)
+        inner, copied = _to_inner(grid, state)
+        out = _zeros(grid, inner.shape)
         for rows, _, qgroups in plan:
-            phi = inner if rows is None else _spin_mix(rows, inner)
+            phi = inner if rows is None else _spin_mix(grid, rows, inner)
             for qmono, pairs in qgroups:
                 chi = _q_apply(grid, qmono, phi)
-                for carr, lam in pairs:
-                    _accumulate(out, carr, chi, lam)
+                _accumulate(grid, out, pairs, chi)
+                if chi is not phi:
+                    grid.recycle(chi)
+            if phi is not inner:
+                grid.recycle(phi)
+        if copied:
+            grid.recycle(inner)
         return _to_public(out)
 
     def adjoint_fn(state):
-        inner = _to_inner(grid, state)
-        out = np.zeros_like(inner)
+        inner, copied = _to_inner(grid, state)
+        out = _zeros(grid, inner.shape)
         for _, adj_rows, qgroups in plan:
-            acc = np.zeros_like(inner)
+            acc = _zeros(grid, inner.shape)
             for qmono, pairs in qgroups:
-                psi = np.zeros_like(inner)
-                for carr, lam in pairs:
-                    _accumulate(psi, np.conj(carr), inner, lam)
-                acc += _q_apply(grid, qmono, psi)
-            out += acc if adj_rows is None else _spin_mix(adj_rows, acc)
+                psi = _zeros(grid, inner.shape)
+                _accumulate(grid, psi, [(np.conj(carr), lam) for carr, lam in pairs],
+                            inner)
+                chi = _q_apply(grid, qmono, psi)
+                acc += chi
+                if chi is not psi:
+                    grid.recycle(chi)
+                grid.recycle(psi)
+            mixed = acc if adj_rows is None else _spin_mix(grid, adj_rows, acc)
+            out += mixed
+            if mixed is not acc:
+                grid.recycle(mixed)
+            grid.recycle(acc)
+        if copied:
+            grid.recycle(inner)
         return _to_public(out)
 
     return LinearMap(grid, apply_fn, adjoint_fn, label="realized")

@@ -20,6 +20,17 @@ application. The identities run in an order that keeps few chains live
 (``[B,A]`` right after ``[A,B]``), and their residuals are reported in
 declaration order. A chain is computed by the same arithmetic whatever the
 order, so the residuals do not depend on it.
+
+Buffer ownership. Chains, word values, the sums of an identity and the
+squared moduli of its residual norm all sit in buffers from the grid's
+free list (``GridRep.take_buffer``). The cache is the one place that gives
+them back (``GridRep.recycle``): a chain at its last read, every other
+array as soon as the value formed from it exists. A pass therefore
+allocates a few state-sized buffers, not some for every term. A formed
+array keeps the memory order that numpy gives a fresh result of the same
+operation: spin-first, or the batch's C order once the batch itself is an
+operand. The norms sum in memory order, so the residuals are bit-identical
+to those of freshly allocated arrays.
 """
 
 from __future__ import annotations
@@ -51,19 +62,22 @@ def _word_chains(word):
     return kind, (names,)
 
 
-def _norms(arr):
-    return np.sqrt(np.sum(np.abs(arr) ** 2, axis=tuple(range(1, arr.ndim))))
-
-
 class _ChainCache:
     """Chains and realized maps on one state batch, read-counted over the
-    ``words`` that will be read: each is kept only until its last use."""
+    ``words`` that will be read: each is kept only until its last use.
+
+    Values travel as ``(array, owned)`` pairs. The batch is never owned;
+    a chain is owned by the reader that reads it last, and every array
+    formed here from chains is owned by its caller. The owner of an array
+    may write to it, and gives it back to the grid's free list with
+    ``recycle`` once it has read it; nothing else ever does.
+    """
 
     def __init__(self, gens: GeneratorSet, grid: GridRep, batch, words):
         self.gens = gens
         self.grid = grid
         self.batch = batch
-        self.in_norms = _norms(batch)
+        self.in_norms = self._norms(batch)
         self.reads = Counter()     # chain -> reads left
         self.applies = Counter()   # map name -> applications left
         for word in words:
@@ -92,31 +106,93 @@ class _ChainCache:
         return self.maps.pop(name)
 
     def chain(self, key):
-        """The maps of ``key`` applied right to left to the batch."""
+        """The maps of ``key`` applied right to left to the batch, owned when
+        this is its last read."""
         if not key:
-            return self.batch
+            return self.batch, False
         value = self.chains.pop(key, None)
         if value is None:
-            value = self.map(key[0]).apply(self.chain(key[1:]))
+            arg, owned = self.chain(key[1:])
+            value = self.map(key[0]).apply(arg)
+            if owned:
+                self.recycle(arg)
         left = self.reads.pop(key) - 1      # KeyError: an unplanned read
         if left:
             self.reads[key] = left
             self.chains[key] = value
-        return value
+        return value, not left
 
     def word(self, word):
-        """A declared word applied to the batch."""
+        """A declared word applied to the batch, as an ``(array, owned)``
+        pair."""
         kind, keys = _word_chains(word)
         values = [self.chain(key) for key in keys]
         if kind == "[]":
-            return values[0] - values[1]
+            return self.combine(np.subtract, *values)
         if kind == "d/dt":
             explicit, ah, ha = values
-            return explicit + (ah - ha) / (1j * self.grid.hbar)
+            rate = self.combine(np.divide, self.combine(np.subtract, ah, ha),
+                                (1j * self.grid.hbar, False))
+            return self.combine(np.add, explicit, rate)
         return values[0]
 
+    def combine(self, ufunc, *operands):
+        """``ufunc`` of ``(array or scalar, owned)`` operands, owned.
+
+        numpy lays a fresh elementwise result out spin-first when every
+        array operand is, and in the batch's C order when one is C-ordered
+        (a public-layout batch); the reductions of ``_norms`` follow that
+        memory order, so the result keeps it. It is written over an owned
+        operand of that layout, else into a new buffer of the grid's; the
+        other owned operands are recycled.
+        """
+        arrays = [(arr, owned) for arr, owned in operands if np.ndim(arr)]
+        c_order = any(arr.flags.c_contiguous for arr, _ in arrays)
+        out = next((arr for arr, owned in arrays
+                    if owned and arr.flags.c_contiguous == c_order), None)
+        if out is None:
+            out = self._buffer(c_order)
+        ufunc(*(arr for arr, _ in operands), out=out)
+        for arr, owned in arrays:
+            if owned and arr is not out:
+                self.recycle(arr)
+        return out, True
+
+    def _buffer(self, c_order, dtype=complex):
+        """A batch-shaped ``dtype`` array over a buffer of the grid's, in the
+        batch's C order or spin-first."""
+        shape, size = self.batch.shape, self.batch.size
+        if not c_order:
+            shape = shape[-2:] + shape[:-2]
+        buf = self.grid.take_buffer((size,)).view(dtype)[:size].reshape(shape)
+        return buf if c_order else np.moveaxis(buf, (0, 1), (-2, -1))
+
+    def recycle(self, arr):
+        self.grid.recycle(arr)
+
+    def _norms(self, arr):
+        """Per-state norms of the batch or of an array that ``combine``
+        formed. The squared moduli go to a buffer in the memory order of
+        ``arr``, so the sums run as over ``np.abs(arr) ** 2``."""
+        sq = self._buffer(arr.flags.c_contiguous, float)
+        np.square(np.abs(arr, out=sq), out=sq)
+        norms = np.sqrt(np.sum(sq, axis=tuple(range(1, sq.ndim))))
+        self.recycle(sq)
+        return norms
+
     def residual(self, arr):
-        return float(np.max(_norms(arr) / self.in_norms))
+        return float(np.max(self._norms(arr) / self.in_norms))
+
+
+def _sum_words(cache, terms):
+    """Sum of c * (i hbar)^k * word over the ``(c, k, word)`` terms, formed in
+    buffers of the grid's; the caller owns it and recycles it."""
+    ih = 1j * cache.grid.hbar
+    acc = None
+    for c, k, word in terms:
+        term = cache.combine(np.multiply, (c * ih**k, False), cache.word(word))
+        acc = term if acc is None else cache.combine(np.add, acc, term)
+    return acc[0]
 
 
 def _make_batch(grid, nstates, seed, sector=None):
@@ -177,14 +253,13 @@ def _grid_reports(suites, gens, grid, nstates, seed, tol):
     batch = _make_batch(grid, nstates, seed)
     cache = _ChainCache(gens, grid, batch, [w for ws in words for w in ws])
     needs = _chain_needs(words)
-    ih = 1j * grid.hbar
     residuals = [None] * len(idents)
     for n in _schedule(needs):
-        acc = 0
-        for sign, terms in ((1, idents[n].lhs), (-1, idents[n].expected)):
-            for c, k, word in terms:
-                acc = acc + sign * c * ih**k * cache.word(word)
+        acc = _sum_words(cache, [(sign * c, k, word) for sign, terms in
+                                 ((1, idents[n].lhs), (-1, idents[n].expected))
+                                 for c, k, word in terms])
         residuals[n] = cache.residual(acc)
+        cache.recycle(acc)
     rows = zip(idents, residuals)
     reports = []
     for (suite, _), found in zip(suites, twins):
@@ -244,11 +319,12 @@ def numeric_casimir_report(gens: GeneratorSet, grid: GridRep, nstates=8,
     for sector, tag in ((1, "positive"), (-1, "negative")):
         batch = _make_batch(grid, nstates, seed, sector=sector)
         cache = _ChainCache(gens, grid, batch, [word for _, _, word in c2])
-        acc = 0
-        for c, k, word in c2:
-            acc = acc + c * (1j * grid.hbar)**k * cache.word(word)
-        resid = acc - target * batch
+        acc = _sum_words(cache, c2)
+        resid, _ = cache.combine(np.subtract, (acc, False),
+                                 cache.combine(np.multiply, (target, False),
+                                               (batch, False)))
         r = cache.residual(resid) / scale
+        cache.recycle(resid)
         report.add(id=f"spectrum[{tag}]", lhs="(W0^2 - W.W) psi",
                    expected=f"{target:.6g} * psi", residual=f"{r:.3e}",
                    passed=r <= tol, residual_norm=r)
@@ -259,6 +335,7 @@ def numeric_casimir_report(gens: GeneratorSet, grid: GridRep, nstates=8,
         report.add(id=f"quadratic_form[{tag}]", lhs="<psi,(W0^2-W.W)psi>/|psi|^2",
                    expected=f"{target:.6g}", residual=f"{worst:.3e}",
                    passed=worst <= tol, residual_norm=worst)
+        cache.recycle(acc)
     return report
 
 

@@ -258,3 +258,52 @@ def test_one_axis_q_monomial_costs_one_transform_pair(monkeypatch):
             calls.update(fft=0, ifft=0)
             m.apply(psi)
             assert calls == {"fft": pairs, "ifft": pairs}, text
+
+
+# -- buffer ownership ------------------------------------------------------------
+
+
+def test_apply_leaves_its_input_unchanged():
+    g = GridRep(d=3, npts=8, pmax=2.0, m=1.0, s=Fraction(1, 2), tval=0.3)
+    amap = realize(P("Q1*Q1*Q3*S1*S2 + Lam*S3*Q2 + omega"), g)
+    psi = _two_batch_axes(g, 41)
+    # the batch in the public layout is copied in; a result is read in place
+    for state in (psi, amap.apply(psi)):
+        kept = state.copy()
+        for m in (amap, amap.adjoint()):
+            m.apply(state)
+            assert np.array_equal(state, kept)
+
+
+def test_apply_results_share_no_memory():
+    g = GridRep(d=3, npts=8, pmax=2.0, m=1.0, s=Fraction(1, 2), tval=0.3)
+    amap = realize(P("Q2*S1*Lam + i*P3*S2 + omega"), g)
+    psi = _two_batch_axes(g, 43)
+    for m in (amap, amap.adjoint()):
+        first = m.apply(psi)
+        second = m.apply(psi)
+        third = m.apply(first)
+        assert np.array_equal(first, second)
+        for a, b in ((first, second), (first, psi), (second, psi),
+                     (third, first), (third, second)):
+            assert not np.shares_memory(a, b)
+
+
+def test_recycled_buffers_are_handed_out_again_and_only_once():
+    g = GridRep(d=1, npts=16, pmax=2.0)
+    buf = g.take_buffer((2, 16))
+    g.recycle(buf)
+    with pytest.raises(GridConfigError):
+        g.recycle(buf)
+    # the free list is keyed by size: a buffer comes back in any shape
+    again = g.take_buffer((4, 8))
+    assert again.shape == (4, 8) and np.shares_memory(again, buf)
+    assert not np.shares_memory(g.take_buffer((4, 8)), buf)
+
+
+def test_operator_norm_of_a_fixed_map_is_unchanged():
+    # computed (numpy 2.4) by the implementation that allocated every
+    # temporary afresh: reusing buffers leaves the arithmetic as it was
+    g = GridRep(d=3, npts=8, pmax=2.0, m=1.0, s=Fraction(1, 2), tval=0.3)
+    k1 = realize(foldy_generators()["K1"], g)
+    assert operator_norm(k1, seed=4) == 18.808507250618497

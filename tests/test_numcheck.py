@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import qpskit.grid
 import qpskit.numcheck as numcheck
 from qpskit.generators import LEMMAS, PAULI_LUBANSKI, TABLES, parse_word
 from qpskit.grid import GridRep, LinearMap, gaussian_states, realize
@@ -150,10 +151,30 @@ def test_shared_evaluator_memory_peak(foldy, recorded_caches):
     finally:
         tracemalloc.stop()
     # 36.1 arrays when each suite kept every single-map chain and map for its
-    # whole run; 19.0 with the read-counted cache
+    # whole run; 18.6 with the read-counted cache, and 18.9 with the chains,
+    # sums and scratch in buffers that the grid hands out again
     assert peak < 24 * batch_bytes, peak / batch_bytes
     (cache,) = recorded_caches
     assert not cache.chains and not cache.maps
+
+
+def test_state_sized_buffers_are_allocated_a_bounded_number_of_times(
+        foldy, monkeypatch):
+    grid = _grid(16)
+    state_size = np.zeros((1, *grid.state_shape)).size
+    sizes = Counter()
+    new_buffer = qpskit.grid._new_buffer
+
+    def counted(size):
+        sizes[size] += 1
+        return new_buffer(size)
+
+    monkeypatch.setattr(qpskit.grid, "_new_buffer", counted)
+    numeric_residual_reports(foldy, grid, nstates=1)
+    # 14 state-sized buffers serve the 278 applications and 174 sums; one
+    # per term would be thousands. The tracemalloc peak allows 24.
+    assert 0 < sizes[state_size] <= 24, sizes
+
 
 COARSE = SimpleNamespace(npts=16)
 FINE = SimpleNamespace(npts=32)
