@@ -11,6 +11,11 @@ rules are the canonical relations of the algebra:
 Every constructor and operation returns expressions already in normal form;
 ``normal_form`` re-canonicalizes and optionally applies the total-spin
 substitution S^2 -> hbar^2 s(s+1).
+
+A product of two terms is its leading piece c1*c2 * Q^(q1+q2) * S^s1 S^s2
+plus the derivative tail of moving c2 left through Q^q1. ``commutator``
+never forms A*B and B*A: their leading pieces cancel analytically, so it
+builds only the spin bracket [S^s1, S^s2] and the two tails.
 """
 
 from __future__ import annotations
@@ -277,10 +282,11 @@ def _shuffle_factor(ctx, n, k):
 
 
 def _q_shuffle(ctx, qexp, coeff):
-    """Move ``coeff`` left through Q1^q1 Q2^q2 Q3^q3.
+    """The derivative tail of moving ``coeff`` left through Q1^q1 Q2^q2 Q3^q3.
 
-    Yields (beta, c) with Q^q * coeff = sum_beta c_beta * Q^(q - beta),
-    using Q_i^n f = sum_k C(n,k) (i*hbar)^k (d^k f/dP_i^k) Q_i^(n-k).
+    Returns the (beta, c) pieces with beta != 0 of Q^q * coeff =
+    sum_beta c_beta * Q^(q - beta), using Q_i^n f = sum_k C(n,k) (i*hbar)^k
+    (d^k f/dP_i^k) Q_i^(n-k). The leading piece, coeff * Q^q, is left out.
     """
     pieces = [((0, 0, 0), coeff)]
     for axis in (1, 2, 3):
@@ -303,7 +309,8 @@ def _q_shuffle(ctx, qexp, coeff):
                     b[axis - 1] = k
                     nxt.append((tuple(b), term))
         pieces = nxt
-    return pieces
+    # k = 0 comes first on every axis, so the leading piece is pieces[0]
+    return pieces[1:]
 
 
 def _s_left(ctx, i, mono):
@@ -383,25 +390,43 @@ def _s_mul(ctx, s1, s2):
     return out
 
 
-def _mul_terms(ctx, mono1, c1, mono2, c2):
-    """Product of two normal-form terms as (mono, coeff) pieces."""
+def _with_spin(ctx, qlead, s1, s2, lam, coeff):
+    """The pieces of coeff * Q^qlead * S^s1 S^s2 * Lam^lam."""
+    if s1 == (0, 0, 0) and s2 == (0, 0, 0):
+        yield qlead + (0, 0, 0, lam), coeff
+    else:
+        for smono, sco in _s_mul(ctx, s1, s2).items():
+            yield qlead + smono + (lam,), coeff * sco
+
+
+def _tail_terms(ctx, mono1, c1, mono2, c2):
+    """The k >= 1 Leibniz pieces of a term product: all of it but the
+    leading piece c1*c2 * Q^(q1+q2) * S^s1 S^s2 * Lam^(l1+l2)."""
     q1 = mono1[:3]
+    if q1 == (0, 0, 0):
+        return
+    lead = _q_sum(mono1, mono2)
     s1 = mono1[3:6]
-    q2 = mono2[:3]
     s2 = mono2[3:6]
     lam = mono1[6] ^ mono2[6]
     for beta, moved in _q_shuffle(ctx, q1, c2):
-        qout = (q1[0] - beta[0] + q2[0],
-                q1[1] - beta[1] + q2[1],
-                q1[2] - beta[2] + q2[2])
         coeff = c1 * moved
-        if not coeff:
-            continue
-        if s1 == (0, 0, 0) and s2 == (0, 0, 0):
-            yield qout + (0, 0, 0, lam), coeff
-        else:
-            for smono, sco in _s_mul(ctx, s1, s2).items():
-                yield qout + smono + (lam,), coeff * sco
+        if coeff:
+            yield from _with_spin(ctx, (lead[0] - beta[0], lead[1] - beta[1],
+                                        lead[2] - beta[2]),
+                                  s1, s2, lam, coeff)
+
+
+def _q_sum(mono1, mono2):
+    """Q^(q1+q2), the Q part of the leading piece of a term product."""
+    return (mono1[0] + mono2[0], mono1[1] + mono2[1], mono1[2] + mono2[2])
+
+
+def _mul_terms(ctx, mono1, c1, mono2, c2):
+    """Product of two normal-form terms as (mono, coeff) pieces."""
+    yield from _with_spin(ctx, _q_sum(mono1, mono2), mono1[3:6], mono2[3:6],
+                          mono1[6] ^ mono2[6], c1 * c2)
+    yield from _tail_terms(ctx, mono1, c1, mono2, c2)
 
 
 # -- public operations ---------------------------------------------------------
@@ -445,7 +470,36 @@ def normal_form(e: OperatorExpr, casimir_spin=None) -> OperatorExpr:
 
 
 def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
-    return a * b - b * a
+    """[a, b] = a*b - b*a, without forming the leading products that cancel.
+
+    Both products of terms t1 = c1 Q^q1 S^s1 Lam^l1 and t2 = c2 Q^q2 S^s2
+    Lam^l2 open with c1*c2 * Q^(q1+q2); what is left of the pair is
+    c1*c2 * Q^(q1+q2) [S^s1, S^s2] Lam^(l1+l2), zero when the spin
+    monomials commute, plus the k >= 1 Leibniz tail of t1*t2 minus that
+    of t2*t1.
+    """
+    a._check_ctx(b)
+    ctx = a.ctx
+    out: dict = {}
+    for mono1, c1 in a.terms.items():
+        s1 = mono1[3:6]
+        minus_c1 = -c1
+        for mono2, c2 in b.terms.items():
+            s2 = mono2[3:6]
+            if s1 != s2 and s1 != (0, 0, 0) and s2 != (0, 0, 0):
+                spin = dict(_s_mul(ctx, s1, s2))
+                for smono, sco in _s_mul(ctx, s2, s1).items():
+                    _acc(spin, smono, -sco)
+                lead = _q_sum(mono1, mono2)
+                lam = mono1[6] ^ mono2[6]
+                coeff = c1 * c2
+                for smono, sco in spin.items():
+                    _acc(out, lead + smono + (lam,), coeff * sco)
+            for mono, c in _tail_terms(ctx, mono1, c1, mono2, c2):
+                _acc(out, mono, c)
+            for mono, c in _tail_terms(ctx, mono2, c2, mono1, minus_c1):
+                _acc(out, mono, c)
+    return OperatorExpr(ctx, out)
 
 
 def total_time_derivative(e: OperatorExpr, h: OperatorExpr) -> OperatorExpr:

@@ -62,6 +62,41 @@ def random_expr(rng: random.Random, depth=3, max_terms=24) -> OperatorExpr:
     return out
 
 
+# Coefficients whose higher P-derivatives do not vanish, for Q powers 3-4.
+# Each fourth derivative of 1/(omega+m) costs about 20 ms, so it is drawn
+# less often than omega and 1/P.P.
+_BRACKET_SCALARS = (
+    ctx.gen("omega"),
+    (ctx.gen("P1") ** 2 + ctx.gen("P2") ** 2 + ctx.gen("P3") ** 2).inv(),
+    (ctx.gen("omega") + ctx.gen("m")).inv(),
+)
+
+
+def random_bracket_term(rng: random.Random) -> OperatorExpr:
+    """One term c * Q^q * S^s * Lam^l, biased toward a Q power of 3 or 4
+    next to omega, 1/P.P or 1/(omega+m) and a spin monomial of degree >= 2."""
+    q = [0, 0, 0]
+    q[rng.randrange(3)] = rng.choice((0, 1, 2, 3, 3, 3, 4))
+    s = [0, 0, 0]
+    for _ in range(rng.choice((0, 1, 2, 2, 3, 3))):
+        s[rng.randrange(3)] += 1
+    c = rng.choices(_BRACKET_SCALARS, (4, 4, 1))[0]
+    c = c * ctx.scalar(rng.choice((-2, -1, 1, 3)))
+    if rng.random() < 0.3:
+        c = c * ctx.gen(rng.choice(("P1", "P2", "P3", "m", "t")))
+    return OperatorExpr(ctx, {tuple(q) + tuple(s) + (rng.randint(0, 1),): c})
+
+
+def random_bracket_expr(rng: random.Random) -> OperatorExpr:
+    """One biased term, two of them, or now and then an ordinary random
+    expression."""
+    draw = rng.random()
+    if draw < 0.15:
+        return random_expr(rng, depth=2)
+    out = random_bracket_term(rng)
+    return out + random_bracket_term(rng) if draw < 0.4 else out
+
+
 def random_word(rng: random.Random, length):
     return [rng.choice(_ATOMS) for _ in range(length)]
 
@@ -98,6 +133,12 @@ def law_bracket_antisymmetry_jacobi(rng):
     jac = commutator(a, commutator(b, c)) + commutator(b, commutator(c, a)) \
         + commutator(c, commutator(a, b))
     assert jac.is_zero()
+
+
+def law_bracket_matches_products(rng):
+    a = random_bracket_expr(rng)
+    b = random_bracket_expr(rng)
+    assert commutator(a, b) == a * b - b * a
 
 
 def law_leibniz(rng):
@@ -166,6 +207,7 @@ def law_parse_render_roundtrip(rng):
 LAWS = {
     "nf_idempotent": law_nf_idempotent,
     "bracket_antisymmetry_jacobi": law_bracket_antisymmetry_jacobi,
+    "bracket_matches_products": law_bracket_matches_products,
     "leibniz": law_leibniz,
     "derivation_consistency": law_derivation_consistency,
     "sector_substitution": law_sector_substitution,

@@ -51,6 +51,53 @@ def test_derivation_higher_powers():
     assert lhs == rhs
 
 
+def _top_leibniz_term_ok(axis, n, f):
+    """Whether the Q-free part of [Q_axis^n, f] is (i*hbar)^n d^n f/dP_axis^n,
+    the last Leibniz term of Q_axis^n f."""
+    ctx = DEFAULT_CONTEXT
+    d = f
+    for _ in range(n):
+        d = d.diff(axis)
+    bracket = commutator(P(f"Q{axis}^{n}"), OperatorExpr.from_scalar(f, ctx))
+    q_free = {m: c for m, c in bracket.terms.items() if m[:3] == (0, 0, 0)}
+    return OperatorExpr(ctx, q_free) == \
+        OperatorExpr.from_scalar(ctx.i_hbar() ** n * d, ctx)
+
+
+def test_higher_leibniz_terms():
+    ctx = DEFAULT_CONTEXT
+    assert _top_leibniz_term_ok(1, 3, ctx.gen("omega"))
+    assert _top_leibniz_term_ok(2, 4, P("P2^5/(P2^2 + m^2)").scalar_part())
+    # every term of [Q1^3, omega] = sum_k C(3,k) (i hbar)^k omega^(k) Q1^(3-k)
+    ih = P("i*hbar")
+    d1 = P("P1/omega")
+    d2 = P("1/omega - P1^2/omega^3")
+    d3 = P("3*P1^3/omega^5 - 3*P1/omega^3")
+    assert P("[Q1^3, omega]") == 3 * ih * d1 * P("Q1^2") \
+        + 3 * ih * ih * d2 * P("Q1") + ih * ih * ih * d3
+
+
+def test_higher_leibniz_terms_catch_a_truncated_shuffle(monkeypatch):
+    """A shuffle that keeps only the Leibniz terms k <= 2 passes every
+    declared suite; the pinned [Q1^3, omega] check must reject it."""
+    from qpskit import expr
+    shuffle = expr._q_shuffle
+    monkeypatch.setattr(expr, "_q_shuffle", lambda ctx, qexp, coeff: [
+        (beta, c) for beta, c in shuffle(ctx, qexp, coeff) if max(beta) <= 2])
+    assert not _top_leibniz_term_ok(1, 3, DEFAULT_CONTEXT.gen("omega"))
+
+
+def test_brackets_with_spin():
+    assert P("[Q1*S1, S2]") == P("i*hbar*Q1*S3")
+    assert P("[S1^2, S2]") == P("2*i*hbar*S1*S3 - hbar^2*S2")
+    assert P("[Q1*S1*S2*Lam, omega*S3]") == \
+        P("i*hbar*omega*Q1*(S1^2 - S2^2)*Lam + i*hbar*(P1/omega)*S1*S2*S3*Lam")
+    # equal or unit spin monomials commute, so only the Leibniz tail is left
+    assert P("[Q2^2*S1*S3, omega*S1*S3]") == \
+        P("(Q2^2*omega - omega*Q2^2)*S1*S3*S1*S3")
+    assert P("[S1*S2, omega]").is_zero()
+
+
 def test_normal_form_idempotent_and_zero_unique():
     e = P("Q1*S2*Lam*omega - S2*Q1*omega*Lam")
     assert e.is_zero()
