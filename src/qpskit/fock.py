@@ -21,9 +21,10 @@ a(psi) by -1, a^+(psi) by +1, Phi(z) by +-1 and N(psi) by 0. A
 FockOperator is therefore held as dense blocks between total-number
 sectors, blocks[(m, n)] mapping sector n to sector m, and a missing block
 is zero. Products sum over the middle sector, so the report suites never
-form a dim x dim matrix; at 10 sites and nmax = 4 (dim 1001) the largest
-block is 715 x 715. The assembled matrix (`FockOperator.mat`) exists for
-tests and dense oracles only.
+form a dim x dim matrix. At 10 sites and nmax = 4 (dim 1001, sectors of
+1, 10, 55, 220 and 715 states) the largest block they form is the 220 x 715
+top block of a(psi) or Phi(z); no 715 x 715 block is formed. The assembled
+matrix (`FockOperator.mat`) exists for tests and dense oracles only.
 
 a(psi) = sum_k conj(<e_k, psi>) a_k is built by one scatter per sector.
 Each nonzero entry of a mode annihilator a_k sits at a (row, column) pair
@@ -36,11 +37,17 @@ writes its a part into the (n-1, n) blocks and its a^+ part into the
 (n, n-1) blocks.
 
 The field CCR holds below the cutoff, so the duality check forms only the
-block products that land on total number <= nmax - 1. N(psi) has only
-diagonal blocks, so its spectrum is the union of the blocks' spectra. The
-expectation suite contracts phi(x)^2 with the state vector rather than
-forming the square, and builds only the blocks of phi(x) between sectors
-0-2, the only ones that vector and phi(x) applied to it reach.
+block products that land on total number <= nmax - 1. Phi changes the total
+number by one, so the CCR gap maps even sectors to even ones and odd to odd,
+and its norm is the larger of those two parts' norms. The ladder-shift check
+forms [N, a] + a as a^+(a a) - (a a^+) a + a, whose products never reach the
+top sector's square. The sector-n block of N(psi) is A^+ A for the (n-1, n)
+block A of a(psi); its spectrum is that of the smaller Gram matrix, A A^+ or
+A^+ A, plus, where A A^+ is the smaller, one zero per state that sector n
+has over sector n-1. So N(psi) is never formed. The expectation suite
+contracts phi(x)^2 with the state vector rather than forming the square,
+and builds only the blocks of phi(x) between sectors 0-2, the only ones
+that vector and phi(x) applied to it reach.
 """
 
 from __future__ import annotations
@@ -222,16 +229,22 @@ class FockOperator:
                 _add_product(blocks, (m, n), x, y, sign)
         return FockOperator(self.field, blocks)
 
-    def commutator_on(self, other, max_total):
-        """Dense block of [self, other] on total number <= max_total, from the
-        block products whose both sectors lie there."""
-        k = self.field.block_dim(max_total)
-        sl = self.field.sector_slices
+    def commutator_on(self, other, sectors):
+        """Dense block of [self, other] on the listed sectors, in the order
+        given, from the block products whose both sectors are listed."""
+        dims = self.field.sector_dims
+        at, k = {}, 0
+        for n in sectors:
+            self.field.block_dim(n)         # refuses a sector outside 0..nmax
+            if n in at:
+                raise FockConfigError(f"sector {n} is listed twice")
+            at[n] = slice(k, k + int(dims[n]))
+            k += int(dims[n])
         out = np.zeros((k, k), dtype=complex)
         for left, right, ufunc in ((self, other, np.add), (other, self, np.subtract)):
             for m, n, x, y in _pairs(left, right):
-                if m <= max_total and n <= max_total:
-                    target = out[sl[m], sl[n]]
+                if m in at and n in at:
+                    target = out[at[m], at[n]]
                     ufunc(target, x @ y, out=target)
         return out
 
@@ -239,16 +252,6 @@ class FockOperator:
         """Largest entry modulus, block by block."""
         return max((float(np.abs(b).max()) for b in self.blocks.values() if b.size),
                    default=0.0)
-
-    def eigvalsh(self):
-        """All dim eigenvalues of a Hermitian number-conserving operator,
-        sorted, from its diagonal blocks; a sector with no block adds zeros."""
-        if any(m != n for m, n in self.blocks):
-            raise FockConfigError(
-                "eigvalsh needs an operator with only diagonal sector blocks")
-        parts = [np.linalg.eigvalsh(self.blocks[(n, n)]) if (n, n) in self.blocks
-                 else np.zeros(d) for n, d in enumerate(self.field.sector_dims)]
-        return np.sort(np.concatenate(parts))
 
 
 class FockField:
@@ -273,12 +276,13 @@ class FockField:
         # occupation basis ordered by total number, then lexicographically
         basis = []
         for total in range(self.nmax + 1):
-            sector = set()
+            # each multiset of modes comes once, so each occupation vector does
+            sector = []
             for combo in combinations_with_replacement(range(self.nsites), total):
                 occ = [0] * self.nsites
                 for mode in combo:
                     occ[mode] += 1
-                sector.add(tuple(occ))
+                sector.append(tuple(occ))
             basis.extend(sorted(sector))
         self.basis = basis
         self.index = {occ: i for i, occ in enumerate(basis)}
@@ -353,6 +357,9 @@ class FockField:
     def _mode_coefficients(self, psi):
         # <e_k, psi> for the orthonormal Fourier modes e_k(x) = exp(2pi i kx/Ns)/sqrt(Ns)
         psi = np.asarray(psi, dtype=complex)
+        if psi.shape != (self.nsites,):
+            raise FockConfigError(
+                f"psi must have one entry per site ({self.nsites}), got shape {psi.shape}")
         if not np.any(psi):
             raise FockConfigError("psi must be a nonzero 1-particle vector")
         return np.fft.fft(psi) / np.sqrt(self.nsites)
@@ -380,9 +387,25 @@ class FockField:
         """a(psi), antilinear in psi; a(psi)|0> = 0."""
         return FockOperator(self, self._ladder_blocks(self._ladder_values(psi)))
 
-    def number_op(self, psi) -> FockOperator:
+    def number_spectrum(self, psi) -> np.ndarray:
+        """All dim eigenvalues of N(psi) = a^+(psi) a(psi), sorted.
+
+        The sector-n block of N(psi) is A^+ A for the (n-1, n) block A of
+        a(psi). Its nonzero eigenvalues are those of A A^+ as well, so each
+        sector takes the eigenvalues of the smaller of the two Gram matrices;
+        where that is A A^+, it adds one exact zero per state that sector n
+        has over sector n-1. The vacuum sector, where a(psi) is zero, adds
+        one zero.
+        """
         a = self.annihilator(psi)
-        return a.adjoint() @ a
+        parts = [np.zeros(int(self.sector_dims[0]))]
+        for n in range(1, self.nmax + 1):
+            blk = a.blocks[(n - 1, n)]
+            rows, cols = blk.shape
+            gram = blk @ blk.conj().T if rows <= cols else blk.conj().T @ blk
+            parts.append(np.linalg.eigvalsh(gram))
+            parts.append(np.zeros(max(cols - rows, 0)))
+        return np.sort(np.concatenate(parts))
 
     def total_number_diagonal(self) -> np.ndarray:
         """Diagonal of sum_k a^+(e_k) a(e_k) over the Fourier modes e_k.
@@ -533,10 +556,19 @@ def profile_fwhm(profile) -> float:
 
 
 def _ccr_gap(field, z, zp):
-    """||[Phi(z), Phi(z')] - i hbar Omega(z, z')|| below the cutoff."""
-    ccr = field.field_op(z).commutator_on(field.field_op(zp), field.nmax - 1)
-    ccr -= 1j * field.hbar * field.symplectic(z, zp) * np.eye(len(ccr))
-    return float(np.linalg.norm(ccr, 2))
+    """||[Phi(z), Phi(z')] - i hbar Omega(z, z')|| below the cutoff.
+
+    Phi moves the total number by +-1, so the gap has only (n, n) and
+    (n +- 2, n) blocks: it maps even sectors to even ones and odd to odd,
+    and its 2-norm is the larger of the 2-norms of those two parts."""
+    phi, phi_p = field.field_op(z), field.field_op(zp)
+    shift = 1j * field.hbar * field.symplectic(z, zp)
+    norms = []
+    for parity in (0, 1):
+        gap = phi.commutator_on(phi_p, range(parity, field.nmax, 2))
+        gap[np.diag_indices(len(gap))] -= shift
+        norms.append(np.linalg.norm(gap, 2))
+    return float(max(norms))
 
 
 def _interdefinability_gap(field, z):
@@ -550,8 +582,12 @@ def _interdefinability_gap(field, z):
 
 
 def _ladder_shift_gap(a):
-    """max |(N + 1) a - a N| for N = a^+ a, formed as [N, a] + a."""
-    gap = (a.adjoint() @ a).commutator(a)
+    """max |(N + 1) a - a N| for N = a^+ a, formed as [N, a] + a with the
+    products reassociated, a^+ (a a) - (a a^+) a + a, so N, whose top block
+    is the largest sector's square, is never formed."""
+    adag = a.adjoint()
+    gap = adag @ (a @ a)
+    gap -= (a @ adag) @ a
     gap += a
     return gap.max_abs()
 
@@ -603,7 +639,7 @@ def fock_report(suite, sites=8, nmax=3, m=1.0, seed=0, tol=1e-10):
     if suite == "spectrum":
         psi = rng.normal(size=sites) + 1j * rng.normal(size=sites)
         psi /= np.linalg.norm(psi)
-        evals = field.number_op(psi).eigvalsh()
+        evals = field.number_spectrum(psi)
         within_tol("integer_spectrum", "spec N(psi)", "integers",
                    float(np.abs(evals - np.round(evals)).max()))
         present = sorted(set(int(round(v)) for v in evals))

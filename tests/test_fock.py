@@ -8,6 +8,7 @@ import pytest
 
 from qpskit import (FockConfigError, FockField, FockOperator, PhasePoint,
                     expectation_suite, fock_report, profile_fwhm)
+from qpskit.fock import _ccr_gap
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +23,12 @@ def rand_phase(rng, n):
 def rand_state(rng, n):
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     return v / np.linalg.norm(v)
+
+
+def number_op(field, psi):
+    """N(psi) = a^+(psi) a(psi) as a graded operator."""
+    a = field.annihilator(psi)
+    return a.adjoint() @ a
 
 
 def norm_below(op, max_total):
@@ -104,9 +111,8 @@ def test_orthogonal_arguments_commute(field):
 def test_number_operator(field):
     rng = np.random.default_rng(7)
     psi = rand_state(rng, 8)
-    n_op = field.number_op(psi)
+    n_op = number_op(field, psi)
     a = field.annihilator(psi)
-    assert np.allclose(n_op.mat, (a.adjoint() @ a).mat)
     evals = np.linalg.eigvalsh(n_op.mat)
     assert np.abs(evals - np.round(evals)).max() <= 1e-10
     assert evals.min() >= -1e-10
@@ -228,8 +234,8 @@ def test_truncation_stability():
          big.annihilator(psi).commutator(big.annihilator(phi).adjoint())),
         (small.field_op(z).commutator(small.field_op(zp)),
          big.field_op(z).commutator(big.field_op(zp))),
-        (small.number_op(psi) @ small.annihilator(psi),
-         big.number_op(psi) @ big.annihilator(psi)),
+        (number_op(small, psi) @ small.annihilator(psi),
+         number_op(big, psi) @ big.annihilator(psi)),
     ]
     cut = small.nmax - 2
     dim = small.sector_offsets[cut + 1]
@@ -253,7 +259,9 @@ def test_block_bounds_are_checked(field):
         with pytest.raises(FockConfigError):
             a.restricted(bad)
         with pytest.raises(FockConfigError):
-            a.commutator_on(a, bad)
+            a.commutator_on(a, [0, bad])
+    with pytest.raises(FockConfigError):
+        a.commutator_on(a, [1, 0, 1])
     assert a.restricted(0).shape == (1, 1)
     assert a.restricted(field.nmax).shape == (field.dim, field.dim)
 
@@ -300,7 +308,7 @@ def test_ccr_block_matches_full_commutator(sites, nmax):
     phi = field.field_op(rand_phase(rng, sites))
     phi_p = field.field_op(rand_phase(rng, sites))
     shift = 1j * field.hbar * 0.37
-    block = phi.commutator_on(phi_p, nmax - 1)
+    block = phi.commutator_on(phi_p, range(nmax))
     block -= shift * np.eye(field.block_dim(nmax - 1))
     full = phi.commutator(phi_p) - shift
     assert np.abs(block - full.restricted(nmax - 1)).max() <= 1e-13
@@ -362,7 +370,7 @@ def _graded_zoo(field, rng):
     a = field.annihilator(rand_state(rng, n))
     adag = field.annihilator(rand_state(rng, n)).adjoint()
     phi = field.field_op(rand_phase(rng, n))
-    num = field.number_op(rand_state(rng, n))
+    num = number_op(field, rand_state(rng, n))
     return {"a": a, "adag": adag, "phi": phi, "N": num,
             "mixed": 0.3 * a - 0.5j * adag + phi,
             "NPhi": num @ phi, "shifted": num + (0.25 - 0.5j)}
@@ -405,7 +413,7 @@ def test_graded_algebra_matches_dense(sites, nmax):
             for cut in range(nmax + 1):
                 k = field.block_dim(cut)
                 full = dx @ dy - dy @ dx
-                assert np.abs(x.commutator_on(y, cut) - full[:k, :k]).max() <= tol
+                assert np.abs(x.commutator_on(y, range(cut + 1)) - full[:k, :k]).max() <= tol
         # in-place forms agree with the dense ones and leave the operands alone
         acc = x.copy()
         acc += zoo["phi"]
@@ -443,25 +451,26 @@ def test_blocks_are_checked_against_the_sectors(field):
 
 
 @pytest.mark.parametrize("sites,nmax", [(6, 4), (8, 3)])
-def test_eigvalsh_refuses_off_diagonal_blocks(sites, nmax):
+def test_number_spectrum_refuses_bad_psi(sites, nmax):
     field = FockField(sites, 1.0, nmax, hbar=0.7)
-    rng = np.random.default_rng(sites + 1)
-    psi = rand_state(rng, sites)
-    num = field.number_op(psi)
-    for op in (field.annihilator(psi), field.field_op(rand_phase(rng, sites)),
-               num + field.annihilator(psi)):
+    psi = rand_state(np.random.default_rng(sites + 1), sites)
+    for bad in (np.zeros(sites), psi[:-1], np.append(psi, 0.5), np.outer(psi, psi)):
         with pytest.raises(FockConfigError):
-            op.eigvalsh()
-    assert len(num.eigvalsh()) == field.dim
+            field.number_spectrum(bad)
+        with pytest.raises(FockConfigError):
+            field.annihilator(bad)
+    assert len(field.number_spectrum(psi)) == field.dim
 
 
-@pytest.mark.parametrize("sites,nmax", [(6, 4), (8, 3)])
+@pytest.mark.parametrize("sites,nmax", [(6, 4), (8, 3), (10, 4)])
 def test_number_block_spectrum_matches_dense(sites, nmax):
+    """The Gram spectrum, taken sector by sector on the smaller side, is the
+    spectrum of the assembled a^+ a, zeros included."""
     field = FockField(sites, 1.0, nmax, hbar=0.7)
     psi = rand_state(np.random.default_rng(sites + 2), sites)
-    num = field.number_op(psi)
+    num = number_op(field, psi)
     assert (0, 0) not in num.blocks          # the vacuum sector has no block
-    evals = num.eigvalsh()
+    evals = field.number_spectrum(psi)
     dense = np.linalg.eigvalsh(num.mat)
     assert len(evals) == field.dim
     assert np.array_equal(evals, np.sort(evals))
@@ -469,8 +478,78 @@ def test_number_block_spectrum_matches_dense(sites, nmax):
     # the vacuum's 0, plus one 0 per state with no psi quantum
     zeros = int((np.abs(evals) <= 1e-12).sum())
     assert zeros == int((np.abs(dense) <= 1e-12).sum()) >= 1
-    shifted = (num + 2.5).eigvalsh()
-    assert np.abs(shifted - (dense + 2.5)).max() <= 1e-12
+    # a(c psi) = conj(c) a(psi), so N(c psi) = |c|^2 N(psi)
+    scaled = field.number_spectrum(2.5j * psi)
+    assert np.abs(scaled - 6.25 * dense).max() <= 1e-11
+
+
+@pytest.mark.parametrize("sites,nmax", [(6, 4), (8, 3), (10, 4)])
+def test_parity_parts_of_the_ccr_gap(sites, nmax, monkeypatch):
+    """[Phi, Phi'] maps even sectors to even ones and odd to odd, so the CCR
+    gap's norm is the larger of its parity parts' norms. A wrong Omega keeps
+    the gap far from zero."""
+    field = FockField(sites, 1.0, nmax)
+    rng = np.random.default_rng(sites + 3)
+    z, zp = rand_phase(rng, sites), rand_phase(rng, sites)
+    phi, phi_p = field.field_op(z), field.field_op(zp)
+    full = phi.commutator_on(phi_p, range(nmax))
+    sl = field.sector_slices
+
+    def states(sectors):
+        return np.concatenate([np.arange(sl[n].start, sl[n].stop) for n in sectors])
+
+    for parity in (0, 1):
+        sectors = range(parity, nmax, 2)
+        part = phi.commutator_on(phi_p, sectors)
+        idx = states(sectors)
+        assert np.array_equal(part, full[np.ix_(idx, idx)])
+        other = np.setdiff1d(np.arange(len(full)), idx)
+        assert not full[np.ix_(idx, other)].any()
+    backwards = states(range(nmax - 1, -1, -1))
+    assert np.array_equal(phi.commutator_on(phi_p, range(nmax - 1, -1, -1)),
+                          full[np.ix_(backwards, backwards)])
+    wrong = field.symplectic(z, zp) + 0.37
+    monkeypatch.setattr(FockField, "symplectic", lambda self, a, b: wrong)
+    dense = np.linalg.norm(full - 1j * field.hbar * wrong * np.eye(len(full)), 2)
+    gap = _ccr_gap(field, z, zp)
+    assert dense > 0.3
+    assert abs(gap - dense) <= 1e-13 * dense
+
+
+def _failed_ids(suite, sites=10, nmax=4):
+    report, _ = fock_report(suite, sites=sites, nmax=nmax)
+    return {e.id for e in report.entries if not e.passed}
+
+
+@pytest.mark.parametrize("where", [0, 0.5, -1])
+def test_a_wrong_ladder_value_fails_spectrum_and_ladder_shift(where, monkeypatch):
+    """sqrt(n) off by one part in a million at one ladder entry (first,
+    middle or last, the last in the top sector) fails both checks."""
+    init = FockField.__init__
+
+    def mutated(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        vals = self._ladder_sqrt_n
+        vals[int(where * (len(vals) - 1))] *= 1 + 1e-6
+
+    monkeypatch.setattr(FockField, "__init__", mutated)
+    assert "integer_spectrum" in _failed_ids("spectrum")
+    assert "ladder_shift" in _failed_ids("duality")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_a_perturbed_annihilator_block_fails_ladder_shift(n, monkeypatch):
+    annihilator = FockField.annihilator
+    rng = np.random.default_rng(n)
+
+    def mutated(self, psi):
+        a = annihilator(self, psi)
+        blk = a.blocks[(n - 1, n)]
+        blk += 1e-6 * (rng.normal(size=blk.shape) + 1j * rng.normal(size=blk.shape))
+        return a
+
+    monkeypatch.setattr(FockField, "annihilator", mutated)
+    assert "ladder_shift" in _failed_ids("duality")
 
 
 # -- what the report suites may allocate ------------------------------------------
@@ -478,9 +557,11 @@ def test_number_block_spectrum_matches_dense(sites, nmax):
 
 @pytest.mark.parametrize("suite", ["duality", "spectrum"])
 def test_fock_suite_peak_memory_below_one_dense_matrix(suite):
-    """At the benchmark size (10 sites, nmax 4, dim 1001) a suite never holds
-    as much as one dense dim x dim complex matrix."""
-    dim = FockField(10, 1.0, 4).dim
+    """At the benchmark size (10 sites, nmax 4, dim 1001) the duality suite
+    never holds as much as one dense dim x dim complex matrix, and the
+    spectrum suite not as much as one block on the top sector (715 x 715)."""
+    field = FockField(10, 1.0, 4)
+    side = field.dim if suite == "duality" else int(field.sector_dims[-1])
     tracemalloc.start()
     try:
         report, _ = fock_report(suite, sites=10, nmax=4)
@@ -488,7 +569,36 @@ def test_fock_suite_peak_memory_below_one_dense_matrix(suite):
     finally:
         tracemalloc.stop()
     assert report.all_passed()
-    assert peak < dim ** 2 * 16, f"{suite}: peak {peak} B"
+    assert peak < side ** 2 * 16, f"{suite}: peak {peak} B"
+
+
+def test_fock_suites_solve_only_below_the_top_sector(monkeypatch):
+    """At 10 sites and nmax 4 the spectrum suite calls an eigensolver only on
+    sides <= d_3 = 220, and the duality suite takes the 2-norm only of the
+    CCR gap's parity parts (56 and 230 states), never of the whole 286."""
+    shapes = []
+
+    def recording(name):
+        real = getattr(np.linalg, name)
+
+        def record(x, *args, **kwargs):
+            if np.ndim(x) == 2:
+                shapes.append((name, np.shape(x)))
+            return real(x, *args, **kwargs)
+        return record
+
+    for name in ("eigvalsh", "eigh", "eigvals", "eig", "svd", "norm"):
+        monkeypatch.setattr(np.linalg, name, recording(name))
+    field = FockField(10, 1.0, 4)
+    dims = field.sector_dims
+    assert fock_report("spectrum", sites=10, nmax=4)[0].all_passed()
+    solved = {shape for name, shape in shapes if name != "norm"}
+    assert solved and max(max(s) for s in solved) == dims[3] == 220
+    shapes.clear()
+    assert fock_report("duality", sites=10, nmax=4)[0].all_passed()
+    parts = {dims[0] + dims[2], dims[1] + dims[3]}
+    assert parts == {56, 230}
+    assert {shape for _, shape in shapes} == {(k, k) for k in parts}
 
 
 def test_fock_suites_never_assemble_dense_operators(monkeypatch):
