@@ -53,12 +53,30 @@ and registered nowhere. A rest r left with exponent e after trial division
 is reduced where it stands: if gcd(n, r) is not 1, the numerator n and the
 denominator are divided by g = gcd(n, r^e), and r^e/g, coprime to n/g, is
 kept as a rest. So a fraction is always canonical, whatever the registry
-can certify. No module here imports sympy; the tests use it as an oracle.
+can certify. Trial division skips a registered factor f unless f's
+generators are among p's and lm(f) divides lm(p), which one guarded
+subtraction of packed exponents tests.
+
+A derivative of n/d is formed over d*R, R the product of d's named factors
+that depend on the variable, instead of over d^2 (``_fdiff``).
+
+While an exact evaluation runs, its context keeps two tables for
+``ScalarCoeff``: products, keyed by the ordered pair of operands, and
+derivatives, keyed by (coefficient, axis). Coefficients are immutable and a
+canonical fraction is unique, so a table hit equals a fresh computation.
+``AlgebraContext.evaluation()`` opens the tables and drops them when it
+ends; the exact reports, the closure check and the generator builds each
+run inside one. Products recur across the entries of one report, so
+dropping them sooner loses the gain; keeping them for the whole process,
+or for arithmetic outside an evaluation, only adds memory.
+
+No module here imports sympy; the tests use it as an oracle.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import reduce
 from operator import or_
@@ -464,6 +482,16 @@ def _certify(s):
 # -- fraction reduction -----------------------------------------------------------
 
 
+def _support(p):
+    """Bit g set for each generator g that p depends on."""
+    return sum(1 << g for g in _gens_of(p))
+
+
+def _register(ctx, f):
+    """Add the irreducible f to the registry, with its support and lm."""
+    ctx.factors[f] = (_support(f), max(f))
+
+
 def _factorization(ctx, p):
     """(content, ((factor, exponent), ...)) of p, cached by p; the content
     carries the sign of p's leading coefficient.
@@ -480,20 +508,26 @@ def _factorization(ctx, p):
         return fac
     rest = p
     out = []
-    for f in ctx.factors:
+    gens = _support(p)
+    lead = max(p)
+    for f, (fgens, flead) in ctx.factors.items():
         if _is_ground(rest):
             break
+        # f | rest needs f's generators among p's and lm(f) | lm(rest)
+        if fgens & ~gens or ((lead | _GUARD) - flead) & _GUARD != _GUARD:
+            continue
         e = 0
         while (q := _exquo(rest, f)) is not None:
             rest = q
             e += 1
         if e:
             out.append((f, e))
+            lead = max(rest)
     if not _is_ground(rest):
         for s, e in _squarefree(_primitive(rest)):
             for f, irreducible in _certify(s):
                 if irreducible:
-                    ctx.factors[f] = None
+                    _register(ctx, f)
                 out.append((f, e))
     g = _content(p)
     fac = ctx.factorizations[p] = (g if p[max(p)] > 0 else -g, tuple(out))
@@ -635,15 +669,38 @@ def _fdiv(ctx, f, g):
 
 
 def _fdiff(ctx, fr, gen_index):
-    """d/d gen of a fraction, by the quotient rule."""
+    """d/d gen of a fraction, over d*R instead of d^2.
+
+    With d = c * prod f_i^e_i (d's cached factorization) and R the product
+    of the f_i that depend on the generator, d'/d = S/R for
+    S = sum e_i f_i' R/f_i, so (n/d)' = (n' R - n S)/(d R). This holds for
+    any factorization of d, coprime or not, and d R is far smaller than d^2.
+    """
     n, d = fr
     dn = _pdiff(n, gen_index)
-    dd = _pdiff(d, gen_index)
-    if not dd:
-        if not dn:
-            return _FZERO
+    if not _pdiff(d, gen_index):
         return _reduce(ctx, dn, d)
-    return _reduce(ctx, _padd(_pmul(dn, d), _pmul(n, dd), -1), d, d)
+    moving = []
+    fac = []
+    for f, e in _factorization(ctx, d)[1]:
+        df = _pdiff(f, gen_index)
+        if df:
+            moving.append((f, e, df))
+            e += 1
+        fac.append((f, e))
+    r = ONE
+    s = ZERO
+    for i, (f, e, df) in enumerate(moving):
+        r = _pmul(r, f)
+        term = _pscale(df, e)
+        for j, (g, _, _) in enumerate(moving):
+            if j != i:
+                term = _pmul(term, g)
+        s = _padd(s, term)
+    top = _padd(_pmul(dn, r), _pmul(n, s), -1)
+    if not top:
+        return _FZERO
+    return _cancel(ctx, top, _pmul(d, r), fac)
 
 
 def _feval(fr, values):
@@ -686,10 +743,17 @@ class AlgebraContext:
         norm = _padd(_pscale(psq, k.denominator**2), _pscale(_pmul(m, m), k.numerator**2))
         self.radicand = (norm, Poly({0: k.denominator**2}))
         # irreducible factors denominators are tried against, in order (the
-        # keys of a dict, so that membership is a hash lookup), and each
-        # denominator's factorization over them and its rests
-        self.factors = dict.fromkeys([*GENS, psq, norm])
+        # keys of a dict, so that membership is a hash lookup, each mapped to
+        # its support and leading monomial), and each denominator's
+        # factorization over them and its rests
+        self.factors: dict = {}
+        for f in (*GENS, psq, norm):
+            _register(self, f)
         self.factorizations: dict = {}
+        # ScalarCoeff products by (left, right) and derivatives by
+        # (coefficient, axis) while an evaluation() runs; None outside one
+        self.products: dict | None = None
+        self.derivatives: dict | None = None
         # caches used by the operator layer
         self.s_left_cache: dict = {}
         self.s_mul_cache: dict = {}
@@ -709,6 +773,20 @@ class AlgebraContext:
 
     def __repr__(self):
         return f"AlgebraContext(mass_factor={self.mass_factor})"
+
+    @contextmanager
+    def evaluation(self):
+        """Scope of one exact evaluation: products and derivatives are
+        memoized in tables that are dropped when it ends, however it ends.
+        A nested evaluation shares the enclosing one's tables."""
+        if self.products is not None:
+            yield self
+            return
+        self.products, self.derivatives = {}, {}
+        try:
+            yield self
+        finally:
+            self.products = self.derivatives = None
 
     # -- ScalarCoeff constructors ------------------------------------------
 
@@ -748,7 +826,7 @@ class AlgebraContext:
 class ScalarCoeff:
     """Element a + b*omega with complex rational-function parts a, b."""
 
-    __slots__ = ("ctx", "ar", "ai", "br", "bi")
+    __slots__ = ("ctx", "ar", "ai", "br", "bi", "_hash")
 
     def __init__(self, ctx, ar, ai, br, bi):
         self.ctx = ctx
@@ -776,7 +854,19 @@ class ScalarCoeff:
                 and self.bi == other.bi)
 
     def __hash__(self):
-        return hash((self.ar, self.ai, self.br, self.bi))
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        n, d = ar = self.ar
+        if _is_ground(d) and (not n or _is_ground(n)) \
+                and not (self.ai[0] or self.br[0] or self.bi[0]):
+            # a rational constant equals its Fraction, so it hashes as one
+            h = hash(Fraction(n.get(0, 0), d[0]))
+        else:
+            h = hash((ar, self.ai, self.br, self.bi))
+        self._hash = h
+        return h
 
     def components(self):
         return (self.ar, self.ai, self.br, self.bi)
@@ -824,6 +914,17 @@ class ScalarCoeff:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        products = self.ctx.products
+        if products is None:
+            return self._mul(o)
+        out = products.get((self, o))
+        if out is None:
+            out = products[self, o] = self._mul(o)
+        return out
+
+    __rmul__ = __mul__
+
+    def _mul(self, o):
         ctx = self.ctx
         W = ctx.radicand
         # (A + B*w)(C + D*w) = (AC + BD*W) + (AD + BC)*w, complex parts split
@@ -850,8 +951,6 @@ class ScalarCoeff:
             out_ar, out_ai = ac_r, ac_i
         return ScalarCoeff(ctx, out_ar, out_ai, _fadd(ctx, ad_r, bc_r),
                            _fadd(ctx, ad_i, bc_i))
-
-    __rmul__ = __mul__
 
     def inv(self):
         """Total on nonzero elements: 1/(A+Bw) = (A-Bw)/(A^2 - B^2 W)."""
@@ -920,6 +1019,15 @@ class ScalarCoeff:
         """Formal d/dP_axis with d omega/dP_axis = P_axis/omega."""
         if axis not in AXES:
             raise ValueError("axis must be 1, 2 or 3")
+        derivatives = self.ctx.derivatives
+        if derivatives is None:
+            return self._diff(axis)
+        out = derivatives.get((self, axis))
+        if out is None:
+            out = derivatives[self, axis] = self._diff(axis)
+        return out
+
+    def _diff(self, axis):
         ctx = self.ctx
         idx = axis - 1
         pw = ctx.p_over_w[idx]   # P_axis / W

@@ -225,22 +225,24 @@ def foldy_generators(sector: str = "full", spin_zero: bool = False,
     """
     if sector not in ("full", "positive", "negative"):
         raise ValueError("sector must be 'full', 'positive' or 'negative'")
-    names = _primitives(ctx)
-    if spin_zero:
-        names.update({f"S{i}": OperatorExpr.zero(ctx) for i in AXES})
-    _declare(ctx, names, FOLDY)
-    table = {name: names[name] for name in ("H", "Lam", "W0")}
-    table.update((f"{p}{i}", names[f"{p}{i}"]) for i in AXES for p in "PQSJKLMNVW")
-    if sector != "full":
-        sign = 1 if sector == "positive" else -1
-        table = {k: v.substitute_sector(sign) for k, v in table.items()}
+    with ctx.evaluation():
+        names = _primitives(ctx)
+        if spin_zero:
+            names.update({f"S{i}": OperatorExpr.zero(ctx) for i in AXES})
+        _declare(ctx, names, FOLDY)
+        table = {name: names[name] for name in ("H", "Lam", "W0")}
+        table.update((f"{p}{i}", names[f"{p}{i}"]) for i in AXES for p in "PQSJKLMNVW")
+        if sector != "full":
+            sign = 1 if sector == "positive" else -1
+            table = {k: v.substitute_sector(sign) for k, v in table.items()}
     return GeneratorSet(ctx, table)
 
 
 def bargmann_generators(ctx: AlgebraContext = DEFAULT_CONTEXT) -> GeneratorSet:
     """Nonrelativistic set H = P^2/(2 Mmass) + E0, J = QxP + S,
     C = tP - Mmass*Q, with Mmass and E0 central constants."""
-    names = _declare(ctx, _primitives(ctx), BARGMANN)
+    with ctx.evaluation():
+        names = _declare(ctx, _primitives(ctx), BARGMANN)
     table = {name: names[name] for name in ("H", "Mmass", "E0")}
     table.update((f"{p}{i}", names[f"{p}{i}"]) for i in AXES for p in "PQSJLC")
     return GeneratorSet(ctx, table)
@@ -287,9 +289,15 @@ def _exact_report(suite, identities, gens, casimir_spin=None) -> VerificationRep
     """Check declared identities exactly on ``gens``.
 
     Every word is computed once per suite, however many entries read it,
-    and dropped after its last read. With ``casimir_spin`` set, residuals
-    are normalized modulo S^2.
+    and dropped after its last read. Coefficient products and derivatives
+    are memoized across the entries and forgotten when the report returns.
+    With ``casimir_spin`` set, residuals are normalized modulo S^2.
     """
+    with gens.ctx.evaluation():
+        return _check_identities(suite, identities, gens, casimir_spin)
+
+
+def _check_identities(suite, identities, gens, casimir_spin):
     words = _Words(gens.ctx, {**_primitives(gens.ctx), **gens.table},
                    [term for ident in identities
                     for term in ident.lhs + ident.expected])
@@ -592,6 +600,11 @@ def energy_momentum_constraint_check(h_candidate: OperatorExpr,
     if h_candidate.uses_q():
         raise ExprError("candidate Hamiltonian must not contain Q "
                         "(construction presumes translation invariance)")
+    with ctx.evaluation():
+        return _closure_report(h_candidate, ctx)
+
+
+def _closure_report(h_candidate, ctx):
     report = VerificationReport("emrelation")
     names = {**_primitives(ctx), "H": h_candidate}
     relation = _Words(ctx, names, ()).name("C1")

@@ -4,11 +4,13 @@ import csv
 import dataclasses
 import io
 import json
+import tracemalloc
 
 import pytest
 
 import qpskit.cli as cli
 from qpskit.cli import main
+from qpskit.coeffs import AlgebraContext
 from qpskit.report import VerificationReport
 
 
@@ -31,6 +33,31 @@ def test_verify_emrelation_failure_writes_report(tmp_path, capsys):
     assert doc["failed"] > 0
     failing = [e for e in doc["entries"] if not e["pass"]]
     assert failing and all(e["residual"] not in ("", "0") for e in failing)
+
+
+def test_verify_emrelation_memory(tmp_path, monkeypatch, capsys):
+    """One closure-failure command, on a context of its own: its traced peak,
+    and what it leaves allocated when it returns."""
+    monkeypatch.setattr(AlgebraContext, "_instances", {})
+    argv = ["verify", "emrelation", "--h", "Lam*omega + m^2/(P1+m)",
+            "--out", str(tmp_path / "em.json")]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert run(argv) == 1
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    left -= start
+    # Measured in this test, alone and after the tests above it: without
+    # product and derivative tables the peak was 0.40-0.49 MB, and
+    # 0.21-0.30 MB stayed allocated (the context's registry, factorizations
+    # and operator caches). The tables raise the peak to 1.20-1.35 MB; the
+    # bound is 0.49 MB plus 1.5 MB of headroom. They are dropped when the
+    # check returns, so 0.22-0.37 MB stays; tables kept past it left
+    # 1.31 MB, over the 0.30 MB plus 0.45 MB allowed.
+    assert peak < 2_000_000, peak
+    assert left < 750_000, left
 
 
 def test_verify_emrelation_pass(tmp_path):

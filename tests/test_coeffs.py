@@ -9,10 +9,11 @@ import pytest
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.rings import ring as sympy_ring
 
+from property_laws import random_scalar
 from qpskit.coeffs import (AlgebraContext, CoeffError, DEFAULT_CONTEXT, GEN_NAMES,
-                           MAX_EXPONENT, Poly, _SHIFT, _exquo, _factorization, _fadd, _fmul,
-                           _gcd, _gens_of, _is_ground, _pmul, _primitive, _prsgcd,
-                           _reduce, _squarefree, _unpack, scalar_sqrt)
+                           MAX_EXPONENT, Poly, ScalarCoeff, _SHIFT, _exquo, _factorization,
+                           _fadd, _fdiff, _fmul, _gcd, _gens_of, _is_ground, _pmul,
+                           _primitive, _prsgcd, _reduce, _squarefree, _unpack, scalar_sqrt)
 from qpskit.parser import _render_poly
 
 ctx = DEFAULT_CONTEXT
@@ -46,6 +47,17 @@ def test_canonical_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a - b == 0
+
+
+def test_constants_hash_as_their_numbers():
+    """A rational constant equals its int or Fraction, so it must hash as
+    one: sets and dicts find it under either key."""
+    for value in (0, 1, -3, Fraction(1, 2), Fraction(-7, 4)):
+        c = ctx.scalar(value)
+        assert c == value and hash(c) == hash(value)
+        assert value in {c} and c in {value}
+        assert {c: "c"}[value] == "c" and {value: "v"}[c] == "v"
+    assert hash(ctx.scalar(2) * w) != hash(2)
 
 
 def test_inversion_total_and_involutive():
@@ -97,6 +109,77 @@ def test_derivative_linearity_product_quotient():
     assert (a * b).diff(1) == a.diff(1) * b + a * b.diff(1)
     q = a / b
     assert q.diff(1) == (a.diff(1) * b - a * b.diff(1)) / (b * b)
+
+
+def _moved(c, into):
+    """c as an element of the context ``into``, of the same mass factor."""
+    return ScalarCoeff(into, *c.components())
+
+
+def test_table_reads_equal_fresh_computations():
+    """Seeded: a product or a derivative read back from a context's tables,
+    under operands equal to but not identical with the stored ones, equals
+    the same operation in a fresh context, outside any evaluation."""
+    rng = random.Random(20241019)
+    memo = AlgebraContext(1)
+    with memo.evaluation():
+        for _ in range(300):
+            a, b = random_scalar(rng), random_scalar(rng)
+            axis = rng.choice((1, 2, 3))
+            stored = _moved(a, memo) * _moved(b, memo), _moved(a, memo).diff(axis)
+            x, y = _moved(a, memo), _moved(b, memo)
+            assert (x, y) in memo.products and (x, axis) in memo.derivatives
+            read = x * y, x.diff(axis)
+            assert read[0] is stored[0] and read[1] is stored[1]
+            fresh = AlgebraContext(1)
+            want = _moved(a, fresh) * _moved(b, fresh), _moved(a, fresh).diff(axis)
+            assert fresh.products is None
+            assert [r.components() for r in read] == [r.components() for r in want]
+    assert memo.products is None and memo.derivatives is None
+
+
+def test_nested_evaluation_shares_the_tables():
+    ctx = AlgebraContext(1)
+    with ctx.evaluation():
+        outer = ctx.products
+        with ctx.evaluation():
+            assert ctx.products is outer
+        assert ctx.products is outer
+    assert ctx.products is None
+
+
+class _AxisBlind(dict):
+    """A derivative table that keys by the coefficient alone."""
+
+    def get(self, key, default=None):
+        return super().get(key[0], default)
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key[0], value)
+
+
+def _check_axes_kept_apart(ctx):
+    """In an open evaluation of ctx: the derivatives of one coefficient
+    along two axes are told apart, and both are read back from the table."""
+    c = ctx.gen("P1") * ctx.gen("P2") ** 2 / (ctx.gen("omega") + ctx.gen("m"))
+    d1, d2 = c.diff(1), c.diff(2)
+    assert d1 != d2
+    assert c.diff(1) is d1 and c.diff(2) is d2
+    assert d1 == c._diff(1) and d2 == c._diff(2)
+
+
+def test_derivative_table_keys_the_axis():
+    ctx = AlgebraContext(1)
+    with ctx.evaluation():
+        _check_axes_kept_apart(ctx)
+
+
+def test_axis_blind_derivative_table_is_caught():
+    mutant = AlgebraContext(1)
+    with mutant.evaluation():
+        mutant.derivatives = _AxisBlind()
+        with pytest.raises(AssertionError):
+            _check_axes_kept_apart(mutant)
 
 
 def test_time_derivative():
@@ -224,6 +307,41 @@ def test_reduce_matches_cancel_on_random_pairs():
     assert _rests(fresh), "no cached factorization names an unregistered rest"
     _assert_coprime_squarefree(fresh)
     _assert_factorizations_current(fresh)
+
+
+def _quotient_rule(n, d, x):
+    """sympy's (n/d)': the quotient rule over d^2, then cancel."""
+    return _cancelled(n.diff(x) * d - n * d.diff(x), d * d)
+
+
+def test_derivative_over_radical_matches_sympy():
+    """Seeded: _fdiff, over d times the radical of d, returns the pair of
+    sympy's quotient rule over d^2 and cancel, for first and second
+    derivatives, rests and a rest named apart from its factor included."""
+    ctx = AlgebraContext(1)
+    pool = [to_sympy(f) for f in ctx.factors] + OUTSIDE + [CUBIC]
+    u, v = 3 * P1**2 - P2**2 - MM**2, P1**2 + 2 * P2**2 - 5 * MM**2
+    U, UV = exact(u), exact(u * v)
+    apart = _fmul(ctx, (exact(P3), U), _reduce_sympy(ctx, P2, [u * v]))
+    assert dict(_factorization(ctx, apart[1])[1]) == {UV: 1, U: 1}
+    fractions = [_reduce_sympy(ctx, RING.one, [u * u]), apart]
+    rng = random.Random(20241019)
+    while len(fractions) < 150:
+        n = _random_poly(rng, RING, pool, rng.randint(0, 2))
+        d = _random_poly(rng, RING, pool, rng.randint(1, 3))
+        if n and d:
+            fractions.append(_reduce_sympy(ctx, n, [d]))
+    cases = 0
+    for fr in fractions:
+        gi = rng.randrange(5)
+        x = RING.gens[gi]
+        for _ in range(2):
+            n, d = to_sympy(fr[0]), to_sympy(fr[1])
+            fr = _fdiff(ctx, fr, gi)
+            assert fr == _quotient_rule(n, d, x), (n, d, x)
+            cases += 1
+    assert cases == 300
+    _assert_factorizations_current(ctx)
 
 
 @lru_cache(maxsize=None)
@@ -384,6 +502,30 @@ def test_rest_named_before_its_linear_factor_is_certified():
     assert _reduce_sympy(ctx, P3, [r, lin]) == _cancelled(P3, r * lin)
     _assert_coprime_squarefree(ctx)
     _assert_factorizations_current(ctx)
+
+
+def test_registered_factors_are_found_by_trial_division(monkeypatch):
+    """Seeded: a product of registered factors is factored by trial division
+    alone, so the test that skips a factor before dividing (its generators
+    among p's, lm(f) | lm(p)) skips none that divides."""
+    ctx = AlgebraContext(1)
+    for f in OUTSIDE:
+        _reduce_sympy(ctx, RING.one, [f])
+    registered = list(ctx.factors)
+    assert len(registered) > 12
+
+    def no_split(p):
+        raise AssertionError(f"trial division left {p}")
+
+    monkeypatch.setattr("qpskit.coeffs._squarefree", no_split)
+    rng = random.Random(20241019)
+    for _ in range(300):
+        want = {f: rng.randint(1, 3) for f in rng.sample(registered, rng.randint(1, 4))}
+        p = Poly({0: rng.choice((1, 2, 6))})
+        for f, e in want.items():
+            for _ in range(e):
+                p = _pmul(p, f)
+        assert dict(_factorization(ctx, p)[1]) == want
 
 
 def test_registry_holds_irreducible_factors():

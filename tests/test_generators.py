@@ -11,6 +11,7 @@ from qpskit import (AlgebraContext, GridConfigError, GridRep,
                     energy_momentum_constraint_check, eval_spin_matrices,
                     foldy_generators, lemma_suite, matrix_is_zero,
                     parse_expr, pauli_lubanski, total_time_derivative)
+from qpskit.coeffs import ScalarCoeff
 from qpskit.expr import ExprError
 from qpskit.generators import (BOOST_MATRIX, CASIMIRS, LEMMAS, PAULI_LUBANSKI,
                                TABLES)
@@ -288,3 +289,46 @@ def test_registry_feeds_both_backends(foldy):
     assert all(ident.symbolic_only.strip() for ident in TABLES["bargmann"])
     with pytest.raises(GridConfigError):
         numeric_table_report(bargmann_generators(), grid, "bargmann", nstates=1)
+
+
+def test_tables_live_only_while_an_evaluation_runs(foldy, monkeypatch):
+    """Every product a report, a closure check or a generator build forms
+    is formed with the tables open, and the tables are dropped on return."""
+    ctx = foldy.ctx
+    candidate = P("Lam*omega + m^2/(P1+m)")
+    runs = [lambda: check_table(foldy, "poincare"),
+            lambda: energy_momentum_constraint_check(candidate),
+            lambda: foldy_generators(ctx=ctx),
+            lambda: bargmann_generators(ctx=ctx)]
+    mul = ScalarCoeff._mul
+    open_at_mul = []
+
+    def spy(self, o):
+        open_at_mul.append(self.ctx.products is not None)
+        return mul(self, o)
+
+    monkeypatch.setattr(ScalarCoeff, "_mul", spy)
+    for run in runs:
+        open_at_mul.clear()
+        run()
+        assert open_at_mul and all(open_at_mul)
+        assert ctx.products is None and ctx.derivatives is None
+
+
+def test_tables_are_dropped_when_a_report_raises(foldy, monkeypatch):
+    import qpskit.generators as generators
+
+    render = generators.render_expr
+    rendered = []
+
+    def render_then_fail(expr):
+        if rendered:
+            assert foldy.ctx.products
+            raise RuntimeError("render failed")
+        rendered.append(expr)
+        return render(expr)
+
+    monkeypatch.setattr(generators, "render_expr", render_then_fail)
+    with pytest.raises(RuntimeError, match="render failed"):
+        check_table(foldy, "poincare")
+    assert foldy.ctx.products is None and foldy.ctx.derivatives is None
