@@ -18,26 +18,39 @@ roundoff rather than a truncation approximation.
 
 Every operator here moves the total particle number by a fixed amount:
 a(psi) by -1, a^+(psi) by +1, Phi(z) by +-1 and N(psi) by 0. A
-FockOperator is therefore held as dense blocks between total-number
-sectors, blocks[(m, n)] mapping sector n to sector m, and a missing block
-is zero. Products sum over the middle sector, so the report suites never
-form a dim x dim matrix. At 10 sites and nmax = 4 (dim 1001, sectors of
-1, 10, 55, 220 and 715 states) the largest block they form is the 220 x 715
-top block of a(psi) or Phi(z); no 715 x 715 block is formed. The assembled
-matrix (`FockOperator.mat`) exists for tests and dense oracles only.
+FockOperator is therefore held as blocks between total-number sectors,
+blocks[(m, n)] mapping sector n to sector m, and a missing block is zero.
+Each block holds only its entries: block-local row and column indices and
+complex values, each position once. A ladder block has at most one entry
+per occupied mode in each column, so at 10 sites and nmax = 4 (dim 1001,
+sectors of 1, 10, 55, 220 and 715 states) all of a(psi) has 2 860 entries,
+where its top 220 x 715 block alone has 157 300 places.
 
-a(psi) = sum_k conj(<e_k, psi>) a_k is built by one scatter per sector.
-Each nonzero entry of a mode annihilator a_k sits at a (row, column) pair
-that no other mode uses (row = column's occupation with one quantum
-removed from mode k, value sqrt(n_k)). The field keeps the flat arrays of
-those pairs, their modes and values, cut once into one run per column
-sector with block-local indices, and a(psi) writes conj(<e_k, psi>)
-sqrt(n_k) into the zero (n-1, n) blocks. Phi(z) = -i hbar (a(Kz) - a^+(Kz))
-writes its a part into the (n-1, n) blocks and its a^+ part into the
+A product joins on the middle index, block pair by block pair (Gustavson,
+ACM TOMS 4(3), 1978): the right block's entries are sorted by row once,
+each left entry meets the run whose row is its column, and the products
+that land on one position are summed, after a sort by row-major position,
+or in place where the result is dense.
+Sums, differences and scalar shifts concatenate entries and sum them the
+same way; entries at the same positions, as the ladder blocks of one field
+have, add value by value, the same float operations as dense blocks. The
+adjoint swaps rows and columns and conjugates; apply adds each entry's
+term into its row. Only the results that callers read are dense: the CCR gap's parity
+parts, the Gram matrices of the spectrum, and the assembled matrices
+(`FockOperator.restricted` and `.mat`) that tests use as oracles.
+
+a(psi) = sum_k conj(<e_k, psi>) a_k. Each nonzero entry of a mode
+annihilator a_k sits at a (row, column) pair that no other mode uses
+(row = column's occupation with one quantum removed from mode k, value
+sqrt(n_k)). The field keeps the flat arrays of those pairs, their modes and
+values, cut once into one run per column sector with block-local indices,
+and a(psi) takes conj(<e_k, psi>) sqrt(n_k) as the values of the (n-1, n)
+blocks at those positions. Phi(z) = -i hbar (a(Kz) - a^+(Kz)) has its a
+part at those positions and its a^+ part at the transposed ones in the
 (n, n-1) blocks.
 
-The field CCR holds below the cutoff, so the duality check forms only the
-block products that land on total number <= nmax - 1. Phi changes the total
+The field CCR holds below the cutoff, so the duality check joins only the
+block pairs that land on total number <= nmax - 1. Phi changes the total
 number by one, so the CCR gap maps even sectors to even ones and odd to odd,
 and its norm is the larger of those two parts' norms. The ladder-shift check
 forms [N, a] + a as a^+(a a) - (a a^+) a + a, whose products never reach the
@@ -91,41 +104,145 @@ class PhasePoint:
     __rmul__ = __mul__
 
 
-# rows per slab when a product is added into a block that already exists
-_SLAB = 32
+# A join pairs every entry of x with the entries of y in the row its column
+# names, so its arrays grow with that pair count. Past this many pairs (about
+# 60 MB of them) the two blocks are multiplied densely instead: only a block
+# built dense, as in tests, reaches it; at 10 sites and nmax 4 the ladder-shift
+# check's largest join pairs about 52 000.
+_JOIN_PAIRS = 1 << 20
 
 
-def _pairs(left, right):
-    """(m, n, x, y) for every pair of blocks x = left[(m, k)], y = right[(k, n)]."""
-    for (m, k), x in left.blocks.items():
-        for (j, n), y in right.blocks.items():
-            if j == k:
-                yield m, n, x, y
+class _Block:
+    """One sector-to-sector block as its entries: ``vals`` at the block-local
+    positions (``rows``, ``cols``) of a ``shape`` matrix, no position twice.
+    A block is never written after it is made, so operators share blocks."""
+
+    __slots__ = ("rows", "cols", "vals", "shape")
+
+    def __init__(self, rows, cols, vals, shape):
+        self.rows, self.cols, self.vals = rows, cols, vals
+        self.shape = (int(shape[0]), int(shape[1]))
+
+    @classmethod
+    def from_dense(cls, arr):
+        rows, cols = np.nonzero(arr)
+        return cls(rows, cols, arr[rows, cols], arr.shape)
+
+    def key(self):
+        """Row-major linear positions of the entries."""
+        return self.rows * self.shape[1] + self.cols
+
+    def scaled(self, c):
+        return _Block(self.rows, self.cols, self.vals * c, self.shape)
+
+    def adjoint(self):
+        return _Block(self.cols, self.rows, np.conj(self.vals), self.shape[::-1])
+
+    def apply(self, vec):
+        """This block times ``vec``, a vector or an array whose first axis
+        it acts on: each entry's term is added into its row, in order."""
+        vals = self.vals.reshape((-1,) + (1,) * (vec.ndim - 1))
+        out = np.zeros((self.shape[0],) + vec.shape[1:], dtype=complex)
+        np.add.at(out, self.rows, vals * vec[self.cols])
+        return out
+
+    def write(self, out, row0=0, col0=0):
+        """Write the entries into the dense ``out`` at offset (row0, col0)."""
+        out[row0 + self.rows, col0 + self.cols] = self.vals
+        return out
+
+    def dense(self):
+        return self.write(np.zeros(self.shape, dtype=complex))
 
 
-def _add_product(blocks, key, x, y, sign):
-    """blocks[key] += sign * (x @ y). A missing block takes the product itself;
-    an existing one takes it in row slabs, so no second full product is held."""
-    out = blocks.get(key)
-    if out is None:
-        prod = x @ y
-        blocks[key] = prod if sign > 0 else np.negative(prod, out=prod)
-        return
-    ufunc = np.add if sign > 0 else np.subtract
-    for r in range(0, len(x), _SLAB):
-        rows = out[r:r + _SLAB]
-        ufunc(rows, x[r:r + _SLAB] @ y, out=rows)
+def _join(x, y, sign=1):
+    """The terms of sign * (x @ y) as (linear position, value) arrays, one
+    term per pair of entries that meet, unsummed: y's entries are sorted by
+    row once, and each entry of x meets the run of them whose row is its
+    column (Gustavson, ACM TOMS 4(3), 1978)."""
+    order = np.argsort(y.rows, kind="stable")
+    by_row = y.rows[order]
+    lo = np.searchsorted(by_row, x.cols, "left")
+    counts = np.searchsorted(by_row, x.cols, "right") - lo
+    ends = np.cumsum(counts)
+    pairs = int(ends[-1]) if len(ends) else 0
+    if pairs > _JOIN_PAIRS:
+        prod = _Block.from_dense(x.dense() @ y.dense())
+        return prod.key(), prod.vals if sign > 0 else -prod.vals
+    left = np.repeat(np.arange(len(counts)), counts)
+    right = np.repeat(lo - ends + counts, counts)
+    right += np.arange(pairs)
+    right = order[right]
+    key = x.rows[left] * y.shape[1]
+    key += y.cols[right]
+    vals = x.vals[left]
+    vals *= y.vals[right]
+    if sign < 0:
+        np.negative(vals, out=vals)
+    return key, vals
+
+
+def _concat(parts):
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(a) for a in zip(*parts))
+
+
+def _summed(parts, shape):
+    """The block of the (linear position, value) ``parts``, the values that
+    share a position summed in the order given."""
+    key, vals = _concat(parts)
+    if len(key):
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        vals = np.add.reduceat(vals[order], first)
+        key = key[first]
+    rows, cols = np.divmod(key, shape[1])
+    return _Block(rows, cols, vals, shape)
+
+
+def _dense_sum(parts, shape):
+    """The dense matrix of the (linear position, value) ``parts``, the
+    values added into their places in the order given."""
+    key, vals = _concat(parts)
+    out = np.zeros(shape[0] * shape[1], dtype=complex)
+    np.add.at(out, key, vals)
+    return out.reshape(shape)
+
+
+def _joins(terms, keep=None):
+    """For each target block (m, n) of the sum of sign * (left @ right) over
+    the ``(left, right, sign)`` terms that ``keep`` accepts: its shape and
+    the list of its joins' terms. The joins of one target are made only when
+    it is reached, so no other target's terms are alive beside them."""
+    targets = {}
+    for left, right, sign in terms:
+        for (m, k), x in left.blocks.items():
+            for (j, n), y in right.blocks.items():
+                if j == k and (keep is None or keep(m, n)):
+                    targets.setdefault((m, n), []).append((x, y, sign))
+    for target, pairs in targets.items():
+        shape = (pairs[0][0].shape[0], pairs[0][1].shape[1])
+        yield target, shape, [_join(x, y, sign) for x, y, sign in pairs]
+
+
+def _products(terms):
+    """Blocks of the sum of sign * (left @ right) over the terms; all the
+    terms that land on one block are summed in one pass."""
+    return {target: _summed(parts, shape) for target, shape, parts in _joins(terms)}
 
 
 class FockOperator:
     """Operator on the truncated Fock space, graded by total particle number.
 
-    ``blocks[(m, n)]`` is the dense (d_m, d_n) matrix mapping sector n to
-    sector m; a missing key is a zero block. Each operator owns its blocks
-    (the constructor keeps the complex arrays it is given, and no method
-    shares an array between two operators), so the in-place operators
-    ``+=``, ``-=`` and ``*=`` write into them. A scalar in ``+`` and ``-``
-    means that multiple of the identity.
+    ``blocks[(m, n)]`` maps sector n to sector m and holds that block's
+    nonzero entries (a ``_Block``); a missing key is a zero block. The
+    constructor also takes dense (d_m, d_n) arrays and keeps their nonzero
+    entries. Blocks are never written once made, so operators may share
+    them; the in-place operators ``+=``, ``-=`` and ``*=`` replace the
+    blocks they change. A scalar in ``+`` and ``-`` means that multiple of
+    the identity.
     """
 
     __slots__ = ("field", "blocks")
@@ -135,7 +252,10 @@ class FockOperator:
         self.blocks = {}
         dims = field.sector_dims
         for (m, n), blk in blocks.items():
-            blk = np.asarray(blk, dtype=complex)
+            if not isinstance(blk, _Block):
+                blk = np.asarray(blk, dtype=complex)
+                if blk.ndim == 2:
+                    blk = _Block.from_dense(blk)
             if blk.shape != (dims[m], dims[n]):
                 raise FockConfigError(
                     f"block ({m}, {n}) has shape {blk.shape}, "
@@ -143,7 +263,7 @@ class FockOperator:
             self.blocks[(m, n)] = blk
 
     def copy(self):
-        return FockOperator(self.field, {k: b.copy() for k, b in self.blocks.items()})
+        return FockOperator(self.field, dict(self.blocks))
 
     def restricted(self, max_total):
         """Dense matrix on the subspace with total number <= max_total."""
@@ -152,7 +272,7 @@ class FockOperator:
         out = np.zeros((k, k), dtype=complex)
         for (m, n), blk in self.blocks.items():
             if m <= max_total and n <= max_total:
-                out[sl[m], sl[n]] = blk
+                blk.write(out, sl[m].start, sl[n].start)
         return out
 
     @property
@@ -165,36 +285,37 @@ class FockOperator:
         sl = self.field.sector_slices
         out = np.zeros(vec.shape, dtype=complex)
         for (m, n), blk in self.blocks.items():
-            out[sl[m]] += blk @ vec[sl[n]]
+            out[sl[m]] += blk.apply(vec[sl[n]])
         return out
 
     def adjoint(self):
-        return FockOperator(self.field, {(n, m): blk.conj().T
+        return FockOperator(self.field, {(n, m): blk.adjoint()
                                          for (m, n), blk in self.blocks.items()})
 
     def __matmul__(self, other):
-        blocks = {}
-        for m, n, x, y in _pairs(self, other):
-            _add_product(blocks, (m, n), x, y, 1)
-        return FockOperator(self.field, blocks)
+        return FockOperator(self.field, _products([(self, other, 1)]))
+
+    def _add_block(self, key, blk):
+        mine = self.blocks.get(key)
+        if mine is None:
+            self.blocks[key] = blk
+        elif np.array_equal(mine.rows, blk.rows) and np.array_equal(mine.cols, blk.cols):
+            # the same positions, as the ladder blocks of one field have:
+            # the values add entry by entry
+            self.blocks[key] = _Block(blk.rows, blk.cols, mine.vals + blk.vals, blk.shape)
+        else:
+            self.blocks[key] = _summed([(mine.key(), mine.vals), (blk.key(), blk.vals)],
+                                       blk.shape)
 
     def _accumulate(self, other, sign):
         if isinstance(other, FockOperator):
-            ufunc = np.add if sign > 0 else np.subtract
             for key, blk in other.blocks.items():
-                mine = self.blocks.get(key)
-                if mine is None:
-                    self.blocks[key] = blk.copy() if sign > 0 else -blk
-                else:
-                    ufunc(mine, blk, out=mine)
+                self._add_block(key, blk if sign > 0 else blk.scaled(-1))
             return self
         c = sign * other
         for n, d in enumerate(self.field.sector_dims):
-            blk = self.blocks.get((n, n))
-            if blk is None:
-                self.blocks[(n, n)] = c * np.eye(d, dtype=complex)
-            else:
-                blk[np.diag_indices(d)] += c
+            diag = np.arange(d)
+            self._add_block((n, n), _Block(diag, diag, np.full(d, c, dtype=complex), (d, d)))
         return self
 
     def __iadd__(self, other):
@@ -204,8 +325,8 @@ class FockOperator:
         return self._accumulate(other, -1)
 
     def __imul__(self, c):
-        for blk in self.blocks.values():
-            blk *= c
+        for key, blk in self.blocks.items():
+            self.blocks[key] = blk.scaled(c)
         return self
 
     def __add__(self, other):
@@ -215,7 +336,7 @@ class FockOperator:
         return self.copy()._accumulate(other, -1)
 
     def __mul__(self, c):
-        return FockOperator(self.field, {k: b * c for k, b in self.blocks.items()})
+        return FockOperator(self.field, {k: b.scaled(c) for k, b in self.blocks.items()})
 
     __rmul__ = __mul__
 
@@ -223,11 +344,7 @@ class FockOperator:
         return self * (-1.0)
 
     def commutator(self, other):
-        blocks = {}
-        for left, right, sign in ((self, other, 1), (other, self, -1)):
-            for m, n, x, y in _pairs(left, right):
-                _add_product(blocks, (m, n), x, y, sign)
-        return FockOperator(self.field, blocks)
+        return FockOperator(self.field, _products([(self, other, 1), (other, self, -1)]))
 
     def commutator_on(self, other, sectors):
         """Dense block of [self, other] on the listed sectors, in the order
@@ -238,20 +355,18 @@ class FockOperator:
             self.field.block_dim(n)         # refuses a sector outside 0..nmax
             if n in at:
                 raise FockConfigError(f"sector {n} is listed twice")
-            at[n] = slice(k, k + int(dims[n]))
+            at[n] = k
             k += int(dims[n])
         out = np.zeros((k, k), dtype=complex)
-        for left, right, ufunc in ((self, other, np.add), (other, self, np.subtract)):
-            for m, n, x, y in _pairs(left, right):
-                if m in at and n in at:
-                    target = out[at[m], at[n]]
-                    ufunc(target, x @ y, out=target)
+        for (m, n), shape, parts in _joins([(self, other, 1), (other, self, -1)],
+                                           keep=lambda m, n: m in at and n in at):
+            out[at[m]:at[m] + shape[0], at[n]:at[n] + shape[1]] = _dense_sum(parts, shape)
         return out
 
     def max_abs(self):
         """Largest entry modulus, block by block."""
-        return max((float(np.abs(b).max()) for b in self.blocks.values() if b.size),
-                   default=0.0)
+        return max((float(np.abs(b.vals).max()) for b in self.blocks.values()
+                    if b.vals.size), default=0.0)
 
 
 class FockField:
@@ -378,9 +493,7 @@ class FockField:
         blocks = {}
         for n, run, rows, cols in self._ladder_sectors[:max_total]:
             (m, k), at = ((n, n - 1), (cols, rows)) if raising else ((n - 1, n), (rows, cols))
-            blk = np.zeros((dims[m], dims[k]), dtype=complex)
-            blk[at] = vals[run]
-            blocks[(m, k)] = blk
+            blocks[(m, k)] = _Block(*at, vals[run], (dims[m], dims[k]))
         return blocks
 
     def annihilator(self, psi) -> FockOperator:
@@ -402,8 +515,9 @@ class FockField:
         for n in range(1, self.nmax + 1):
             blk = a.blocks[(n - 1, n)]
             rows, cols = blk.shape
-            gram = blk @ blk.conj().T if rows <= cols else blk.conj().T @ blk
-            parts.append(np.linalg.eigvalsh(gram))
+            pair = (blk, blk.adjoint()) if rows <= cols else (blk.adjoint(), blk)
+            side = min(rows, cols)
+            parts.append(np.linalg.eigvalsh(_dense_sum([_join(*pair)], (side, side))))
             parts.append(np.zeros(max(cols - rows, 0)))
         return np.sort(np.concatenate(parts))
 

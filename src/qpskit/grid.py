@@ -47,7 +47,10 @@ keeps its results, or lets the garbage collector have them, does nothing;
 one that knows nothing reads a result any more may ``recycle`` it (the
 chain cache of ``numcheck`` does). Each value is computed by the same
 per-element arithmetic, in the same memory layout, as with freshly
-allocated arrays, so results are bit-identical to theirs.
+allocated arrays, so results are bit-identical to theirs. An output is
+never zero-filled: its first term is written into it and the others are
+added, which can differ from adding all of them to zeros only in the sign
+of an exact zero.
 """
 
 from __future__ import annotations
@@ -329,15 +332,23 @@ def _q_apply(grid: GridRep, qmono, phi):
     return out
 
 
-def _accumulate(grid, out, pairs, chi):
+def _accumulate(grid, out, pairs, chi, write=False):
     """out += sum of carr * Lam^lam chi over the ``(carr, lam)`` pairs, Lam
     acting as the sector sign (+1, -1). Each (spin, sector) block of chi is
-    read once, through a block-sized buffer, for all the pairs."""
+    read once, through a block-sized buffer, for all the pairs. With
+    ``write``, the first pair is written into ``out`` instead of added, so
+    ``out``'s contents are never read."""
     tmp = grid.take_buffer(chi.shape[2:])
     for i in range(chi.shape[0]):
         for sector in (0, 1):
             dst, src = out[i, sector], chi[i, sector]
-            for carr, lam in pairs:
+            rest = pairs
+            if write:
+                (carr, lam), rest = pairs[0], pairs[1:]
+                np.multiply(carr, src, out=dst)
+                if lam and sector:
+                    np.negative(dst, out=dst)
+            for carr, lam in rest:
                 np.multiply(carr, src, out=tmp)
                 if lam and sector:
                     dst -= tmp
@@ -360,12 +371,15 @@ def realize(e: OperatorExpr, grid: GridRep) -> LinearMap:
 
     def apply_fn(state):
         inner, copied = _to_inner(grid, state)
-        out = _zeros(grid, inner.shape)
+        # the first term is written into out, so only an empty plan fills it
+        out = grid.take_buffer(inner.shape) if plan else _zeros(grid, inner.shape)
+        first = True
         for rows, _, qgroups in plan:
             phi = inner if rows is None else _spin_mix(grid, rows, inner)
             for qmono, pairs in qgroups:
                 chi = _q_apply(grid, qmono, phi)
-                _accumulate(grid, out, pairs, chi)
+                _accumulate(grid, out, pairs, chi, write=first)
+                first = False
                 if chi is not phi:
                     grid.recycle(chi)
             if phi is not inner:
@@ -380,9 +394,9 @@ def realize(e: OperatorExpr, grid: GridRep) -> LinearMap:
         for _, adj_rows, qgroups in plan:
             acc = _zeros(grid, inner.shape)
             for qmono, pairs in qgroups:
-                psi = _zeros(grid, inner.shape)
+                psi = grid.take_buffer(inner.shape)
                 _accumulate(grid, psi, [(np.conj(carr), lam) for carr, lam in pairs],
-                            inner)
+                            inner, write=True)
                 chi = _q_apply(grid, qmono, psi)
                 acc += chi
                 if chi is not psi:

@@ -8,7 +8,8 @@ import pytest
 
 from qpskit import (FockConfigError, FockField, FockOperator, PhasePoint,
                     expectation_suite, fock_report, profile_fwhm)
-from qpskit.fock import _ccr_gap
+from qpskit import fock
+from qpskit.fock import _ccr_gap, _join
 
 
 @pytest.fixture(scope="module")
@@ -365,15 +366,24 @@ def test_expectation_suite_memory_peak():
 
 def _graded_zoo(field, rng):
     """Random graded operators built from a, a^+, Phi and N: pure ladder
-    and field operators plus mixed-grade sums and products."""
+    and field operators, mixed-grade sums and products, and one operator
+    given as fully dense blocks (every entry nonzero)."""
     n = field.nsites
     a = field.annihilator(rand_state(rng, n))
     adag = field.annihilator(rand_state(rng, n)).adjoint()
     phi = field.field_op(rand_phase(rng, n))
     num = number_op(field, rand_state(rng, n))
+    dims = field.sector_dims
+    top = field.nmax
+
+    def full(m, k):
+        return rng.normal(size=(dims[m], dims[k])) + 1j * rng.normal(size=(dims[m], dims[k]))
+
+    dense = FockOperator(field, {(top - 1, top): full(top - 1, top),
+                                 (top - 1, top - 1): full(top - 1, top - 1)})
     return {"a": a, "adag": adag, "phi": phi, "N": num,
             "mixed": 0.3 * a - 0.5j * adag + phi,
-            "NPhi": num @ phi, "shifted": num + (0.25 - 0.5j)}
+            "NPhi": num @ phi, "shifted": num + (0.25 - 0.5j), "dense": dense}
 
 
 @pytest.mark.parametrize("sites,nmax", [(6, 4), (8, 3)])
@@ -383,6 +393,7 @@ def test_graded_algebra_matches_dense(sites, nmax):
     zoo = _graded_zoo(field, rng)
     dense = {name: op.mat for name, op in zoo.items()}
     vec = rand_state(rng, field.dim)
+    states = np.stack([vec, rand_state(rng, field.dim)], axis=1)
     c = 0.4 - 1.3j
     tol = 1e-13
 
@@ -390,9 +401,20 @@ def test_graded_algebra_matches_dense(sites, nmax):
         assert isinstance(op, FockOperator)
         assert np.abs(op.mat - want).max() <= tol
 
+    # every entry of the dense operator's blocks is kept
+    assert sum(b.vals.size for b in zoo["dense"].blocks.values()) \
+        == np.count_nonzero(dense["dense"])
+    # in a^+ a the terms of several modes land on each diagonal entry, so
+    # the join's entries collide and are summed
+    k = nmax - 1
+    lower, upper = zoo["a"].adjoint().blocks[(k + 1, k)], zoo["a"].blocks[(k, k + 1)]
+    terms, _ = _join(lower, upper)
+    assert len(np.unique(terms)) < len(terms)
+
     for name, x in zoo.items():
         dx = dense[name]
         assert np.abs(x.apply(vec) - dx @ vec).max() <= tol
+        assert np.abs(x.apply(states) - dx @ states).max() <= tol
         assert np.array_equal(x.adjoint().mat, dx.conj().T)
         close(x * c, dx * c)
         close(c * x, c * dx)
@@ -423,6 +445,20 @@ def test_graded_algebra_matches_dense(sites, nmax):
         close(acc, (dx + dense["phi"] - dense["N"] - c * np.eye(field.dim)) * c)
         for other, op in zoo.items():
             assert np.array_equal(op.mat, dense[other])
+
+
+def test_products_past_the_join_budget_match_dense(monkeypatch):
+    """A block product whose join would pass ``_JOIN_PAIRS`` pairs is formed
+    densely; with the budget at zero every product takes that path and still
+    agrees with dense numpy."""
+    field = FockField(6, 1.1, 4, hbar=0.7)
+    zoo = _graded_zoo(field, np.random.default_rng(106))
+    monkeypatch.setattr(fock, "_JOIN_PAIRS", 0)
+    for x in zoo.values():
+        for y in zoo.values():
+            dx, dy = x.mat, y.mat
+            assert np.abs((x @ y).mat - dx @ dy).max() <= 1e-13
+            assert np.abs(x.commutator(y).mat - (dx @ dy - dy @ dx)).max() <= 1e-13
 
 
 @pytest.mark.parametrize("sites,nmax", [(6, 4), (8, 3)])
@@ -543,9 +579,12 @@ def test_a_perturbed_annihilator_block_fails_ladder_shift(n, monkeypatch):
     rng = np.random.default_rng(n)
 
     def mutated(self, psi):
+        # every entry of the (n-1, n) block moves, its structural zeros too
         a = annihilator(self, psi)
-        blk = a.blocks[(n - 1, n)]
-        blk += 1e-6 * (rng.normal(size=blk.shape) + 1j * rng.normal(size=blk.shape))
+        shape = tuple(self.sector_dims[[n - 1, n]])
+        noise = 1e-6 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        a += FockOperator(self, {(n - 1, n): noise})
+        assert a.blocks[(n - 1, n)].vals.size == noise.size
         return a
 
     monkeypatch.setattr(FockField, "annihilator", mutated)
@@ -558,10 +597,12 @@ def test_a_perturbed_annihilator_block_fails_ladder_shift(n, monkeypatch):
 @pytest.mark.parametrize("suite", ["duality", "spectrum"])
 def test_fock_suite_peak_memory_below_one_dense_matrix(suite):
     """At the benchmark size (10 sites, nmax 4, dim 1001) the duality suite
-    never holds as much as one dense dim x dim complex matrix, and the
-    spectrum suite not as much as one block on the top sector (715 x 715)."""
-    field = FockField(10, 1.0, 4)
-    side = field.dim if suite == "duality" else int(field.sector_dims[-1])
+    never holds as much as one dense complex block on the top sector
+    (715 x 715), and the spectrum suite not as much as one dense top block of
+    a(psi) (220 x 715). Traced peaks: duality 14.0 MB and spectrum 6.3 MB with
+    dense blocks, 6.3 MB and 1.3 MB with blocks held as their entries."""
+    dims = FockField(10, 1.0, 4).sector_dims
+    bound = dims[4] ** 2 if suite == "duality" else dims[3] * dims[4]
     tracemalloc.start()
     try:
         report, _ = fock_report(suite, sites=10, nmax=4)
@@ -569,7 +610,7 @@ def test_fock_suite_peak_memory_below_one_dense_matrix(suite):
     finally:
         tracemalloc.stop()
     assert report.all_passed()
-    assert peak < side ** 2 * 16, f"{suite}: peak {peak} B"
+    assert peak < bound * 16, f"{suite}: peak {peak} B"
 
 
 def test_fock_suites_solve_only_below_the_top_sector(monkeypatch):

@@ -301,6 +301,26 @@ def test_recycled_buffers_are_handed_out_again_and_only_once():
     assert not np.shares_memory(g.take_buffer((4, 8)), buf)
 
 
+@pytest.mark.parametrize("spin", [Fraction(1, 2), 0], ids=["s1/2", "s0"])
+def test_apply_reads_no_reused_buffer_before_writing_it(spin):
+    """A realized map writes its first term into its output instead of adding
+    it to a zeroed one: on a grid whose free list holds only NaN buffers,
+    every Foldy generator and its adjoint give what they give on a fresh grid."""
+    kw = dict(d=3, npts=8, pmax=2.0, m=1.0, s=spin, tval=0.3)
+    fresh, dirty = GridRep(**kw), GridRep(**kw)
+    psi = np.stack(gaussian_states(fresh, nstates=2, seed=51))
+    block = psi.size // (fresh.nspin * 2)
+    for name, e in foldy_generators().items():
+        want, got = realize(e, fresh), realize(e, dirty)
+        for adjoint in (False, True):
+            for size in (psi.size, block):
+                dirty._free[size] = [np.full(size, np.nan, dtype=complex)
+                                     for _ in range(8)]
+            if adjoint:
+                want, got = want.adjoint(), got.adjoint()
+            assert np.array_equal(got.apply(psi), want.apply(psi)), (name, adjoint)
+
+
 def test_operator_norm_of_a_fixed_map_is_unchanged():
     # computed (numpy 2.4) by the implementation that allocated every
     # temporary afresh: reusing buffers leaves the arithmetic as it was
