@@ -230,24 +230,6 @@ class OperatorExpr:
             out = out + piece * OperatorExpr.from_scalar(c.conjugate(), ctx)
         return out
 
-    def substitute_sector(self, sign: int) -> "OperatorExpr":
-        """Ring homomorphism Lam -> +1 or -1."""
-        if sign not in (1, -1):
-            raise ValueError("sector sign must be +1 or -1")
-        out: dict = {}
-        for mono, c in self.terms.items():
-            if mono[6]:
-                mono = mono[:6] + (0,)
-                if sign < 0:
-                    c = -c
-            acc = out.get(mono)
-            c = c if acc is None else acc + c
-            if c:
-                out[mono] = c
-            elif acc is not None:
-                del out[mono]
-        return OperatorExpr(self.ctx, out)
-
     def substitute_spin_zero(self) -> "OperatorExpr":
         """Ring homomorphism S_i -> 0 (consistent with the spin relations)."""
         return OperatorExpr(self.ctx,

@@ -11,12 +11,16 @@ Casimir, Pauli-Lubanski and boost-matrix identities (``TABLES``, ``LEMMAS``,
 ``CASIMIRS``, ``PAULI_LUBANSKI``, ``BOOST_MATRIX``) are pairs of such sums.
 One read-counted evaluator, ``_Words``, builds the sets and checks the
 identities; numcheck reads the same declarations for its grid twins.
+
+Lam, the frequency sign, is central with Lam^2 = 1, so every identity is
+declared once for both sectors, with Lam written where the sign enters, and
+checked on both at once.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .coeffs import AlgebraContext, DEFAULT_CONTEXT, scalar_sqrt
@@ -105,7 +109,6 @@ def _pxsxp(i, c=1, prefix="", suffix="*1/(omega+m)"):
 DERIVED = {
     "P.P": tuple((1, 0, f"P{i}*P{i}") for i in AXES),
     "omega+m": ((1, 0, "omega"), (1, 0, "m")),
-    "m-omega": ((1, 0, "m"), (-1, 0, "omega")),
     "m^2": _one("m*m"),
     "H^2": _one("H*H"),
     "C1": ((1, 0, "H*H"), (-1, 0, "P.P")),
@@ -218,23 +221,14 @@ def _declare(ctx, names, decls):
     return names
 
 
-def foldy_generators(sector: str = "full", spin_zero: bool = False,
-                     ctx: AlgebraContext = DEFAULT_CONTEXT) -> GeneratorSet:
+def foldy_generators(ctx: AlgebraContext = DEFAULT_CONTEXT) -> GeneratorSet:
     """Relativistic generator set H = Lam*omega, J = QxP + S,
     K = tP - Q.H + Lam SxP/(omega+m), with the derived L, M, N, V, W pieces.
     """
-    if sector not in ("full", "positive", "negative"):
-        raise ValueError("sector must be 'full', 'positive' or 'negative'")
     with ctx.evaluation():
-        names = _primitives(ctx)
-        if spin_zero:
-            names.update({f"S{i}": OperatorExpr.zero(ctx) for i in AXES})
-        _declare(ctx, names, FOLDY)
-        table = {name: names[name] for name in ("H", "Lam", "W0")}
-        table.update((f"{p}{i}", names[f"{p}{i}"]) for i in AXES for p in "PQSJKLMNVW")
-        if sector != "full":
-            sign = 1 if sector == "positive" else -1
-            table = {k: v.substitute_sector(sign) for k, v in table.items()}
+        names = _declare(ctx, _primitives(ctx), FOLDY)
+    table = {name: names[name] for name in ("H", "Lam", "W0")}
+    table.update((f"{p}{i}", names[f"{p}{i}"]) for i in AXES for p in "PQSJKLMNVW")
     return GeneratorSet(ctx, table)
 
 
@@ -260,7 +254,6 @@ def bargmann_generators(ctx: AlgebraContext = DEFAULT_CONTEXT) -> GeneratorSet:
 _NOT_YET = ("grid twin not added yet: it would add entries to the "
             "174-entry numeric residuals report")
 _INVERSE = "needs an inverse outside the generator set"
-_SECTOR = "needs the Lam -> +-1 sector substitution"
 _SPIN_ZERO = "needs the S -> 0 substitution"
 _NONZERO = "a nonzero test, not an identity"
 _SQUARE = "needs a perfect-square test"
@@ -277,9 +270,6 @@ class Identity:
     expected: tuple
     lhs_text: str
     expected_text: str | None = None  # None: render the exact expected side
-    asserted: bool = True
-    note: str = ""
-    sector: int = 0           # read both sides on Lam = sector first
     spin_zero: bool = False   # read the residual at S = 0
     nonzero: bool = False     # pass when lhs is nonzero (expected is empty)
     symbolic_only: str = ""   # why there is no grid twin; empty if there is one
@@ -308,11 +298,8 @@ def _check_identities(suite, identities, gens, casimir_spin):
         except ExprError as exc:
             report.add(id=ident.id, lhs=ident.lhs_text,
                        expected=ident.expected_text or "", residual=str(exc),
-                       passed=False, asserted=ident.asserted, note=ident.note)
+                       passed=False)
             continue
-        if ident.sector:
-            lhs = lhs.substitute_sector(ident.sector)
-            want = want.substitute_sector(ident.sector)
         residual = lhs - want
         if ident.spin_zero:
             residual = residual.substitute_spin_zero()
@@ -321,8 +308,7 @@ def _check_identities(suite, identities, gens, casimir_spin):
         report.add(id=ident.id, lhs=ident.lhs_text,
                    expected=ident.expected_text or render_expr(want),
                    residual=render_expr(residual),
-                   passed=bool(residual) if ident.nonzero else residual.is_zero(),
-                   asserted=ident.asserted, note=ident.note)
+                   passed=bool(residual) if ident.nonzero else residual.is_zero())
     return report
 
 
@@ -402,18 +388,23 @@ def check_table(gens: GeneratorSet, which: str = "poincare",
 
 
 def _casimir_identities():
-    """C1 = H^2 - P.P and C2 = W0^2 - W.W: values and centrality."""
+    """C1 = H^2 - P.P and C2 = W0^2 - W.W: values and centrality.
+
+    C2 reads no Lam, so ``casimir2_spin[full]`` holds on both sectors; its
+    ``positive`` and ``negative`` entries restate it under their old ids.
+    """
     names = ["H"] + [f"{p}{i}" for p in "PJK" for i in AXES]
-    spin = _one("C2") + tuple((1, 0, f"m^2*S{i}*S{i}") for i in AXES)
+    spin = Identity("casimir2_spin[full]",
+                    _one("C2") + tuple((1, 0, f"m^2*S{i}*S{i}") for i in AXES), (),
+                    "W0^2 - W.W + m^2*S.S", "0", symbolic_only=_DERIVED)
     return (
         (Identity("casimir1_value", _one("C1"), _one("m^2"), "H^2 - P.P",
                   symbolic_only=_DERIVED),)
         + tuple(Identity(f"central[{c},{n}]", _one(f"[{c},{n}]"), (), f"[{c},{n}]",
                          "0", symbolic_only=_DERIVED)
                 for c in ("C1", "C2") for n in names)
-        + tuple(Identity(f"casimir2_spin[{tag}]", spin, (), "W0^2 - W.W + m^2*S.S",
-                         "0", sector=sign, symbolic_only=_DERIVED)
-                for sign, tag in ((0, "full"), (1, "positive"), (-1, "negative"))))
+        + (spin,) + tuple(replace(spin, id=f"casimir2_spin[{tag}]")
+                          for tag in ("positive", "negative")))
 
 
 CASIMIRS = _casimir_identities()
@@ -428,6 +419,9 @@ def casimirs(gens: GeneratorSet) -> VerificationReport:
 
 
 def _pl_identities():
+    """W.P = 0, W0 = S.P, and W = H*S - Lam*Px(SxP)/(omega+m), which holds on
+    both sectors; each ``spatial_form[negative,i]`` restates
+    ``spatial_form[positive,i]`` under its old id."""
     out = [
         Identity("orthogonality",
                  _one("W0*H") + tuple((-1, 0, f"W{i}*P{i}") for i in AXES), (),
@@ -436,18 +430,12 @@ def _pl_identities():
                  _one("W0") + tuple((-1, 0, f"S{i}*P{i}") for i in AXES), (),
                  "W0 - S.P", "0"),
     ]
-    for sign, tag in ((1, "positive"), (-1, "negative")):
-        inverse = "1/(omega+m)" if sign > 0 else "1/(m-omega)"
-        for i in AXES:
-            out.append(Identity(
-                f"spatial_form[{tag},{i}]", _one(f"W{i}"),
-                _one(f"H*S{i}") + _pxsxp(i, -1, suffix=f"*{inverse}"),
-                f"W{i} on Lam={sign:+d}", f"H*S{i} - (Px(SxP)){i}/(H+m)",
-                asserted=sign > 0,
-                note="" if sign > 0 else
-                "recorded only; rest-frame boost derivation assumes positive energy",
-                sector=sign, symbolic_only=_SECTOR))
-    return tuple(out)
+    spatial = [Identity(f"spatial_form[positive,{i}]", _one(f"W{i}"),
+                        _one(f"H*S{i}") + _pxsxp(i, -1, prefix="Lam*"), f"W{i}",
+                        f"H*S{i} - Lam*(Px(SxP)){i}/(omega+m)", symbolic_only=_INVERSE)
+               for i in AXES]
+    return tuple(out + spatial + [replace(ident, id=f"spatial_form[negative,{i}]")
+                                  for i, ident in zip(AXES, spatial)])
 
 
 PAULI_LUBANSKI = _pl_identities()
@@ -462,30 +450,32 @@ def pauli_lubanski(gens: GeneratorSet) -> VerificationReport:
 
 
 def _boost_identities():
-    """Read on Lam = +1, where H = omega and N = SxP/(omega+m)."""
-    def positive(*args):
-        return Identity(*args, sector=1, symbolic_only=_SECTOR)
-
-    out = [positive(f"matrix[{i},{j}]", ((1, 0, f"omega*P{i}*P{j}*1/P.P"),
+    """The rest-frame boost identities in omega, and the internal boost
+    N = Lam*SxP/(omega+m) they force; Lam stands where the frequency sign
+    enters, so each holds on both sectors."""
+    out = [Identity(f"matrix[{i},{j}]", ((1, 0, f"omega*P{i}*P{j}*1/P.P"),
                                          (-1, 0, f"m*P{i}*P{j}*1/P.P")),
-                    _one(f"P{i}*P{j}*1/(omega+m)"), f"(H-m)*Phat{i}*Phat{j}",
-                    f"P{i}*P{j}/(H+m)")
+                    _one(f"P{i}*P{j}*1/(omega+m)"), f"(omega-m)*Phat{i}*Phat{j}",
+                    f"P{i}*P{j}/(omega+m)", symbolic_only=_INVERSE)
            for i in AXES for j in AXES]
-    out += [positive(f"spatial_rearrangement[{i}]",
+    out += [Identity(f"spatial_rearrangement[{i}]",
                      _one(f"m*S{i}") + tuple((1, 0, f"S{n}*P{n}*P{i}*1/(omega+m)")
                                              for n in AXES),
                      _one(f"omega*S{i}") + _pxsxp(i, -1),
-                     f"m*S{i} + (S.P)*P{i}/(H+m)", f"H*S{i} - (Px(SxP)){i}/(H+m)")
+                     f"m*S{i} + (S.P)*P{i}/(omega+m)",
+                     f"omega*S{i} - (Px(SxP)){i}/(omega+m)", symbolic_only=_INVERSE)
             for i in AXES]
-    # N is forced: N.P = 0 and PxN = Px(SxP)/(H+m) imply N = -Px(PxN)/P^2
-    out.append(positive("n_perp", tuple((1, 0, f"N{i}*P{i}") for i in AXES), (),
-                        "N.P", "0"))
-    out += [positive(f"n_curl[{i}]", _cross("P", "N", i), _pxsxp(i),
-                     f"(PxN){i}", f"(Px(SxP)){i}/(H+m)") for i in AXES]
-    out += [positive(f"n_forced[{i}]", _one(f"N{i}"),
-                     sum((_pxsxp(k, -e, f"P{j}*", "*1/(omega+m)*1/P.P")
+    # N is forced: N.P = 0 and PxN = Lam*Px(SxP)/(omega+m) imply N = -Px(PxN)/P^2
+    out.append(Identity("n_perp", tuple((1, 0, f"N{i}*P{i}") for i in AXES), (),
+                        "N.P", "0", symbolic_only=_NOT_YET))
+    out += [Identity(f"n_curl[{i}]", _cross("P", "N", i), _pxsxp(i, prefix="Lam*"),
+                     f"(PxN){i}", f"Lam*(Px(SxP)){i}/(omega+m)", symbolic_only=_INVERSE)
+            for i in AXES]
+    out += [Identity(f"n_forced[{i}]", _one(f"N{i}"),
+                     sum((_pxsxp(k, -e, f"Lam*P{j}*", "*1/(omega+m)*1/P.P")
                           for e, j, k in _eps_pairs(i)), ()),
-                     f"N{i}", f"-(Px(Px(SxP)/(H+m))){i}/P.P") for i in AXES]
+                     f"N{i}", f"-Lam*(Px(Px(SxP))){i}/((omega+m)*P.P)",
+                     symbolic_only=_INVERSE) for i in AXES]
     return tuple(out)
 
 
@@ -494,7 +484,7 @@ BOOST_MATRIX = _boost_identities()
 
 def boost_matrix_identities(ctx: AlgebraContext = DEFAULT_CONTEXT) -> VerificationReport:
     """Scalar and spin identities behind the rest-frame boost construction
-    (positive sector, H = omega)."""
+    and the internal boost N, on both frequency sectors."""
     return _exact_report("boost_matrix", BOOST_MATRIX, foldy_generators(ctx=ctx))
 
 
@@ -562,11 +552,9 @@ def _lemma_identities():
             add(f"covariance_failure_form[{i},{j}]", bracket, form, f"[Q{i},N{j}]",
                 "i*hbar*(Lam*eps*S/(omega+m) - P*N/(omega*(omega+m)))",
                 symbolic_only=_INVERSE)
-            # positive-frequency reading, where the sign factor drops out
-            add(f"covariance_failure_form_positive[{i},{j}]", bracket, form,
-                f"[Q{i},N{j}] on Lam=+1",
-                "i*hbar*(eps*S/(omega+m) - P*N/(omega*(omega+m)))",
-                sector=1, symbolic_only=_SECTOR)
+            # holds on both sectors, so the old positive-sector id restates it
+            out.append(replace(out[-1],
+                               id=f"covariance_failure_form_positive[{i},{j}]"))
             add(f"covariance_failure_nonzero[{i},{j}]", bracket, (), f"[Q{i},N{j}]",
                 "nonzero for generic S", nonzero=True, symbolic_only=_NONZERO)
             add(f"covariance_restored_spinless[{i},{j}]", bracket, (),

@@ -10,4 +10,4 @@ def foldy():
 
 @pytest.fixture(scope="session")
 def foldy_spinless():
-    return foldy_generators(spin_zero=True)
+    return {k: v.substitute_spin_zero() for k, v in foldy_generators().items()}

@@ -160,7 +160,7 @@ def test_criterion_9_fock_duality_and_expectations():
 
 @pytest.mark.parametrize("law", [
     "nf_idempotent", "bracket_antisymmetry_jacobi", "bracket_matches_products",
-    "leibniz", "derivation_consistency", "sector_substitution",
+    "leibniz", "derivation_consistency", "sector_sign",
     "spin_matrix_homomorphism",
 ])
 def test_criterion_10_engine_laws(law):

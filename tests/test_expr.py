@@ -120,16 +120,6 @@ def test_sym_product_self_adjoint():
     assert e.adjoint() == e
 
 
-def test_sector_substitution_is_hom():
-    a = P("Q1*Lam + S2*omega")
-    b = P("Lam*S1 - P2*Q3")
-    for sign in (1, -1):
-        assert (a * b).substitute_sector(sign) == \
-            a.substitute_sector(sign) * b.substitute_sector(sign)
-        assert (a + b).substitute_sector(sign) == \
-            a.substitute_sector(sign) + b.substitute_sector(sign)
-
-
 def test_spin_zero_substitution():
     e = P("S1*P2 + Q1*omega + S3^2")
     assert e.substitute_spin_zero() == P("Q1*omega")

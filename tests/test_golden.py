@@ -27,13 +27,13 @@ GOLDEN = {
     "bargmann": (["bargmann"],
                  "9d03449bc65121655448342b533c18af24b6758f5022e880e5ef049ebd8dc1bc"),
     "lemmas": (["lemmas"],
-               "2f7e6a5cd0590559f98bcfb0417de6b40fb3455557e9103808314e91cbfbdfe8"),
+               "64e90ceab1adcb2b1c9ba7faefc0a9f83833621a0e51fb7ed268c54bfd5bf8c1"),
     "casimirs": (["casimirs"],
                  "6c29aecae143e9cfdd787b2fb1cb7d271fea840828a4d81d551eaade4e171490"),
     "pl": (["pl"],
-           "5799c0138835bb326a92412aaf46032480e0fc22e869a1c931fc48c397743dea"),
+           "238a5c02c613ab378cbda1d4a1ebf9f129973fe594e627971b713d6651ff5531"),
     "boost": (["boost"],
-              "0ecc9b8d96dce755e2dc1f2bcc7639e1bab990e4fdfee2af89d15ee7a4c4c2bd"),
+              "56be026368cd55ed0f6c9c0da4fc7887009203efe08bc001d741cd378e94ee3e"),
     "emrelation": (["emrelation"],
                    "bd8117c50a4425621cbac46a0fda76546aedff763208c75f8bbb615d4b11d12f"),
     "emrelation_k2": (["emrelation", "--mass-factor", "2"],
@@ -60,33 +60,26 @@ def test_verify_artifact_is_byte_identical(name, tmp_path, capsys):
 
 
 GENERATOR_SETS = {
-    "full": ({}, "1618c9baca24d4b9666da2ad4ef3dc44c082bf3eba5891060ac380e528ef79c6"),
-    "positive": ({"sector": "positive"},
-                 "cf87a6f1bc0a2a3ac2f5c202639290ec10f2ba36b366d768467100d988ddf249"),
-    "negative": ({"sector": "negative"},
-                 "5d78eac347e5ff71df61b4ad20d59879a34456ba0b46fda7d971637a6c85967d"),
-    "spin_zero": ({"spin_zero": True},
+    "full": (foldy_generators,
+             "1618c9baca24d4b9666da2ad4ef3dc44c082bf3eba5891060ac380e528ef79c6"),
+    "spin_zero": (lambda: {k: v.substitute_spin_zero()
+                           for k, v in foldy_generators().items()},
                   "88145cd29baef60fdc305be267df0c296ea3d3c056dbe0edf496105962e30d0a"),
-    "k2": ({"ctx": 2},
+    "k2": (lambda: foldy_generators(ctx=AlgebraContext.get(2)),
            "6b4c51f410872266083cb572eea83bf90c863283a730e49b7de3b6001288e986"),
-    "k3/2": ({"ctx": Fraction(3, 2)},
+    "k3/2": (lambda: foldy_generators(ctx=AlgebraContext.get(Fraction(3, 2))),
              "50b721b2142a849f5b18e3d441c7fba65eb08d3ea36f24ce7593d511ca576760"),
-    "bargmann": (None,
+    "bargmann": (bargmann_generators,
                  "f6000151298fee3983533a9fc356479d1fc48b50dd675c18f0d74aaee2c5fcdb"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GENERATOR_SETS))
 def test_generator_set_is_term_for_term_identical(name):
-    kwargs, digest = GENERATOR_SETS[name]
-    if kwargs is None:
-        gens = bargmann_generators()
-    else:
-        if "ctx" in kwargs:
-            kwargs = dict(kwargs, ctx=AlgebraContext.get(kwargs["ctx"]))
-        gens = foldy_generators(**kwargs)
+    build, digest = GENERATOR_SETS[name]
+    gens = dict(build().items())
     h = hashlib.sha256()
-    for gen in sorted(dict(gens.items())):
+    for gen in sorted(gens):
         expr = gens[gen]
         h.update(f"{gen} = {render_expr(expr)}\n".encode())
         for mono, c in expr.terms.items():
