@@ -25,27 +25,31 @@ spin mixing is an explicit combination of the (2s+1)-blocks over the
 nonzero entries of the spin matrix, and Lam (central) is the sign of the
 sector block. Results are returned as a view in the public layout over the
 spin-first memory. A Q-monomial transforms only the axes it uses; along
-axis a, with phase_a = exp(i j dp x0 / hbar),
+axis a,
 
-    Q_a^k phi = conj(phase_a) * fft_a(x_a^k * ifft_a(phase_a * phi)),
+    Q_a^k phi = fft_a(xt_a^k * ifft_a(phi)),    xt = ifftshift(x),
 
 because the other factors of ``to_momentum(x^k * to_position(phi))``
-cancel: |phase_b| = 1 and the two scales multiply to
-dp * n * dx / (2 pi hbar) = 1. A multi-axis monomial applies this one axis
-at a time.
+cancel: |phase_b| = 1, the two scales multiply to dp * n * dx / (2 pi hbar)
+= 1, and phase_a = exp(i j dp x0 / hbar) is exactly (-1)^j, which on each
+side of an FFT is a half-length roll: it takes x to xt, x in FFT order.
+Every transform phase is built from its exactly reduced argument, so no
+phase error grows with n. A multi-axis monomial applies this one axis at a
+time.
 
 Buffer ownership. A ``GridRep`` keeps a free list of flat complex buffers,
 keyed by size (``take_buffer``, ``recycle``). A realized map draws its
 output and its scratch from it: the transformed state of a Q-monomial, the
-spin-mixed state, a copy of an input that is not already spin-first, and
-one (batch, spatial) block through which each (spin, sector) block of
-``out += c(P) Lam^l chi`` streams, once for all the coefficients of its
-Q-monomial. The scratch goes back before ``apply`` returns. A map never
-writes to its input; the array it returns belongs to the caller, and the
-free list never holds an array that anyone can still read. A caller that
-keeps its results, or lets the garbage collector have them, does nothing;
-one that knows nothing reads a result any more may ``recycle`` it (the
-chain cache of ``numcheck`` does). Each value is computed by the same
+spin-mixed state, and one (batch, spatial) block through which each (spin,
+sector) block of ``out += c(P) Lam^l chi`` streams, once for all the
+coefficients of its Q-monomial. The scratch goes back before ``apply``
+returns. An input whose memory is spin-first is read in place; numpy copies
+any other into a fresh spin-first array. A map never writes to its input;
+the array it returns belongs to the caller, and the free list never holds
+an array that anyone can still read. A caller that keeps its results, or
+lets the garbage collector have them, does nothing; one that knows nothing
+reads a result any more may ``recycle`` it (the chain cache of ``numcheck``
+does). Each value is computed by the same
 per-element arithmetic, in the same memory layout, as with freshly
 allocated arrays, so results are bit-identical to theirs. An output is
 never zero-filled: its first term is written into it and the others are
@@ -97,13 +101,13 @@ class GridRep:
         self.x_axis = (np.arange(n) - n // 2) * self.dx
         self.boxlen = n * self.dx
 
-        # per-axis transform phases: p_j x_n = p0 x0 + n p0 dx + j dp x0 + 2 pi j n / N
-        p0 = self.p_axis[0]
-        x0 = self.x_axis[0]
+        # per-axis transform phases of p_j x_k = p0 x0 + j dp x0 + k p0 dx + j k dp dx,
+        # over hbar exactly pi (n - 1) / 2, -pi j and pi k / n - pi k (mod 2 pi)
         j = np.arange(n)
-        self._phase_a = np.exp(1j * j * self.dp * x0 / self.hbar)
-        phase_b = np.exp(1j * j * p0 * self.dx / self.hbar)
-        phase0 = np.exp(1j * p0 * x0 / self.hbar)
+        self._phase_a = (1 - 2 * (j % 2)).astype(complex)
+        phase_b = self._phase_a * np.exp(1j * np.pi * j / n)
+        phase0 = (1, 1j, -1, -1j)[(n - 1) % 4]
+        self._x_fft = np.fft.ifftshift(self.x_axis)   # x in FFT order, for Q
         fwd_scale = self.dp * n / np.sqrt(2.0 * np.pi * self.hbar) * phase0
         bwd_scale = self.dx / np.sqrt(2.0 * np.pi * self.hbar) * np.conj(phase0)
         # one factor on each side of a per-axis FFT, scales folded into the
@@ -275,19 +279,14 @@ def _zeros(grid, shape):
 
 def _to_inner(grid: GridRep, state):
     """Public ``(*batch, *spatial, 2s+1, 2)`` -> C-contiguous
-    ``(2s+1, 2, *batch, *spatial)``, and whether that is a copy in a buffer
-    of the grid's (it is a view of ``state`` when the memory is already
-    spin-first)."""
+    ``(2s+1, 2, *batch, *spatial)``: a view of ``state`` when its memory is
+    already spin-first, a fresh copy otherwise."""
     state = np.asarray(state)
     if state.shape[state.ndim - grid.d - 2:] != grid.state_shape:
         raise GridConfigError(
             f"state shape {state.shape} does not end in {grid.state_shape}")
-    inner = np.moveaxis(state, (-2, -1), (0, 1))
-    if inner.dtype == complex and inner.flags.c_contiguous:
-        return inner, False
-    buf = grid.take_buffer(inner.shape)
-    np.copyto(buf, inner)
-    return buf, True
+    return np.ascontiguousarray(np.moveaxis(state, (-2, -1), (0, 1)),
+                                dtype=complex)
 
 
 def _to_public(inner):
@@ -321,14 +320,10 @@ def _q_apply(grid: GridRep, qmono, phi):
     for a, k in enumerate(qmono[:grid.d]):
         if k:
             axis = a - grid.d
-            shape = (grid.npts,) + (1,) * (-axis - 1)
-            phase = grid._phase_a.reshape(shape)
             dst = grid.take_buffer(phi.shape) if out is phi else out
-            out = np.multiply(out, phase, out=dst)
-            np.fft.ifft(out, axis=axis, out=out)
-            out *= (grid.x_axis ** k).reshape(shape)
+            out = np.fft.ifft(out, axis=axis, out=dst)
+            out *= (grid._x_fft ** k).reshape((grid.npts,) + (1,) * (-axis - 1))
             np.fft.fft(out, axis=axis, out=out)
-            out *= np.conj(phase)
     return out
 
 
@@ -370,7 +365,7 @@ def realize(e: OperatorExpr, grid: GridRep) -> LinearMap:
     plan = _compile_terms(e, grid)
 
     def apply_fn(state):
-        inner, copied = _to_inner(grid, state)
+        inner = _to_inner(grid, state)
         # the first term is written into out, so only an empty plan fills it
         out = grid.take_buffer(inner.shape) if plan else _zeros(grid, inner.shape)
         first = True
@@ -384,12 +379,10 @@ def realize(e: OperatorExpr, grid: GridRep) -> LinearMap:
                     grid.recycle(chi)
             if phi is not inner:
                 grid.recycle(phi)
-        if copied:
-            grid.recycle(inner)
         return _to_public(out)
 
     def adjoint_fn(state):
-        inner, copied = _to_inner(grid, state)
+        inner = _to_inner(grid, state)
         out = _zeros(grid, inner.shape)
         for _, adj_rows, qgroups in plan:
             acc = _zeros(grid, inner.shape)
@@ -407,8 +400,6 @@ def realize(e: OperatorExpr, grid: GridRep) -> LinearMap:
             if mixed is not acc:
                 grid.recycle(mixed)
             grid.recycle(acc)
-        if copied:
-            grid.recycle(inner)
         return _to_public(out)
 
     return LinearMap(grid, apply_fn, adjoint_fn, label="realized")
@@ -427,6 +418,8 @@ def gaussian_states(grid: GridRep, nstates=8, seed=0, width_scale=1.0, sector=No
     as the grid is refined. ``sector`` restricts amplitudes to one frequency
     sector (+1 or -1).
     """
+    if sector not in (None, 1, -1):
+        raise GridConfigError(f"sector must be None, 1 or -1, not {sector!r}")
     rng = np.random.default_rng(seed)
     states = []
     halfbox = grid.boxlen / 2.0

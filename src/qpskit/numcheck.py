@@ -26,11 +26,12 @@ squared moduli of its residual norm all sit in buffers from the grid's
 free list (``GridRep.take_buffer``). The cache is the one place that gives
 them back (``GridRep.recycle``): a chain at its last read, every other
 array as soon as the value formed from it exists. A pass therefore
-allocates a few state-sized buffers, not some for every term. A formed
-array keeps the memory order that numpy gives a fresh result of the same
-operation: spin-first, or the batch's C order once the batch itself is an
-operand. The norms sum in memory order, so the residuals are bit-identical
-to those of freshly allocated arrays.
+allocates a few state-sized buffers, not some for every term. The batch
+is laid out spin-first in memory (``_make_batch``), so every map reads it
+and every chain in place, and every array formed here is spin-first too:
+the memory order numpy gives a fresh result of the same operation. The
+norms sum in that order, so the residuals are bit-identical to those of
+freshly allocated arrays.
 """
 
 from __future__ import annotations
@@ -139,42 +140,36 @@ class _ChainCache:
     def combine(self, ufunc, *operands):
         """``ufunc`` of ``(array or scalar, owned)`` operands, owned.
 
-        numpy lays a fresh elementwise result out spin-first when every
-        array operand is, and in the batch's C order when one is C-ordered
-        (a public-layout batch); the reductions of ``_norms`` follow that
-        memory order, so the result keeps it. It is written over an owned
-        operand of that layout, else into a new buffer of the grid's; the
-        other owned operands are recycled.
+        Every array operand is spin-first, as numpy would lay out a fresh
+        result. The result is written over the first owned operand, else
+        into a new buffer of the grid's; the other owned operands are
+        recycled.
         """
         arrays = [(arr, owned) for arr, owned in operands if np.ndim(arr)]
-        c_order = any(arr.flags.c_contiguous for arr, _ in arrays)
-        out = next((arr for arr, owned in arrays
-                    if owned and arr.flags.c_contiguous == c_order), None)
+        out = next((arr for arr, owned in arrays if owned), None)
         if out is None:
-            out = self._buffer(c_order)
+            out = self._buffer()
         ufunc(*(arr for arr, _ in operands), out=out)
         for arr, owned in arrays:
             if owned and arr is not out:
                 self.recycle(arr)
         return out, True
 
-    def _buffer(self, c_order, dtype=complex):
+    def _buffer(self, dtype=complex):
         """A batch-shaped ``dtype`` array over a buffer of the grid's, in the
-        batch's C order or spin-first."""
-        shape, size = self.batch.shape, self.batch.size
-        if not c_order:
-            shape = shape[-2:] + shape[:-2]
-        buf = self.grid.take_buffer((size,)).view(dtype)[:size].reshape(shape)
-        return buf if c_order else np.moveaxis(buf, (0, 1), (-2, -1))
+        public layout over spin-first memory, as the batch is."""
+        size, shape = self.batch.size, self.batch.shape
+        buf = self.grid.take_buffer((size,)).view(dtype)[:size]
+        return np.moveaxis(buf.reshape(shape[-2:] + shape[:-2]), (0, 1), (-2, -1))
 
     def recycle(self, arr):
         self.grid.recycle(arr)
 
     def _norms(self, arr):
         """Per-state norms of the batch or of an array that ``combine``
-        formed. The squared moduli go to a buffer in the memory order of
-        ``arr``, so the sums run as over ``np.abs(arr) ** 2``."""
-        sq = self._buffer(arr.flags.c_contiguous, float)
+        formed. The squared moduli go to a spin-first buffer, so the sums
+        run as over ``np.abs(arr) ** 2``."""
+        sq = self._buffer(float)
         np.square(np.abs(arr, out=sq), out=sq)
         norms = np.sqrt(np.sum(sq, axis=tuple(range(1, sq.ndim))))
         self.recycle(sq)
@@ -196,8 +191,12 @@ def _sum_words(cache, terms):
 
 
 def _make_batch(grid, nstates, seed, sector=None):
-    return np.stack(gaussian_states(grid, nstates=nstates, seed=seed,
-                                    sector=sector), axis=0)
+    """The sample states on a leading axis, in the public layout over
+    spin-first memory, so that every map reads them in place."""
+    shape = grid.state_shape
+    inner = np.empty(shape[-2:] + (nstates,) + shape[:-2], dtype=complex)
+    return np.stack(gaussian_states(grid, nstates=nstates, seed=seed, sector=sector),
+                    out=np.moveaxis(inner, (0, 1), (-2, -1)))
 
 
 def _chain_needs(words):

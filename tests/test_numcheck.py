@@ -14,9 +14,9 @@ import qpskit.grid
 import qpskit.numcheck as numcheck
 from qpskit.generators import LEMMAS, PAULI_LUBANSKI, TABLES, parse_word
 from qpskit.grid import GridRep, LinearMap, gaussian_states, realize
-from qpskit.numcheck import (convergence_report, numeric_lemma_report,
-                             numeric_pl_report, numeric_residual_reports,
-                             numeric_table_report)
+from qpskit.numcheck import (convergence_report, numeric_casimir_report,
+                             numeric_lemma_report, numeric_pl_report,
+                             numeric_residual_reports, numeric_table_report)
 from qpskit.report import VerificationReport
 
 SUITES = (TABLES["poincare"], LEMMAS, PAULI_LUBANSKI)
@@ -49,8 +49,9 @@ def _chains(word):
 
 def _direct_residuals(gens, grid, identities):
     """Every twin's residual from a fresh ``realize(...).apply`` per factor,
-    with nothing shared between words or identities."""
-    batch = np.stack(gaussian_states(grid, nstates=1, seed=0), axis=0)
+    with nothing shared between words or identities, on the evaluator's
+    batch: the same states in the same memory order."""
+    batch = numcheck._make_batch(grid, 1, 0)
 
     def norms(arr):
         return np.sqrt(np.sum(np.abs(arr) ** 2, axis=tuple(range(1, arr.ndim))))
@@ -174,6 +175,33 @@ def test_state_sized_buffers_are_allocated_a_bounded_number_of_times(
     # 14 state-sized buffers serve the 278 applications and 174 sums; one
     # per term would be thousands. The tracemalloc peak allows 24.
     assert 0 < sizes[state_size] <= 24, sizes
+
+
+def test_no_map_copies_the_batch(foldy, monkeypatch):
+    """The batch and every chain are spin-first in memory, so each map reads
+    its input in place."""
+    calls = []
+    to_inner = qpskit.grid._to_inner
+
+    def recorded(grid, state):
+        inner = to_inner(grid, state)
+        calls.append(np.shares_memory(inner, state))
+        return inner
+
+    monkeypatch.setattr(qpskit.grid, "_to_inner", recorded)
+    grid = _grid(16)
+    for run in (numeric_residual_reports, numeric_casimir_report):
+        calls.clear()
+        run(foldy, grid, nstates=1)
+        assert calls and all(calls), (run.__name__, calls.count(False))
+
+
+def test_batch_is_the_sample_states_over_spin_first_memory():
+    grid = _grid(8)
+    batch = numcheck._make_batch(grid, 2, 5, sector=-1)
+    assert np.array_equal(batch, np.stack(gaussian_states(grid, nstates=2, seed=5,
+                                                          sector=-1)))
+    assert np.moveaxis(batch, (-2, -1), (0, 1)).flags.c_contiguous
 
 
 COARSE = SimpleNamespace(npts=16)
