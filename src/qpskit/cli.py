@@ -232,6 +232,18 @@ def _cmd_fock(args):
 # -- parser --------------------------------------------------------------------
 
 
+def _tolerance(text):
+    """A ``--tol`` value: a finite positive float. inf would pass every
+    entry and nan, 0 or a negative value would fail every one."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, not {text}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="qpskit",
@@ -269,7 +281,7 @@ def build_parser():
     pn.add_argument("--nstates", type=int, default=8)
     pn.add_argument("--convergence", action="store_true",
                     help="also compare against the half-resolution grid")
-    pn.add_argument("--tol", type=float, default=1e-6)
+    pn.add_argument("--tol", type=_tolerance, default=1e-6)
     common_out(pn)
     pn.set_defaults(func=_cmd_numeric)
 
@@ -303,7 +315,7 @@ def build_parser():
     pf.add_argument("--sites", type=int, default=8)
     pf.add_argument("--nmax", type=int, default=3)
     pf.add_argument("--m", type=float, default=1.0)
-    pf.add_argument("--tol", type=float, default=1e-10)
+    pf.add_argument("--tol", type=_tolerance, default=1e-10)
     common_out(pf)
     pf.set_defaults(func=_cmd_fock)
     return parser

@@ -14,18 +14,19 @@ sign. Functions of P (omega, 1/(omega+m), ...) are exactly diagonal; the
 canonical pair relation [Q, P] = i*hbar holds on band-limited states and
 converges spectrally as the grid grows at fixed physical box.
 
-``realize`` compiles an expression once into a plan: terms grouped by spin
-monomial, then by Q-monomial, each holding ``(coefficient, lam)`` pairs.
-Its maps run the plan in a spin-first inner layout
+``realize`` compiles an expression once into a table with one entry per
+Q-monomial. S and Lam act on the spin and sector indices and commute with
+Q, so the terms of a Q-monomial act on chi = Q^alpha psi as a matrix over
+its (spin, sector) blocks, and the table folds the spin-matrix entries,
+Lam's sector sign and the coefficient functions of P into that matrix:
+block (i, sector) of the result is the sum over j of C_ij chi[j, sector].
+Its maps run the table in a spin-first inner layout
 
     inner shape = (2s+1, 2, *batch, *spatial)      (C-contiguous)
 
-so coefficients are plain spatial arrays multiplied over contiguous blocks,
-spin mixing is an explicit combination of the (2s+1)-blocks over the
-nonzero entries of the spin matrix, and Lam (central) is the sign of the
-sector block. Results are returned as a view in the public layout over the
-spin-first memory. A Q-monomial transforms only the axes it uses; along
-axis a,
+so each C, a plain spatial array or a scalar, multiplies contiguous blocks.
+Results are returned as a view in the public layout over the spin-first
+memory. A Q-monomial acts only along the axes it uses; along axis a,
 
     Q_a^k phi = fft_a(xt_a^k * ifft_a(phi)),    xt = ifftshift(x),
 
@@ -34,37 +35,51 @@ cancel: |phase_b| = 1, the two scales multiply to dp * n * dx / (2 pi hbar)
 = 1, and phase_a = exp(i j dp x0 / hbar) is exactly (-1)^j, which on each
 side of an FFT is a half-length roll: it takes x to xt, x in FFT order.
 Every transform phase is built from its exactly reduced argument, so no
-phase error grows with n. A multi-axis monomial applies this one axis at a
-time.
+phase error grows with n. On an axis of at most ``_DENSE_Q_MAX`` points
+this linear map is applied as its dense matrix ``fft(xt^k * ifft(I))``, one
+matmul per axis, which is faster there than the FFT pair; longer axes take
+the pair. A multi-axis monomial applies this one axis at a time.
+
+Coefficients are evaluated once per grid and shared: equal coefficients
+share one read-only array while any map holds it, P_i and omega are the
+grid's own arrays, and a map that multiplies by -c reads c's array.
 
 Buffer ownership. A ``GridRep`` keeps a free list of flat complex buffers,
 keyed by size (``take_buffer``, ``recycle``). A realized map draws its
-output and its scratch from it: the transformed state of a Q-monomial, the
-spin-mixed state, and one (batch, spatial) block through which each (spin,
-sector) block of ``out += c(P) Lam^l chi`` streams, once for all the
-coefficients of its Q-monomial. The scratch goes back before ``apply``
-returns. An input whose memory is spin-first is read in place; numpy copies
-any other into a fresh spin-first array. A map never writes to its input;
-the array it returns belongs to the caller, and the free list never holds
-an array that anyone can still read. A caller that keeps its results, or
-lets the garbage collector have them, does nothing; one that knows nothing
-reads a result any more may ``recycle`` it (the chain cache of ``numcheck``
-does). Each value is computed by the same
-per-element arithmetic, in the same memory layout, as with freshly
-allocated arrays, so results are bit-identical to theirs. An output is
-never zero-filled: its first term is written into it and the others are
-added, which can differ from adding all of them to zeros only in the sign
-of an exact zero.
+output and its scratch from it: the transformed state of a Q-monomial, and
+one (batch, spatial) block through which every term after the first of an
+output block is added. The scratch goes back before ``apply`` returns. An
+input whose memory is spin-first is read in place; numpy copies any other
+into a fresh spin-first array. A map never writes to its input; the array
+it returns belongs to the caller, and the free list never holds an array
+that anyone can still read. A caller that keeps its results, or lets the
+garbage collector have them, does nothing; one that knows nothing reads a
+result any more may ``recycle`` it (the chain cache of ``numcheck`` does).
+Each value is computed by the same per-element arithmetic, in the same
+memory layout, as with freshly allocated arrays, so results are
+bit-identical to theirs. An output is never zero-filled: the first term of
+each block is written into it and the others are added, and only a block
+that no term writes is zeroed.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
 from .expr import OperatorExpr
 from .spin import check_spin, spin_matrices_numeric
+
+
+# Widest axis on which Q^k is applied as a dense n x n matrix instead of an
+# ifft/x^k/fft pair. Timed with one BLAS thread on one state of 2 spins x
+# 2 sectors on n^3 points: at n = 32 the matmul takes 0.5-0.8 ms against
+# 1.1-1.5 ms for the pair on every axis; at n = 64, 9.4 against 10.1 ms on
+# the last axis and 9.2-9.8 against 12.3-19.3 ms on the others. The matrix
+# grows as n^2 (268 MB at 4096 points), so long axes keep the FFT.
+_DENSE_Q_MAX = 64
 
 
 class GridConfigError(ValueError):
@@ -127,6 +142,14 @@ class GridRep:
         self.spin_mats = spin_matrices_numeric(self.s, self.hbar)
         self.sector_sign = np.array([1.0, -1.0])
         self._free = {}   # size -> flat buffers that nothing reads any more
+        self._q_mats = {}   # power k -> dense Q^k along one axis
+        # coefficient -> its read-only value while a map holds it; P_i and
+        # omega are the grid's own arrays
+        self._coeffs = weakref.WeakValueDictionary()
+        self._seeded = set()   # contexts whose P_i and omega are in _coeffs
+        for arr in (self.p_axis, *self.pmesh, self.omega):
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
 
     # -- state-sized buffers ----------------------------------------------------
 
@@ -195,16 +218,55 @@ class GridRep:
             out = self._axis_mul(out, self._bwd_out, ax)
         return out
 
+    def _q_matrix(self, k):
+        """Q^k along one axis as the dense matrix ``fft(xt^k * ifft(I))``:
+        the linear map of the FFT pair, which is Hermitian."""
+        mat = self._q_mats.get(k)
+        if mat is None:
+            eye = np.eye(self.npts, dtype=complex)
+            mat = np.fft.fft((self._x_fft ** k)[:, None] * np.fft.ifft(eye, axis=0),
+                             axis=0)
+            self._q_mats[k] = mat
+        return mat
+
     # -- coefficient evaluation -------------------------------------------------
 
     def eval_coeff(self, coeff):
+        """The value of ``coeff`` on the grid: a scalar, or a read-only
+        spatial array that equal coefficients share while anything holds
+        it. P1, P2, P3 and omega are the grid's own arrays."""
         for bad in ("Mmass", "E0"):
             if coeff.uses_gen(bad):
                 raise UnsupportedSymbolError(
                     f"symbol {bad} has no grid realization")
-        values = [self.pmesh[0], self.pmesh[1], self.pmesh[2],
-                  self.m, self.tval, self.hbar, 0.0, 0.0]
-        return coeff.evaluate(values, self.omega)
+        self._seed(coeff.ctx)
+        value = self._coeffs.get(coeff)
+        if value is None:
+            values = [self.pmesh[0], self.pmesh[1], self.pmesh[2],
+                      self.m, self.tval, self.hbar, 0.0, 0.0]
+            value = coeff.evaluate(values, self.omega)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+                self._coeffs[coeff] = value
+        return value
+
+    def _signed_coeff(self, coeff):
+        """``(value, sign)`` with sign * value the value of ``coeff``: the
+        shared value of -coeff when the grid holds one, so that c and -c
+        share an array."""
+        self._seed(coeff.ctx)
+        if coeff not in self._coeffs:
+            negated = self._coeffs.get(-coeff)
+            if negated is not None:
+                return negated, -1
+        return self.eval_coeff(coeff), 1
+
+    def _seed(self, ctx):
+        if ctx not in self._seeded:
+            self._seeded.add(ctx)
+            for name, arr in zip(("P1", "P2", "P3", "omega"), (*self.pmesh, self.omega)):
+                if isinstance(arr, np.ndarray):
+                    self._coeffs[ctx.gen(name)] = arr
 
 
 class LinearMap:
@@ -232,49 +294,72 @@ class LinearMap:
 # -- realization ------------------------------------------------------------------
 
 
-def _spin_rows(mat):
-    """Nonzero entries of a spin matrix by row: ``[[(j, M_ij), ...], ...]``."""
-    return [[(j, complex(v)) for j, v in enumerate(row) if v != 0] for row in mat]
+def _spin_matrix(grid: GridRep, smono):
+    """S1^n1 S2^n2 S3^n3 as a (2s+1)-square matrix."""
+    smat = np.eye(grid.nspin, dtype=complex)
+    for idx, expnt in enumerate(smono):
+        for _ in range(expnt):
+            smat = smat @ grid.spin_mats[idx]
+    return smat
 
 
 def _compile_terms(e: OperatorExpr, grid: GridRep):
-    """Apply plan ``[(rows, adjoint_rows, [(qmono, [(coeff, lam), ...]), ...])]``
-    with one entry per spin monomial (rows None for the identity).
+    """Apply table ``[(qmono, [(i, sector, [(j, C, sign), ...]), ...]), ...]``:
+    per Q-monomial, the rows of the output blocks that it writes.
 
-    Coefficients are plain spatial arrays or scalars, so they broadcast over
-    the trailing spatial axes of the spin-first inner layout.
+    S and Lam commute with Q, so the terms of one Q-monomial act on the
+    transformed state chi = Q^alpha psi as a matrix over its (spin, sector)
+    blocks: block (i, sector) of the result is the sum over j of
+    C_ij chi[j, sector], with C_ij = sum of M_ij (+-1)^lam c(P) over the
+    terms' spin matrices M, sector signs and coefficients. Each C is a
+    spatial array or a scalar, so it broadcasts over the trailing spatial
+    axes of the spin-first inner layout; C and -C share one array, and a C
+    that is one coefficient times 1 is that coefficient's shared array.
     """
-    groups = {}
+    qgroups = {}   # qmono -> (i, sector, j) -> id(c) -> (c, weight of c in C)
     for mono, coeff in e.terms.items():
         qmono, smono, lam = mono[:3], mono[3:6], mono[6]
         if grid.d == 1 and (qmono[1] or qmono[2]):
             raise UnsupportedSymbolError(
                 "Q2/Q3 cannot be realized on a 1-dimensional grid")
-        qgroups = groups.setdefault(smono, {})
-        qgroups.setdefault(qmono, []).append((grid.eval_coeff(coeff), lam))
-    plan = []
-    for smono, qgroups in groups.items():
-        rows = adj_rows = None
-        if smono != (0, 0, 0):
-            smat = np.eye(grid.nspin, dtype=complex)
-            for idx, expnt in enumerate(smono):
-                for _ in range(expnt):
-                    smat = smat @ grid.spin_mats[idx]
-            rows, adj_rows = _spin_rows(smat), _spin_rows(smat.conj().T)
-        plan.append((rows, adj_rows, list(qgroups.items())))
-    return plan
+        carr, sign = grid._signed_coeff(coeff)
+        recipes = qgroups.setdefault(qmono, {})
+        for (i, j), w in np.ndenumerate(_spin_matrix(grid, smono)):
+            w = complex(w) if w.imag else float(w.real)   # real C stays real
+            if w:
+                for sector, lam_sign in ((0, 1), (1, (-1) ** lam)):
+                    recipe = recipes.setdefault((i, sector, j), {})
+                    total = recipe.get(id(carr), (carr, 0))[1] + sign * lam_sign * w
+                    recipe[id(carr)] = (carr, total)
+    folded = {}   # recipe -> C; -C is read through the negated recipe
+
+    def fold(recipe):
+        terms = [(carr, w) for carr, w in recipe.values() if w]
+        key = tuple((id(carr), w) for carr, w in terms)
+        for sign in (1, -1):
+            signed = tuple((k, sign * w) for k, w in key)
+            if signed in folded:
+                return folded[signed], sign
+        if len(terms) == 1 and terms[0][1] in (1, -1):   # c itself, shared
+            ((carr, w),) = terms
+            folded[((id(carr), 1),)] = carr
+            return carr, int(w)
+        folded[key] = value = sum(w * carr for carr, w in terms)
+        return value, 1
+
+    table = []
+    for qmono, recipes in qgroups.items():
+        rows = {}
+        for (i, sector, j), recipe in recipes.items():
+            if any(w for _, w in recipe.values()):
+                rows.setdefault((i, sector), []).append((j, *fold(recipe)))
+        table.append((qmono, [(i, sector, row) for (i, sector), row in rows.items()]))
+    return table
 
 
 def _new_buffer(size):
     """The free list's one allocation: a flat complex buffer."""
     return np.empty(size, dtype=complex)
-
-
-def _zeros(grid, shape):
-    """A buffer of the grid's, zeroed."""
-    out = grid.take_buffer(shape)
-    out.fill(0.0)
-    return out
 
 
 def _to_inner(grid: GridRep, state):
@@ -294,112 +379,116 @@ def _to_public(inner):
     return np.moveaxis(inner, (0, 1), (-2, -1))
 
 
-def _spin_mix(grid, rows, phi):
-    """(M phi)_i = sum_j M_ij phi_j over the nonzero entries of M, into a
-    buffer of the grid's."""
-    out = grid.take_buffer(phi.shape)
-    tmp = grid.take_buffer(phi.shape[2:])
-    for i, row in enumerate(rows):
-        if not row:
-            out[i] = 0.0
-            continue
-        (j, c), rest = row[0], row[1:]
-        np.multiply(phi[j], c, out=out[i])
-        for j, c in rest:
-            for sector in (0, 1):
-                dst = out[i, sector]
-                dst += np.multiply(c, phi[j, sector], out=tmp)
-    grid.recycle(tmp)
-    return out
-
-
 def _q_apply(grid: GridRep, qmono, phi):
-    """Q1^k1 Q2^k2 Q3^k3 phi, transforming only along the axes it uses; phi
-    itself for the empty monomial, else a buffer of the grid's."""
+    """Q1^k1 Q2^k2 Q3^k3 phi, along only the axes it uses: one matmul with
+    the dense Q^k per axis on a short axis, an ifft/x^k/fft pair on a long
+    one. phi itself for the empty monomial, else a buffer of the grid's."""
+    n = grid.npts
     out = phi
     for a, k in enumerate(qmono[:grid.d]):
-        if k:
-            axis = a - grid.d
+        if not k:
+            continue
+        axis = a - grid.d
+        if n <= _DENSE_Q_MAX:
+            dst = grid.take_buffer(phi.shape)
+            mat = grid._q_matrix(k)
+            if axis == -1:
+                np.matmul(out.reshape(-1, n), mat.T, out=dst.reshape(-1, n))
+            else:
+                view = (-1, n, n ** (-axis - 1))
+                np.matmul(mat, out.reshape(view), out=dst.reshape(view))
+            if out is not phi:
+                grid.recycle(out)
+            out = dst
+        else:
             dst = grid.take_buffer(phi.shape) if out is phi else out
             out = np.fft.ifft(out, axis=axis, out=dst)
-            out *= (grid._x_fft ** k).reshape((grid.npts,) + (1,) * (-axis - 1))
+            out *= (grid._x_fft ** k).reshape((n,) + (1,) * (-axis - 1))
             np.fft.fft(out, axis=axis, out=out)
     return out
 
 
-def _accumulate(grid, out, pairs, chi, write=False):
-    """out += sum of carr * Lam^lam chi over the ``(carr, lam)`` pairs, Lam
-    acting as the sector sign (+1, -1). Each (spin, sector) block of chi is
-    read once, through a block-sized buffer, for all the pairs. With
-    ``write``, the first pair is written into ``out`` instead of added, so
-    ``out``'s contents are never read."""
-    tmp = grid.take_buffer(chi.shape[2:])
-    for i in range(chi.shape[0]):
+def _write_block(dst, carr, src, sign, tmp, first):
+    """dst = sign * carr * src when ``first``, else dst += sign * carr * src
+    through the block scratch ``tmp``."""
+    if first:
+        if sign < 0 and np.ndim(carr) == 0:
+            carr = -carr
+        np.multiply(carr, src, out=dst)
+        if sign < 0 and np.ndim(carr):
+            dst *= -1.0   # exact up to the sign of a zero; np.negative is slower
+        return
+    np.multiply(carr, src, out=tmp)
+    if sign < 0:
+        dst -= tmp
+    else:
+        dst += tmp
+
+
+def _zero_unwritten(out, written):
+    for i in range(out.shape[0]):
         for sector in (0, 1):
-            dst, src = out[i, sector], chi[i, sector]
-            rest = pairs
-            if write:
-                (carr, lam), rest = pairs[0], pairs[1:]
-                np.multiply(carr, src, out=dst)
-                if lam and sector:
-                    np.negative(dst, out=dst)
-            for carr, lam in rest:
-                np.multiply(carr, src, out=tmp)
-                if lam and sector:
-                    dst -= tmp
-                else:
-                    dst += tmp
-    grid.recycle(tmp)
+            if (i, sector) not in written:
+                out[i, sector] = 0.0
 
 
 def realize(e: OperatorExpr, grid: GridRep) -> LinearMap:
     """Concrete linear operator for a normal-form expression.
 
     Linear in e; realize(nf(e)) and realize(e) agree to roundoff on
-    band-limited states. The expression is compiled once into a plan
+    band-limited states. The expression is compiled once into a table
     (``_compile_terms``) that ``apply`` and the adjoint run in the
     spin-first inner layout, in buffers of the grid's; see the module
     docstring. Neither writes to its input, and each returns an array that
     belongs to its caller.
     """
-    plan = _compile_terms(e, grid)
+    table = _compile_terms(e, grid)
 
     def apply_fn(state):
         inner = _to_inner(grid, state)
-        # the first term is written into out, so only an empty plan fills it
-        out = grid.take_buffer(inner.shape) if plan else _zeros(grid, inner.shape)
-        first = True
-        for rows, _, qgroups in plan:
-            phi = inner if rows is None else _spin_mix(grid, rows, inner)
-            for qmono, pairs in qgroups:
-                chi = _q_apply(grid, qmono, phi)
-                _accumulate(grid, out, pairs, chi, write=first)
-                first = False
-                if chi is not phi:
-                    grid.recycle(chi)
-            if phi is not inner:
-                grid.recycle(phi)
+        out = grid.take_buffer(inner.shape)
+        tmp = grid.take_buffer(inner.shape[2:])
+        written = set()
+        for qmono, rows in table:
+            chi = _q_apply(grid, qmono, inner)
+            for i, sector, row in rows:
+                for j, carr, sign in row:
+                    _write_block(out[i, sector], carr, chi[j, sector], sign, tmp,
+                                 (i, sector) not in written)
+                    written.add((i, sector))
+            if chi is not inner:
+                grid.recycle(chi)
+        grid.recycle(tmp)
+        _zero_unwritten(out, written)
         return _to_public(out)
 
     def adjoint_fn(state):
+        # A^dag = sum over Q-monomials of Q^alpha (conj(C)^T phi): Q is Hermitian
         inner = _to_inner(grid, state)
-        out = _zeros(grid, inner.shape)
-        for _, adj_rows, qgroups in plan:
-            acc = _zeros(grid, inner.shape)
-            for qmono, pairs in qgroups:
-                psi = grid.take_buffer(inner.shape)
-                _accumulate(grid, psi, [(np.conj(carr), lam) for carr, lam in pairs],
-                            inner, write=True)
-                chi = _q_apply(grid, qmono, psi)
-                acc += chi
-                if chi is not psi:
-                    grid.recycle(chi)
-                grid.recycle(psi)
-            mixed = acc if adj_rows is None else _spin_mix(grid, adj_rows, acc)
-            out += mixed
-            if mixed is not acc:
-                grid.recycle(mixed)
-            grid.recycle(acc)
+        out = None
+        tmp = grid.take_buffer(inner.shape[2:])
+        for qmono, rows in table:
+            phi = grid.take_buffer(inner.shape)
+            written = set()
+            for i, sector, row in rows:
+                for j, carr, sign in row:
+                    carr = np.conj(carr) if np.iscomplexobj(carr) else carr
+                    _write_block(phi[j, sector], carr, inner[i, sector], sign, tmp,
+                                 (j, sector) not in written)
+                    written.add((j, sector))
+            _zero_unwritten(phi, written)
+            chi = _q_apply(grid, qmono, phi)
+            if chi is not phi:
+                grid.recycle(phi)
+            if out is None:
+                out = chi
+            else:
+                out += chi
+                grid.recycle(chi)
+        grid.recycle(tmp)
+        if out is None:   # the zero map
+            out = grid.take_buffer(inner.shape)
+            out.fill(0.0)
         return _to_public(out)
 
     return LinearMap(grid, apply_fn, adjoint_fn, label="realized")

@@ -21,21 +21,24 @@ application. The identities run in an order that keeps few chains live
 declaration order. A chain is computed by the same arithmetic whatever the
 order, so the residuals do not depend on it.
 
-Buffer ownership. Chains, word values, the sums of an identity and the
-squared moduli of its residual norm all sit in buffers from the grid's
-free list (``GridRep.take_buffer``). The cache is the one place that gives
-them back (``GridRep.recycle``): a chain at its last read, every other
-array as soon as the value formed from it exists. A pass therefore
-allocates a few state-sized buffers, not some for every term. The batch
-is laid out spin-first in memory (``_make_batch``), so every map reads it
-and every chain in place, and every array formed here is spin-first too:
-the memory order numpy gives a fresh result of the same operation. The
-norms sum in that order, so the residuals are bit-identical to those of
-freshly allocated arrays.
+Buffer ownership. Chains, word values and the sums of an identity all sit
+in buffers from the grid's free list (``GridRep.take_buffer``). The cache
+is the one place that gives them back (``GridRep.recycle``): a chain at its
+last read, every other array as soon as the value formed from it exists.
+A term whose factor c (i hbar)^k is 1 is its word itself, so a sum may be a
+chain that the cache still holds, and only an owned sum is given back. A
+pass therefore allocates a few state-sized buffers, not some for every
+term. The batch is laid out spin-first in memory (``_make_batch``), so every
+map reads it and every chain in place, and every array formed here is
+spin-first too: the memory order numpy gives a fresh result of the same
+operation. A residual norm is one dot product per (spin, sector) block and
+state over that memory (``_state_norms``), with no squared-moduli array,
+so the residuals do not depend on where the arrays came from.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from itertools import islice
 
@@ -78,7 +81,7 @@ class _ChainCache:
         self.gens = gens
         self.grid = grid
         self.batch = batch
-        self.in_norms = self._norms(batch)
+        self.in_norms = _state_norms(batch)
         self.reads = Counter()     # chain -> reads left
         self.applies = Counter()   # map name -> applications left
         for word in words:
@@ -155,39 +158,48 @@ class _ChainCache:
                 self.recycle(arr)
         return out, True
 
-    def _buffer(self, dtype=complex):
-        """A batch-shaped ``dtype`` array over a buffer of the grid's, in the
-        public layout over spin-first memory, as the batch is."""
-        size, shape = self.batch.size, self.batch.shape
-        buf = self.grid.take_buffer((size,)).view(dtype)[:size]
-        return np.moveaxis(buf.reshape(shape[-2:] + shape[:-2]), (0, 1), (-2, -1))
+    def _buffer(self):
+        """A batch-shaped array over a buffer of the grid's, in the public
+        layout over spin-first memory, as the batch is."""
+        shape = self.batch.shape
+        buf = self.grid.take_buffer(shape[-2:] + shape[:-2])
+        return np.moveaxis(buf, (0, 1), (-2, -1))
 
     def recycle(self, arr):
         self.grid.recycle(arr)
 
-    def _norms(self, arr):
-        """Per-state norms of the batch or of an array that ``combine``
-        formed. The squared moduli go to a spin-first buffer, so the sums
-        run as over ``np.abs(arr) ** 2``."""
-        sq = self._buffer(float)
-        np.square(np.abs(arr, out=sq), out=sq)
-        norms = np.sqrt(np.sum(sq, axis=tuple(range(1, sq.ndim))))
-        self.recycle(sq)
-        return norms
-
     def residual(self, arr):
-        return float(np.max(self._norms(arr) / self.in_norms))
+        return float(np.max(_state_norms(arr) / self.in_norms))
+
+
+def _state_norms(arr):
+    """Per-state norms of a batch in the public layout: for each state, the
+    squared moduli of its (spin, sector) blocks summed by one dot product of
+    each block's real view, block after block, over spin-first memory.
+    ``np.einsum`` forms a dot product the same way for any number of BLAS
+    threads, where ``np.vdot`` splits it between them."""
+    nstates = len(arr)
+    blocks = np.moveaxis(arr, (-2, -1), (0, 1)).reshape(
+        -1, nstates, math.prod(arr.shape[1:-2]))
+    return np.sqrt([sum(np.einsum("i,i->", v, v) for v in
+                        (block.view(float) for block in blocks[:, n]))
+                    for n in range(nstates)])
 
 
 def _sum_words(cache, terms):
     """Sum of c * (i hbar)^k * word over the ``(c, k, word)`` terms, formed in
-    buffers of the grid's; the caller owns it and recycles it."""
+    buffers of the grid's, as an ``(array, owned)`` pair: a lone word with
+    c (i hbar)^k = 1 is the word itself, which may be a chain that the cache
+    still holds."""
     ih = 1j * cache.grid.hbar
     acc = None
     for c, k, word in terms:
-        term = cache.combine(np.multiply, (c * ih**k, False), cache.word(word))
+        factor = c * ih**k
+        term = cache.word(word)
+        if factor != 1:
+            term = cache.combine(np.multiply, (factor, False), term)
         acc = term if acc is None else cache.combine(np.add, acc, term)
-    return acc[0]
+    return acc
 
 
 def _make_batch(grid, nstates, seed, sector=None):
@@ -257,8 +269,9 @@ def _grid_reports(suites, gens, grid, nstates, seed, tol):
         acc = _sum_words(cache, [(sign * c, k, word) for sign, terms in
                                  ((1, idents[n].lhs), (-1, idents[n].expected))
                                  for c, k, word in terms])
-        residuals[n] = cache.residual(acc)
-        cache.recycle(acc)
+        residuals[n] = cache.residual(acc[0])
+        if acc[1]:
+            cache.recycle(acc[0])
     rows = zip(idents, residuals)
     reports = []
     for (suite, _), found in zip(suites, twins):
@@ -318,7 +331,7 @@ def numeric_casimir_report(gens: GeneratorSet, grid: GridRep, nstates=8,
     for sector, tag in ((1, "positive"), (-1, "negative")):
         batch = _make_batch(grid, nstates, seed, sector=sector)
         cache = _ChainCache(gens, grid, batch, [word for _, _, word in c2])
-        acc = _sum_words(cache, c2)
+        acc, owned = _sum_words(cache, c2)
         resid, _ = cache.combine(np.subtract, (acc, False),
                                  cache.combine(np.multiply, (target, False),
                                                (batch, False)))
@@ -334,7 +347,8 @@ def numeric_casimir_report(gens: GeneratorSet, grid: GridRep, nstates=8,
         report.add(id=f"quadratic_form[{tag}]", lhs="<psi,(W0^2-W.W)psi>/|psi|^2",
                    expected=f"{target:.6g}", residual=f"{worst:.3e}",
                    passed=worst <= tol, residual_norm=worst)
-        cache.recycle(acc)
+        if owned:
+            cache.recycle(acc)
     return report
 
 

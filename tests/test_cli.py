@@ -246,6 +246,20 @@ def test_numeric_inputs_it_cannot_use_exit_two(capsys, argv, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("command", [["numeric", "casimir"], ["numeric", "residuals"],
+                                     ["fock", "duality"]])
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0", "-inf", "tiny"])
+def test_tol_must_be_finite_and_positive(capsys, monkeypatch, command, tol):
+    """inf passed every entry and nan or a negative value failed every one;
+    each is refused before anything runs."""
+    monkeypatch.setattr(cli, "foldy_generators", None)
+    monkeypatch.setattr(cli, "fock_report", None)
+    with pytest.raises(SystemExit) as exc:
+        run([*command, "--tol", tol])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("suite", ["bargmann", "lemmas", "casimirs", "pl",
                                    "boost", "emrelation"])
 def test_casimir_spin_only_where_read(capsys, suite):

@@ -7,6 +7,7 @@ import pytest
 
 from qpskit import (GridRep, UnsupportedSymbolError, foldy_generators,
                     gaussian_states, operator_norm, parse_expr, realize)
+import qpskit.grid
 from qpskit.grid import GridConfigError
 
 P = parse_expr
@@ -267,22 +268,64 @@ def test_plan_rejects_states_of_another_grid():
         realize(P("P1"), g).apply(np.zeros((8, 8, 2, 2)))
 
 
-def test_one_axis_q_monomial_costs_one_transform_pair(monkeypatch):
-    calls = {"fft": 0, "ifft": 0}
-    for name in calls:
-        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+def _count_calls(monkeypatch, module, names, calls=None):
+    """Count the calls to ``module.<name>`` for each name, into ``calls``."""
+    calls = {} if calls is None else calls
+    calls.update(dict.fromkeys(names, 0))
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+CHARGED = (("Q2*omega + S1*Lam", 1), ("Q2*S3 + Lam*P1", 1),
+           ("Q1*Q1*Q3", 2), ("Q1 + Q2*S1", 2))
+
+
+def test_short_axis_q_monomial_costs_one_matmul_per_axis(monkeypatch):
     g = GridRep(d=3, npts=8, pmax=2.0, s=Fraction(1, 2))
+    assert g.npts <= qpskit.grid._DENSE_Q_MAX
     psi = np.stack(gaussian_states(g, nstates=2, seed=3))
-    for text, pairs in (("Q2*omega + S1*Lam", 1), ("Q2*S3 + Lam*P1", 1),
-                        ("Q1*Q1*Q3", 2), ("Q1 + Q2*S1", 2)):
+    for power in (1, 2):   # the dense matrices are built once per grid
+        g._q_matrix(power)
+    calls = _count_calls(monkeypatch, np.fft, ("fft", "ifft"))
+    _count_calls(monkeypatch, np, ("matmul",), calls)
+    for text, axes in CHARGED:
+        amap = realize(P(text), g)
+        for m in (amap, amap.adjoint()):
+            calls.update(fft=0, ifft=0, matmul=0)
+            m.apply(psi)
+            assert calls == {"fft": 0, "ifft": 0, "matmul": axes}, text
+
+
+def test_long_axis_q_monomial_costs_one_transform_pair(monkeypatch):
+    g = GridRep(d=3, npts=66, pmax=2.0, s=Fraction(1, 2))
+    assert g.npts > qpskit.grid._DENSE_Q_MAX
+    psi = gaussian_states(g, nstates=1, seed=3)[0]
+    calls = _count_calls(monkeypatch, np.fft, ("fft", "ifft"))
+    for text, pairs in CHARGED:
         amap = realize(P(text), g)
         for m in (amap, amap.adjoint()):
             calls.update(fft=0, ifft=0)
             m.apply(psi)
             assert calls == {"fft": pairs, "ifft": pairs}, text
+
+
+@pytest.mark.parametrize("d, npts", [(3, 8), (3, 16), (1, 64), (1, 66), (1, 256)],
+                         ids=["dense-3d-8", "dense-3d-16", "dense-1d-64",
+                              "fft-1d-66", "fft-1d-256"])
+def test_q_powers_match_the_position_transform(d, npts):
+    """Q1^k against to_momentum(x^k to_position(psi)) on both sides of the
+    dense cutoff."""
+    g = GridRep(d=d, npts=npts, pmax=2.0, s=Fraction(1, 2))
+    psi = np.stack(gaussian_states(g, nstates=2, seed=13))
+    x1 = np.meshgrid(*([g.x_axis] * d), indexing="ij")[0][..., None, None]
+    for k in (1, 2, 3):
+        got = realize(P("*".join(["Q1"] * k)), g).apply(psi)
+        want = g.to_momentum(x1**k * g.to_position(psi))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), k
 
 
 # -- buffer ownership ------------------------------------------------------------
@@ -358,7 +401,36 @@ def test_gaussian_states_take_only_a_sector_sign(sector):
 
 def test_operator_norm_of_a_fixed_map_is_unchanged():
     # computed (numpy 2.4) by the implementation that allocated every
-    # temporary afresh: reusing buffers leaves the arithmetic as it was
+    # temporary afresh: reusing buffers leaves the arithmetic as it was.
+    # np.linalg.norm(., 2) of K1's dense 2048 x 2048 matrix here is
+    # 18.80850725068349, within the power iteration's tolerance
     g = GridRep(d=3, npts=8, pmax=2.0, m=1.0, s=Fraction(1, 2), tval=0.3)
     k1 = realize(foldy_generators()["K1"], g)
     assert operator_norm(k1, seed=4) == 18.808507250618497
+
+
+def _held_arrays(amap):
+    """The arrays a realized map's apply closure holds, through its table."""
+    found, todo = [], [c.cell_contents for c in amap._apply.__closure__]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, (list, tuple)):
+            todo.extend(item)
+    return found
+
+
+def test_maps_hold_the_grids_own_momentum_and_omega():
+    """P_i and omega are not copied into each map that multiplies by them,
+    and a shared coefficient array cannot be written through."""
+    g = GridRep(d=3, npts=8, pmax=2.0, s=Fraction(1, 2))
+    for text, own in (("P1", g.pmesh[0]), ("Lam*omega", g.omega)):
+        held = _held_arrays(realize(P(text), g))
+        assert held and all(np.shares_memory(a, own) for a in held), text
+        for arr in held:
+            with pytest.raises(ValueError):
+                arr += 1.0
+    neg = _held_arrays(realize(P("Q3*P2 - Q2*P3"), g))
+    assert all(np.shares_memory(a, g.pmesh[1]) or np.shares_memory(a, g.pmesh[2])
+               for a in neg)

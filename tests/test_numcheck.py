@@ -50,11 +50,10 @@ def _chains(word):
 def _direct_residuals(gens, grid, identities):
     """Every twin's residual from a fresh ``realize(...).apply`` per factor,
     with nothing shared between words or identities, on the evaluator's
-    batch: the same states in the same memory order."""
+    batch: the same states in the same memory order, and the norms by the
+    evaluator's own reduction."""
     batch = numcheck._make_batch(grid, 1, 0)
-
-    def norms(arr):
-        return np.sqrt(np.sum(np.abs(arr) ** 2, axis=tuple(range(1, arr.ndim))))
+    norms = numcheck._state_norms
 
     def compose(names):
         out = batch
@@ -194,6 +193,19 @@ def test_no_map_copies_the_batch(foldy, monkeypatch):
         calls.clear()
         run(foldy, grid, nstates=1)
         assert calls and all(calls), (run.__name__, calls.count(False))
+
+
+def test_a_word_with_factor_one_is_summed_without_a_copy(foldy):
+    """c (i hbar)^k = 1 makes the sum the word itself: a chain that the
+    cache still holds for a later read comes back unowned, so nobody
+    recycles it, and its last read comes back owned."""
+    grid = _grid(8)
+    batch = numcheck._make_batch(grid, 1, 0)
+    cache = numcheck._ChainCache(foldy, grid, batch, ["H", "H"])
+    first, owned = numcheck._sum_words(cache, [(1, 0, "H")])
+    assert not owned and cache.chains[("H",)] is first
+    again, owned = numcheck._sum_words(cache, [(1, 0, "H")])
+    assert owned and again is first and not cache.chains
 
 
 def test_batch_is_the_sample_states_over_spin_first_memory():
