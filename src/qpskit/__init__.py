@@ -12,7 +12,7 @@ from .generators import (GeneratorSet, bargmann_generators,
                          energy_momentum_constraint_check, foldy_generators,
                          lemma_suite, pauli_lubanski)
 from .grid import (GridConfigError, GridRep, LinearMap, UnsupportedSymbolError,
-                   gaussian_states, operator_norm, realize)
+                   gaussian_states, realize)
 from .localization import (NWEvolutionResult, microcausality_check,
                            nw_evolution, nw_projector)
 from .numcheck import (convergence_report, numeric_casimir_report,
@@ -34,7 +34,7 @@ __all__ = [
     "casimirs", "check_table", "energy_momentum_constraint_check",
     "foldy_generators", "lemma_suite", "pauli_lubanski",
     "GridConfigError", "GridRep", "LinearMap", "UnsupportedSymbolError",
-    "gaussian_states", "operator_norm", "realize",
+    "gaussian_states", "realize",
     "NWEvolutionResult", "microcausality_check", "nw_evolution", "nw_projector",
     "convergence_report", "numeric_casimir_report", "numeric_lemma_report",
     "numeric_pl_report", "numeric_residual_reports", "numeric_table_report",

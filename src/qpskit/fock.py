@@ -30,14 +30,15 @@ A product joins on the middle index, block pair by block pair (Gustavson,
 ACM TOMS 4(3), 1978): the right block's entries are sorted by row once,
 each left entry meets the run whose row is its column, and the products
 that land on one position are summed, after a sort by row-major position,
-or in place where the result is dense.
-Sums, differences and scalar shifts concatenate entries and sum them the
-same way; entries at the same positions, as the ladder blocks of one field
-have, add value by value, the same float operations as dense blocks. The
-adjoint swaps rows and columns and conjugates; apply adds each entry's
-term into its row. Only the results that callers read are dense: the CCR gap's parity
-parts, the Gram matrices of the spectrum, and the assembled matrices
-(`FockOperator.restricted` and `.mat`) that tests use as oracles.
+or in place where the result is dense. A join's arrays grow with its pair
+count; at 10 sites and nmax = 4 the largest, in the ladder-shift check,
+pairs about 52 000 entries. In-place sums and differences concatenate
+entries and sum them the same way; entries at the same positions, as the
+ladder blocks of one field have, add value by value, the same float
+operations as dense blocks. The adjoint swaps rows and columns and
+conjugates; apply adds each entry's term into its row. Only the results
+that callers read are dense: the CCR gap's parity parts and the Gram
+matrices of the spectrum.
 
 a(psi) = sum_k conj(<e_k, psi>) a_k. Each nonzero entry of a mode
 annihilator a_k sits at a (row, column) pair that no other mode uses
@@ -92,25 +93,6 @@ class PhasePoint:
         if not (np.isfinite(self.f).all() and np.isfinite(self.g).all()):
             raise FockConfigError("phase point entries must be finite")
 
-    def __add__(self, other):
-        return PhasePoint(self.f + other.f, self.g + other.g)
-
-    def __sub__(self, other):
-        return PhasePoint(self.f - other.f, self.g - other.g)
-
-    def __mul__(self, c):
-        return PhasePoint(self.f * c, self.g * c)
-
-    __rmul__ = __mul__
-
-
-# A join pairs every entry of x with the entries of y in the row its column
-# names, so its arrays grow with that pair count. Past this many pairs (about
-# 60 MB of them) the two blocks are multiplied densely instead: only a block
-# built dense, as in tests, reaches it; at 10 sites and nmax 4 the ladder-shift
-# check's largest join pairs about 52 000.
-_JOIN_PAIRS = 1 << 20
-
 
 class _Block:
     """One sector-to-sector block as its entries: ``vals`` at the block-local
@@ -122,11 +104,6 @@ class _Block:
     def __init__(self, rows, cols, vals, shape):
         self.rows, self.cols, self.vals = rows, cols, vals
         self.shape = (int(shape[0]), int(shape[1]))
-
-    @classmethod
-    def from_dense(cls, arr):
-        rows, cols = np.nonzero(arr)
-        return cls(rows, cols, arr[rows, cols], arr.shape)
 
     def key(self):
         """Row-major linear positions of the entries."""
@@ -146,14 +123,6 @@ class _Block:
         np.add.at(out, self.rows, vals * vec[self.cols])
         return out
 
-    def write(self, out, row0=0, col0=0):
-        """Write the entries into the dense ``out`` at offset (row0, col0)."""
-        out[row0 + self.rows, col0 + self.cols] = self.vals
-        return out
-
-    def dense(self):
-        return self.write(np.zeros(self.shape, dtype=complex))
-
 
 def _join(x, y, sign=1):
     """The terms of sign * (x @ y) as (linear position, value) arrays, one
@@ -166,9 +135,6 @@ def _join(x, y, sign=1):
     counts = np.searchsorted(by_row, x.cols, "right") - lo
     ends = np.cumsum(counts)
     pairs = int(ends[-1]) if len(ends) else 0
-    if pairs > _JOIN_PAIRS:
-        prod = _Block.from_dense(x.dense() @ y.dense())
-        return prod.key(), prod.vals if sign > 0 else -prod.vals
     left = np.repeat(np.arange(len(counts)), counts)
     right = np.repeat(lo - ends + counts, counts)
     right += np.arange(pairs)
@@ -237,12 +203,11 @@ class FockOperator:
     """Operator on the truncated Fock space, graded by total particle number.
 
     ``blocks[(m, n)]`` maps sector n to sector m and holds that block's
-    nonzero entries (a ``_Block``); a missing key is a zero block. The
-    constructor also takes dense (d_m, d_n) arrays and keeps their nonzero
-    entries. Blocks are never written once made, so operators may share
-    them; the in-place operators ``+=``, ``-=`` and ``*=`` replace the
-    blocks they change. A scalar in ``+`` and ``-`` means that multiple of
-    the identity.
+    nonzero entries (a ``_Block``); a missing key is a zero block. Blocks
+    are never written once made, so operators may share them. The algebra
+    is what the reports use: products ``@``, the in-place ``+=`` and ``-=``
+    of another operator and ``*=`` of a scalar, which replace the blocks
+    they change, ``adjoint``, ``commutator_on``, ``apply`` and ``max_abs``.
     """
 
     __slots__ = ("field", "blocks")
@@ -252,33 +217,11 @@ class FockOperator:
         self.blocks = {}
         dims = field.sector_dims
         for (m, n), blk in blocks.items():
-            if not isinstance(blk, _Block):
-                blk = np.asarray(blk, dtype=complex)
-                if blk.ndim == 2:
-                    blk = _Block.from_dense(blk)
             if blk.shape != (dims[m], dims[n]):
                 raise FockConfigError(
                     f"block ({m}, {n}) has shape {blk.shape}, "
                     f"want {(int(dims[m]), int(dims[n]))}")
             self.blocks[(m, n)] = blk
-
-    def copy(self):
-        return FockOperator(self.field, dict(self.blocks))
-
-    def restricted(self, max_total):
-        """Dense matrix on the subspace with total number <= max_total."""
-        k = self.field.block_dim(max_total)
-        sl = self.field.sector_slices
-        out = np.zeros((k, k), dtype=complex)
-        for (m, n), blk in self.blocks.items():
-            if m <= max_total and n <= max_total:
-                blk.write(out, sl[m].start, sl[n].start)
-        return out
-
-    @property
-    def mat(self):
-        """Assembled dim x dim matrix, for tests and dense oracles."""
-        return self.restricted(self.field.nmax)
 
     def apply(self, vec):
         vec = np.asarray(vec)
@@ -307,44 +250,20 @@ class FockOperator:
             self.blocks[key] = _summed([(mine.key(), mine.vals), (blk.key(), blk.vals)],
                                        blk.shape)
 
-    def _accumulate(self, other, sign):
-        if isinstance(other, FockOperator):
-            for key, blk in other.blocks.items():
-                self._add_block(key, blk if sign > 0 else blk.scaled(-1))
-            return self
-        c = sign * other
-        for n, d in enumerate(self.field.sector_dims):
-            diag = np.arange(d)
-            self._add_block((n, n), _Block(diag, diag, np.full(d, c, dtype=complex), (d, d)))
+    def __iadd__(self, other):
+        for key, blk in other.blocks.items():
+            self._add_block(key, blk)
         return self
 
-    def __iadd__(self, other):
-        return self._accumulate(other, 1)
-
     def __isub__(self, other):
-        return self._accumulate(other, -1)
+        for key, blk in other.blocks.items():
+            self._add_block(key, blk.scaled(-1))
+        return self
 
     def __imul__(self, c):
         for key, blk in self.blocks.items():
             self.blocks[key] = blk.scaled(c)
         return self
-
-    def __add__(self, other):
-        return self.copy()._accumulate(other, 1)
-
-    def __sub__(self, other):
-        return self.copy()._accumulate(other, -1)
-
-    def __mul__(self, c):
-        return FockOperator(self.field, {k: b.scaled(c) for k, b in self.blocks.items()})
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * (-1.0)
-
-    def commutator(self, other):
-        return FockOperator(self.field, _products([(self, other, 1), (other, self, -1)]))
 
     def commutator_on(self, other, sectors):
         """Dense block of [self, other] on the listed sectors, in the order
@@ -379,8 +298,8 @@ class FockField:
             raise FockConfigError(
                 "nmax >= 2 required: the duality and expectation checks "
                 "reach the 2-particle sector")
-        if m <= 0 or hbar <= 0:
-            raise FockConfigError("m and hbar must be positive")
+        if not (0 < m < np.inf and 0 < hbar < np.inf):
+            raise FockConfigError("m and hbar must be positive and finite")
         self.nsites = int(nsites)
         self.m = float(m)
         self.nmax = int(nmax)

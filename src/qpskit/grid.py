@@ -98,8 +98,10 @@ class GridRep:
             raise GridConfigError("d must be 1 or 3")
         if npts < 4 or npts % 2:
             raise GridConfigError("npts must be an even integer >= 4")
-        if pmax <= 0 or m <= 0 or hbar <= 0:
-            raise GridConfigError("pmax, m and hbar must be positive")
+        if not all(0 < v < math.inf for v in (pmax, m, hbar)):
+            raise GridConfigError("pmax, m and hbar must be positive and finite")
+        if not math.isfinite(tval):
+            raise GridConfigError(f"t must be finite, not {tval}")
         self.d = d
         self.npts = int(npts)
         self.pmax = float(pmax)
@@ -270,25 +272,17 @@ class GridRep:
 
 
 class LinearMap:
-    """Linear operator on grid states, with an optional adjoint."""
+    """Linear operator on grid states: ``apply`` (or a call) maps a state to
+    a new array."""
 
-    def __init__(self, grid: GridRep, apply_fn, adjoint_fn=None, label=""):
-        self.grid = grid
+    def __init__(self, apply_fn):
         self._apply = apply_fn
-        self._adjoint = adjoint_fn
-        self.label = label
 
     def apply(self, state):
         return self._apply(state)
 
     def __call__(self, state):
         return self._apply(state)
-
-    def adjoint(self) -> "LinearMap":
-        if self._adjoint is None:
-            raise GridConfigError(f"map {self.label or '<anon>'} has no adjoint")
-        return LinearMap(self.grid, self._adjoint, self._apply,
-                         label=f"adj({self.label})")
 
 
 # -- realization ------------------------------------------------------------------
@@ -425,22 +419,14 @@ def _write_block(dst, carr, src, sign, tmp, first):
         dst += tmp
 
 
-def _zero_unwritten(out, written):
-    for i in range(out.shape[0]):
-        for sector in (0, 1):
-            if (i, sector) not in written:
-                out[i, sector] = 0.0
-
-
 def realize(e: OperatorExpr, grid: GridRep) -> LinearMap:
     """Concrete linear operator for a normal-form expression.
 
     Linear in e; realize(nf(e)) and realize(e) agree to roundoff on
     band-limited states. The expression is compiled once into a table
-    (``_compile_terms``) that ``apply`` and the adjoint run in the
-    spin-first inner layout, in buffers of the grid's; see the module
-    docstring. Neither writes to its input, and each returns an array that
-    belongs to its caller.
+    (``_compile_terms``) that ``apply`` runs in the spin-first inner layout,
+    in buffers of the grid's; see the module docstring. ``apply`` never
+    writes to its input, and returns an array that belongs to its caller.
     """
     table = _compile_terms(e, grid)
 
@@ -459,39 +445,13 @@ def realize(e: OperatorExpr, grid: GridRep) -> LinearMap:
             if chi is not inner:
                 grid.recycle(chi)
         grid.recycle(tmp)
-        _zero_unwritten(out, written)
+        for i in range(out.shape[0]):
+            for sector in (0, 1):
+                if (i, sector) not in written:
+                    out[i, sector] = 0.0
         return _to_public(out)
 
-    def adjoint_fn(state):
-        # A^dag = sum over Q-monomials of Q^alpha (conj(C)^T phi): Q is Hermitian
-        inner = _to_inner(grid, state)
-        out = None
-        tmp = grid.take_buffer(inner.shape[2:])
-        for qmono, rows in table:
-            phi = grid.take_buffer(inner.shape)
-            written = set()
-            for i, sector, row in rows:
-                for j, carr, sign in row:
-                    carr = np.conj(carr) if np.iscomplexobj(carr) else carr
-                    _write_block(phi[j, sector], carr, inner[i, sector], sign, tmp,
-                                 (j, sector) not in written)
-                    written.add((j, sector))
-            _zero_unwritten(phi, written)
-            chi = _q_apply(grid, qmono, phi)
-            if chi is not phi:
-                grid.recycle(phi)
-            if out is None:
-                out = chi
-            else:
-                out += chi
-                grid.recycle(chi)
-        grid.recycle(tmp)
-        if out is None:   # the zero map
-            out = grid.take_buffer(inner.shape)
-            out.fill(0.0)
-        return _to_public(out)
-
-    return LinearMap(grid, apply_fn, adjoint_fn, label="realized")
+    return LinearMap(apply_fn)
 
 
 # -- sample states ----------------------------------------------------------------
@@ -533,25 +493,3 @@ def gaussian_states(grid: GridRep, nstates=8, seed=0, width_scale=1.0, sector=No
         state = envelope[..., None, None] * amps
         states.append(grid.normalize(state))
     return states
-
-
-def operator_norm(amap: LinearMap, seed=0, iterations=200, tol=1e-12) -> float:
-    """Largest singular value by power iteration on A^dag A."""
-    grid = amap.grid
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=grid.state_shape) + 1j * rng.normal(size=grid.state_shape)
-    v /= np.sqrt(np.sum(np.abs(v) ** 2))
-    adj = amap.adjoint()
-    lam_prev = 0.0
-    lam = 0.0
-    for _ in range(iterations):
-        w = adj.apply(amap.apply(v))
-        lam = float(np.real(np.vdot(v, w)))
-        nw = np.sqrt(np.sum(np.abs(w) ** 2))
-        if nw == 0:
-            return 0.0
-        v = w / nw
-        if abs(lam - lam_prev) <= tol * max(abs(lam), 1e-30):
-            break
-        lam_prev = lam
-    return float(np.sqrt(max(lam, 0.0)))

@@ -36,6 +36,12 @@ def _plain_grid(grid: GridRep):
         raise GridConfigError("localization demos run on d=1 grids")
 
 
+def _finite(**values):
+    for name, value in values.items():
+        if not np.isfinite(value):
+            raise GridConfigError(f"{name} must be finite, not {value}")
+
+
 def nw_evolution(y: float, sigma: float, t: float, grid: GridRep) -> NWEvolutionResult:
     """Evolve the sigma-regularized packet localized at y for time t.
 
@@ -46,6 +52,7 @@ def nw_evolution(y: float, sigma: float, t: float, grid: GridRep) -> NWEvolution
     4/m beyond the cone edge.
     """
     _plain_grid(grid)
+    _finite(y=y, sigma=sigma, t=t)
     if t < 0:
         raise ValueError("t must be nonnegative")
     if sigma <= grid.dx:
@@ -136,9 +143,7 @@ def nw_projector(grid: GridRep, interval, t: float = 0.0) -> LinearMap:
         out = grid.to_momentum(out)
         return out * evo_back
 
-    # self-adjoint: unitary conjugation of a real indicator
-    return LinearMap(grid, apply_fn, apply_fn,
-                     label=f"P[{interval[0]},{interval[1]}](t={t})")
+    return LinearMap(apply_fn)
 
 
 def _range_isometry(grid, interval, t):
@@ -172,6 +177,7 @@ def microcausality_check(r_interval, t_r: float, rp_interval, t_rp: float,
     deterministic.
     """
     _plain_grid(grid)
+    _finite(t_r=t_r, t_rp=t_rp)
     b1 = _range_isometry(grid, r_interval, t_r)
     b2 = _range_isometry(grid, rp_interval, t_rp)
     g = b1.conj().T @ b2

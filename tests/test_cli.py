@@ -246,6 +246,27 @@ def test_numeric_inputs_it_cannot_use_exit_two(capsys, argv, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["fock", "spectrum", "--m", "nan"],
+    ["fock", "duality", "--m", "inf"],
+    ["causality", "--m", "nan"],
+    ["causality", "--tr", "nan"],
+    ["numeric", "residuals", "--m", "nan", "--npts", "8", "--nstates", "1"],
+    ["localize", "--m", "nan"],
+    ["localize", "--sigma", "nan"],
+], ids="_".join)
+def test_non_finite_physical_parameters_exit_two(tmp_path, capsys, monkeypatch, argv):
+    """fock spectrum passed 3/3 at m = nan; causality and fock duality died
+    in numpy's SVD; numeric residuals reported NaN residuals and localize a
+    NaN summary. Each is refused before anything runs or is written."""
+    monkeypatch.setattr(cli, "foldy_generators", None)
+    out = tmp_path / "out.csv"
+    assert run([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [["numeric", "casimir"], ["numeric", "residuals"],
                                      ["fock", "duality"]])
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0", "-inf", "tiny"])
