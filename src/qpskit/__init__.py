@@ -20,7 +20,7 @@ from .numcheck import (convergence_report, numeric_casimir_report,
                        numeric_residual_reports, numeric_table_report)
 from .parser import ExprSyntaxError, UnknownSymbolError, parse_expr, render_expr
 from .report import CheckEntry, VerificationReport
-from .spin import SpinConfigError, eval_spin_matrices, matrix_is_zero, spin_matrices_exact
+from .spin import SpinConfigError
 
 __version__ = "0.1.0"
 
@@ -40,6 +40,5 @@ __all__ = [
     "numeric_pl_report", "numeric_residual_reports", "numeric_table_report",
     "ExprSyntaxError", "UnknownSymbolError", "parse_expr", "render_expr",
     "CheckEntry", "VerificationReport",
-    "SpinConfigError", "eval_spin_matrices", "matrix_is_zero",
-    "spin_matrices_exact",
+    "SpinConfigError",
 ]

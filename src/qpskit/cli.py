@@ -116,7 +116,7 @@ def _cmd_verify(args):
     elif args.suite == "boost":
         rep = boost_matrix_identities(ctx=ctx)
     else:  # emrelation
-        rep = energy_momentum_constraint_check(parse_expr(args.h, ctx=ctx), ctx=ctx)
+        rep = energy_momentum_constraint_check(parse_expr(args.h, ctx=ctx))
     return _emit_report(rep, args)
 
 
@@ -244,6 +244,18 @@ def _tolerance(text):
     return value
 
 
+def _seed(text):
+    """A ``--seed`` value: a non-negative integer, which numpy's generators
+    need; every command refuses any other before it runs."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {text}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="qpskit",
@@ -255,7 +267,7 @@ def build_parser():
     def common_out(p):
         p.add_argument("--out", default=None, help="artifact path")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
 
     pv = sub.add_parser("verify", help="symbolic suites (exact)")
     pv.add_argument("suite", choices=("poincare", "spinless", "bargmann",
@@ -294,7 +306,7 @@ def build_parser():
     pl.add_argument("--pmax", type=float, default=60.0)
     pl.add_argument("--out", default=None,
                     help="density CSV path; the summary goes to its stem + .json")
-    pl.add_argument("--seed", type=int, default=0)
+    pl.add_argument("--seed", type=_seed, default=0)
     pl.set_defaults(func=_cmd_localize)
 
     pc = sub.add_parser("causality", help="localized projector commutator")

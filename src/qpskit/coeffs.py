@@ -757,7 +757,6 @@ class AlgebraContext:
         # caches used by the operator layer
         self.s_left_cache: dict = {}
         self.s_mul_cache: dict = {}
-        self.spin_matrix_cache: dict = {}
         self.scalar_cache: dict = {}
         self.shuffle_cache: dict = {}
         self._i_hbar = ScalarCoeff(self, _FZERO, (GENS[GEN_NAMES.index("hbar")], ONE),

@@ -576,15 +576,11 @@ def lemma_suite(gens: GeneratorSet) -> VerificationReport:
 # -- energy-momentum closure --------------------------------------------------------
 
 
-def energy_momentum_constraint_check(h_candidate: OperatorExpr,
-                                     ctx: AlgebraContext | None = None) -> VerificationReport:
+def energy_momentum_constraint_check(h_candidate: OperatorExpr) -> VerificationReport:
     """Rebuild the boost around an arbitrary translation-invariant Hamiltonian
-    and rerun the Poincare table; closure holds iff H^2 - P.P is a central
-    constant."""
-    if ctx is None:
-        ctx = h_candidate.ctx
-    if h_candidate.ctx is not ctx:
-        raise ExprError("candidate Hamiltonian from a different context")
+    in its own context and rerun the Poincare table; closure holds iff
+    H^2 - P.P is a central constant."""
+    ctx = h_candidate.ctx
     if h_candidate.uses_q():
         raise ExprError("candidate Hamiltonian must not contain Q "
                         "(construction presumes translation invariance)")

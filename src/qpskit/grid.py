@@ -70,7 +70,7 @@ import weakref
 import numpy as np
 
 from .expr import OperatorExpr
-from .spin import check_spin, spin_matrices_numeric
+from .spin import check_spin
 
 
 # Widest axis on which Q^k is applied as a dense n x n matrix instead of an
@@ -88,6 +88,22 @@ class GridConfigError(ValueError):
 
 class UnsupportedSymbolError(GridConfigError):
     """Expression references symbols the grid cannot realize."""
+
+
+def spin_matrices_numeric(s, hbar: float = 1.0):
+    """Hermitian (S1, S2, S3) as complex arrays, basis m = s..-s."""
+    s = check_spin(s)
+    dim = int(2 * s + 1)
+    ms = np.array([float(s - k) for k in range(dim)])
+    splus = np.zeros((dim, dim), dtype=complex)
+    for r in range(dim - 1):
+        m = ms[r + 1]
+        splus[r, r + 1] = np.sqrt(float(s) * (float(s) + 1.0) - m * (m + 1.0))
+    sminus = splus.conj().T
+    s1 = hbar * (splus + sminus) / 2.0
+    s2 = hbar * (splus - sminus) / 2.0j
+    s3 = hbar * np.diag(ms)
+    return s1, s2, s3
 
 
 class GridRep:
@@ -135,14 +151,13 @@ class GridRep:
 
         if d == 1:
             self.pmesh = (self.p_axis, 0.0, 0.0)
-            self.psq = self.p_axis**2
+            psq = self.p_axis**2
         else:
             g = np.meshgrid(self.p_axis, self.p_axis, self.p_axis, indexing="ij")
             self.pmesh = (g[0], g[1], g[2])
-            self.psq = g[0]**2 + g[1]**2 + g[2]**2
-        self.omega = np.sqrt(self.psq + self.m**2)
+            psq = g[0]**2 + g[1]**2 + g[2]**2
+        self.omega = np.sqrt(psq + self.m**2)
         self.spin_mats = spin_matrices_numeric(self.s, self.hbar)
-        self.sector_sign = np.array([1.0, -1.0])
         self._free = {}   # size -> flat buffers that nothing reads any more
         self._q_mats = {}   # power k -> dense Q^k along one axis
         # coefficient -> its read-only value while a map holds it; P_i and
@@ -193,9 +208,6 @@ class GridRep:
         if n == 0:
             raise GridConfigError("cannot normalize the zero state")
         return state / n
-
-    def inner(self, a, b):
-        return complex(np.vdot(a, b) * self.dp**self.d)
 
     # -- momentum <-> position ------------------------------------------------
 
@@ -457,7 +469,7 @@ def realize(e: OperatorExpr, grid: GridRep) -> LinearMap:
 # -- sample states ----------------------------------------------------------------
 
 
-def gaussian_states(grid: GridRep, nstates=8, seed=0, width_scale=1.0, sector=None):
+def gaussian_states(grid: GridRep, nstates=8, seed=0, sector=None):
     """Seeded band-limited test family: centered complex Gaussians with
     randomized widths, position offsets and spin/sector amplitudes.
 
@@ -474,7 +486,7 @@ def gaussian_states(grid: GridRep, nstates=8, seed=0, width_scale=1.0, sector=No
     halfbox = grid.boxlen / 2.0
     balanced = np.sqrt(2.0 / (np.pi * grid.npts)) * grid.pmax
     for _ in range(nstates):
-        sigmas = rng.uniform(0.95, 1.05, size=grid.d) * balanced * width_scale
+        sigmas = rng.uniform(0.95, 1.05, size=grid.d) * balanced
         shifts = rng.uniform(-0.03, 0.03, size=grid.d) * halfbox
         envelope = None
         for a in range(grid.d):

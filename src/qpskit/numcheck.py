@@ -50,6 +50,10 @@ from .grid import GridConfigError, GridRep, gaussian_states, realize
 from .report import VerificationReport
 
 DEFAULT_TOL = 1e-6
+# convergence_report: the factor by which a residual must shrink on the
+# finer grid, and the finer-grid residual that counts as roundoff
+CONVERGENCE_FACTOR = 4.0
+ROUNDOFF_FLOOR = 1e-11
 
 
 def _word_chains(word):
@@ -352,20 +356,22 @@ def numeric_casimir_report(gens: GeneratorSet, grid: GridRep, nstates=8,
     return report
 
 
-def convergence_report(make_report, grid_small: GridRep, grid_big: GridRep,
-                       min_ratio=4.0, floor=1e-11) -> VerificationReport:
-    """Spectral-convergence assertion between two grids.
+def convergence_report(make_report, grid_small: GridRep,
+                       grid_big: GridRep) -> VerificationReport:
+    """Spectral-convergence assertion between two grids: ``make_report`` is
+    run on each.
 
-    Each entry passes when the residual shrinks by at least ``min_ratio``
-    going to the finer grid, or when the finer-grid residual already sits at
-    roundoff (relations realized exactly on the grid have no error to shrink).
+    Each entry passes when the residual shrinks by at least
+    ``CONVERGENCE_FACTOR`` going to the finer grid, or when the finer-grid
+    residual is at most ``ROUNDOFF_FLOOR`` (relations realized exactly on
+    the grid have no error to shrink).
     An id absent from one grid, or without a residual_norm there, fails.
     """
     small = make_report(grid_small)
     big = make_report(grid_big)
     report = VerificationReport(f"convergence_{big.suite}")
     lhs = f"residual({grid_small.npts})/residual({grid_big.npts})"
-    expected = f">= {min_ratio} (or fine grid at roundoff)"
+    expected = f">= {CONVERGENCE_FACTOR} (or fine grid at roundoff)"
     grids = [(grid_small, {e.id: e.residual_norm for e in small.entries}),
              (grid_big, {e.id: e.residual_norm for e in big.entries})]
     for check_id in dict.fromkeys([e.id for e in big.entries + small.entries]):
@@ -377,7 +383,7 @@ def convergence_report(make_report, grid_small: GridRep, grid_big: GridRep,
                        residual="; ".join(gaps), passed=False)
             continue
         rs, rb = grids[0][1][check_id], grids[1][1][check_id]
-        ok = rb <= floor or (rb > 0 and rs / rb >= min_ratio)
+        ok = rb <= ROUNDOFF_FLOOR or (rb > 0 and rs / rb >= CONVERGENCE_FACTOR)
         ratio = rs / rb if rb > 0 else float("inf")
         report.add(id=check_id, lhs=lhs, expected=expected,
                    residual=f"{rs:.3e} -> {rb:.3e} (ratio {ratio:.1f})",

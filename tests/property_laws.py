@@ -11,8 +11,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from qpskit import (DEFAULT_CONTEXT, OperatorExpr, commutator,
-                    eval_spin_matrices, matrix_is_zero, normal_form,
+from oracles import eval_spin_matrices
+from qpskit import (DEFAULT_CONTEXT, OperatorExpr, commutator, normal_form,
                     parse_expr, render_expr)
 
 ctx = DEFAULT_CONTEXT

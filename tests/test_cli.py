@@ -281,6 +281,20 @@ def test_tol_must_be_finite_and_positive(capsys, monkeypatch, command, tol):
     assert "--tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["verify", "pl"], ["numeric", "residuals"], ["numeric", "casimir"], ["localize"],
+    ["causality"], ["fock", "duality"], ["fock", "expectation"], ["fock", "spectrum"],
+], ids="_".join)
+def test_negative_seed_is_refused_by_every_command(capsys, command):
+    """numeric and fock died in numpy with a message naming no flag, while
+    verify, localize and causality ran; every command now refuses it the
+    same way before anything runs."""
+    with pytest.raises(SystemExit) as exc:
+        run([*command, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be a non-negative integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("suite", ["bargmann", "lemmas", "casimirs", "pl",
                                    "boost", "emrelation"])
 def test_casimir_spin_only_where_read(capsys, suite):

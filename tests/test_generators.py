@@ -6,12 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import eval_spin_matrices, matrix_is_zero
 from qpskit import (AlgebraContext, GridConfigError, GridRep,
                     bargmann_generators, boost_matrix_identities, casimirs,
-                    check_table, commutator,
-                    energy_momentum_constraint_check, eval_spin_matrices,
-                    foldy_generators, lemma_suite, matrix_is_zero,
-                    parse_expr, pauli_lubanski, total_time_derivative)
+                    check_table, commutator, energy_momentum_constraint_check,
+                    foldy_generators, lemma_suite, parse_expr, pauli_lubanski,
+                    total_time_derivative)
 import qpskit.generators as generators
 from qpskit.coeffs import ScalarCoeff
 from qpskit.expr import ExprError

@@ -190,7 +190,7 @@ def _reference_apply(e, g, psi):
         for idx, expnt in enumerate(smono):
             for _ in range(expnt):
                 smat = smat @ g.spin_mats[idx]
-        sign = g.sector_sign ** lam
+        sign = np.array([1.0, -1.0]) ** lam
         xk = np.ones(xs[0].shape)
         for a in range(g.d):
             xk = xk * xs[a] ** qmono[a]

@@ -155,13 +155,8 @@ def test_guard_flags_an_unread_public():
 
 
 # Exported names that no command and no README example reads, kept on purpose:
-# perfbench/micro.py times nw_projector's apply, and the engine laws
-# (tests/property_laws.py) and tests/test_spin.py read the exact spin matrices.
-UNREAD_EXPORTS = {
-    "localization.py:nw_projector",
-    "spin.py:eval_spin_matrices",
-    "spin.py:matrix_is_zero",
-}
+# perfbench/micro.py times nw_projector's apply.
+UNREAD_EXPORTS = {"localization.py:nw_projector"}
 
 
 def _library_example():
@@ -183,16 +178,15 @@ def test_exported_names_are_read():
 
 
 def _attribute_reads(node):
-    """Counter of the attribute and bare names read in ``node``."""
-    return Counter(n.attr if isinstance(n, ast.Attribute) else n.id
-                   for n in ast.walk(node)
-                   if isinstance(n, ast.Attribute)
-                   or (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)))
+    """Counter of the attribute names read in ``node``. A method is read
+    only as an attribute, so a bare name (a local that shares its name)
+    does not count."""
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
 
 
 def _unread_methods(trees):
     """``module:Class.method`` of each public method that no code outside
-    its own body reads, as an attribute or a name."""
+    its own body reads as an attribute."""
     reads = sum((_attribute_reads(tree) for tree in trees.values()), Counter())
     out = set()
     for mod, tree in trees.items():
@@ -220,6 +214,8 @@ def test_guard_flags_an_unread_method():
                   "    def dead(self, n):\n        return self.dead(n - 1) if n else 0\n"
                   "    @property\n    def shown(self):\n        return 2\n"
                   "    def __len__(self):\n        return 0\n"
-                  "    def _private(self):\n        return 3\n")
+                  "    def _private(self):\n        return 3\n"
+                  "    def shadowed(self):\n        return 4\n"
+                  "def f(x):\n    shadowed = x + 1\n    return shadowed\n")
     b = ast.parse("from a import A\nprint(A().used(), A().shown)\n")
-    assert _unread_methods({"a": a, "b": b}) == {"a:A.dead"}
+    assert _unread_methods({"a": a, "b": b}) == {"a:A.dead", "a:A.shadowed"}

@@ -1,4 +1,5 @@
-"""No CLI command imports sympy, the closure candidates included."""
+"""No CLI command imports sympy, the closure candidates included, and the
+spin-value check imports neither numpy nor the exact engine."""
 
 import json
 import os
@@ -56,3 +57,23 @@ def test_no_command_imports_sympy(tmp_path):
         assert not loaded, f"sympy imported by {name}"
     # P2 + m is outside the seeded registry: the squarefree split ran
     assert digest[1] == GOLDEN["closure_den"][1]
+
+
+# ``qpskit/__init__`` imports every module, so the package is stood in by a
+# bare one over the same directory: ``import qpskit.spin`` then loads only
+# what spin.py itself imports.
+SPIN_SCRIPT = """
+import json, sys, types
+package = types.ModuleType("qpskit")
+package.__path__ = [sys.argv[1]]
+sys.modules["qpskit"] = package
+import qpskit.spin
+print(json.dumps(sorted({"numpy", "qpskit.coeffs", "qpskit.expr"} & set(sys.modules))))
+"""
+
+
+def test_spin_check_imports_no_numpy_and_no_engine():
+    proc = subprocess.run([sys.executable, "-c", SPIN_SCRIPT, str(SRC / "qpskit")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

@@ -81,8 +81,8 @@ def test_projector_is_projection(causality_grid):
     # self-adjoint
     phi = np.zeros(g.state_shape, dtype=complex)
     phi[:, 0, 0] = np.exp(-(g.p_axis - 1.0)**2 / 2.0)
-    assert g.inner(phi, proj.apply(psi)) == pytest.approx(
-        g.inner(proj.apply(phi), psi), rel=1e-10, abs=1e-12)
+    assert np.vdot(phi, proj.apply(psi)) * g.dp == pytest.approx(
+        np.vdot(proj.apply(phi), psi) * g.dp, rel=1e-10, abs=1e-12)
 
 
 def test_projector_localizes(causality_grid):

@@ -1,13 +1,15 @@
-"""Fixed-spin matrix backends, exact and numeric."""
+"""The spin-value check, the grid's Hermitian spin matrices, and the exact
+fixed-spin matrix oracle of tests/oracles.py."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qpskit import eval_spin_matrices, matrix_is_zero, parse_expr
-from qpskit.spin import (SpinConfigError, check_spin, spin_matrices_exact,
-                         spin_matrices_numeric)
+from oracles import eval_spin_matrices, matrix_is_zero, spin_matrices_exact
+from qpskit import parse_expr
+from qpskit.grid import spin_matrices_numeric
+from qpskit.spin import SpinConfigError, check_spin
 
 P = parse_expr
 SPINS = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]
