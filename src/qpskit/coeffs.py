@@ -60,14 +60,15 @@ subtraction of packed exponents tests.
 A derivative of n/d is formed over d*R, R the product of d's named factors
 that depend on the variable, instead of over d^2 (``_fdiff``).
 
-While an exact evaluation runs, its context keeps two tables for
-``ScalarCoeff``: products, keyed by the ordered pair of operands, and
-derivatives, keyed by (coefficient, axis). Coefficients are immutable and a
+While an exact evaluation runs, its context keeps three tables for
+``ScalarCoeff``: products, keyed by the ordered pair of operands,
+derivatives, keyed by (coefficient, axis), and rendered texts, keyed by
+coefficient (``parser.render_scalar``). Coefficients are immutable and a
 canonical fraction is unique, so a table hit equals a fresh computation.
 ``AlgebraContext.evaluation()`` opens the tables and drops them when it
 ends; the exact reports, the closure check and the generator builds each
-run inside one. Products recur across the entries of one report, so
-dropping them sooner loses the gain; keeping them for the whole process,
+run inside one. Products and texts recur across the entries of one report,
+so dropping them sooner loses the gain; keeping them for the whole process,
 or for arithmetic outside an evaluation, only adds memory.
 
 No module here imports sympy; the tests use it as an oracle.
@@ -750,10 +751,12 @@ class AlgebraContext:
         for f in (*GENS, psq, norm):
             _register(self, f)
         self.factorizations: dict = {}
-        # ScalarCoeff products by (left, right) and derivatives by
-        # (coefficient, axis) while an evaluation() runs; None outside one
+        # ScalarCoeff products by (left, right), derivatives by
+        # (coefficient, axis) and rendered texts by coefficient while an
+        # evaluation() runs; None outside one
         self.products: dict | None = None
         self.derivatives: dict | None = None
+        self.texts: dict | None = None
         # caches used by the operator layer
         self.s_left_cache: dict = {}
         self.s_mul_cache: dict = {}
@@ -775,17 +778,18 @@ class AlgebraContext:
 
     @contextmanager
     def evaluation(self):
-        """Scope of one exact evaluation: products and derivatives are
-        memoized in tables that are dropped when it ends, however it ends.
-        A nested evaluation shares the enclosing one's tables."""
+        """Scope of one exact evaluation: products, derivatives and the
+        rendered text of each coefficient are memoized in tables that are
+        dropped when it ends, however it ends. A nested evaluation shares
+        the enclosing one's tables."""
         if self.products is not None:
             yield self
             return
-        self.products, self.derivatives = {}, {}
+        self.products, self.derivatives, self.texts = {}, {}, {}
         try:
             yield self
         finally:
-            self.products = self.derivatives = None
+            self.products = self.derivatives = self.texts = None
 
     # -- ScalarCoeff constructors ------------------------------------------
 

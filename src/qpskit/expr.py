@@ -484,7 +484,13 @@ def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
     return OperatorExpr(ctx, out)
 
 
+def _scale(e: OperatorExpr, c: ScalarCoeff) -> OperatorExpr:
+    """e * c for a nonzero constant c, one with no P or omega in it: it has
+    no Leibniz tail and commutes with S and Lam, so each coefficient is
+    multiplied by c where it stands."""
+    return OperatorExpr(e.ctx, {mono: co * c for mono, co in e.terms.items()})
+
+
 def total_time_derivative(e: OperatorExpr, h: OperatorExpr) -> OperatorExpr:
     """d e/dt = partial_t e + (1/i hbar)[e, H]."""
-    ih = OperatorExpr.from_scalar(e.ctx.i_hbar(), e.ctx)
-    return e.d_dt() + commutator(e, h) * ih.invert()
+    return e.d_dt() + _scale(commutator(e, h), e.ctx.i_hbar().inv())

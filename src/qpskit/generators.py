@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .coeffs import AlgebraContext, DEFAULT_CONTEXT, scalar_sqrt
-from .expr import (ExprError, OperatorExpr, commutator, normal_form,
+from .expr import (ExprError, OperatorExpr, _scale, commutator, normal_form,
                    total_time_derivative)
 from .parser import render_expr, render_scalar
 from .report import VerificationReport
@@ -81,6 +81,17 @@ def parse_word(word):
 
 def _one(word):
     return ((1, 0, word),)
+
+
+def _oriented(word):
+    """(key, sign): the bracket [B,A] with B after A in name order reads as
+    -[A,B], so both orientations share the key "[A,B]"; any other word is
+    its own key with sign 1."""
+    if word.startswith("["):
+        a, b = word[1:-1].split(",")
+        if b < a:
+            return f"[{b},{a}]", -1
+    return word, 1
 
 
 def _eps_pairs(i):
@@ -154,12 +165,16 @@ def _primitives(ctx):
 class _Words:
     """Sums of words over the table ``names``, which gains each derived
     name on its first read. Every word of ``terms`` is computed once, however
-    many sums read it, and dropped after its last read."""
+    many sums read it, and dropped after its last read. The brackets [A,B]
+    and [B,A] are one word: the kernel forms the one with its names in order
+    and the other reads its exact negation, so the read count is kept per
+    unordered pair. A constant factor c*(i*hbar)^k scales each coefficient
+    of its word where it stands."""
 
     def __init__(self, ctx, names, terms):
         self.ctx = ctx
         self.names = names
-        self.reads = Counter(word for _, _, word in terms)
+        self.reads = Counter(_oriented(word)[0] for _, _, word in terms)
         self.words, self.factors = {}, {}
 
     def name(self, name):
@@ -182,33 +197,37 @@ class _Words:
         return self.names[name]
 
     def value(self, word):
-        if word not in self.words:
+        """(value, sign): the word is sign * value."""
+        key, sign = _oriented(word)
+        if key not in self.words:
             kind, parts = parse_word(word)
             ops = [self.name(name) for name in parts]
             if kind == "1":
                 v = OperatorExpr.from_scalar(1, self.ctx)
             elif kind == "[]":
-                v = commutator(*ops)
+                a, b = ops if sign > 0 else ops[::-1]
+                v = commutator(a, b)
             elif kind == "d/dt":
                 v = total_time_derivative(ops[0], self.names["H"])
             else:
                 v = ops[0]
                 for op in ops[1:]:
                     v = v * op
-            self.words[word] = v
-        self.reads[word] -= 1
-        return self.words[word] if self.reads[word] else self.words.pop(word)
+            self.words[key] = v
+        self.reads[key] -= 1
+        return self.words[key] if self.reads[key] else self.words.pop(key), sign
 
     def side(self, terms):
         total = OperatorExpr.zero(self.ctx)
         for c, k, word in terms:
-            v = self.value(word)
+            # a mirrored bracket is scaled as read, so its coefficient
+            # products are those of [A,B] and the sign goes last
+            v, sign = self.value(word)
             if (c, k) != (1, 0):
                 if (c, k) not in self.factors:
-                    self.factors[c, k] = OperatorExpr.from_scalar(
-                        self.ctx.scalar(c) * self.ctx.i_hbar() ** k, self.ctx)
-                v = v * self.factors[c, k]
-            total = total + v
+                    self.factors[c, k] = self.ctx.scalar(c) * self.ctx.i_hbar() ** k
+                v = _scale(v, self.factors[c, k])
+            total = total + v if sign > 0 else total - v
         return total
 
 
@@ -279,8 +298,9 @@ def _exact_report(suite, identities, gens, casimir_spin=None) -> VerificationRep
     """Check declared identities exactly on ``gens``.
 
     Every word is computed once per suite, however many entries read it,
-    and dropped after its last read. Coefficient products and derivatives
-    are memoized across the entries and forgotten when the report returns.
+    and dropped after its last read; [B,A] reads the negation of [A,B].
+    Coefficient products, derivatives and rendered texts are memoized
+    across the entries and forgotten when the report returns.
     With ``casimir_spin`` set, residuals are normalized modulo S^2.
     """
     with gens.ctx.evaluation():

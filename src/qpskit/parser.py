@@ -223,6 +223,17 @@ def _render_frac(fr) -> str:
 
 
 def render_scalar(c: ScalarCoeff) -> str:
+    """Text of ``c``; inside an evaluation each coefficient is rendered once."""
+    texts = c.ctx.texts
+    if texts is None:
+        return _render_scalar(c)
+    text = texts.get(c)
+    if text is None:
+        text = texts[c] = _render_scalar(c)
+    return text
+
+
+def _render_scalar(c: ScalarCoeff) -> str:
     parts = []
     if c.ar[0]:
         parts.append(f"({_render_frac(c.ar)})")

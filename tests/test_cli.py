@@ -4,11 +4,16 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 import qpskit.cli as cli
+import qpskit.localization as localization
 from qpskit.cli import main
 from qpskit.coeffs import AlgebraContext
 from qpskit.report import VerificationReport
@@ -122,7 +127,7 @@ def test_localize_artifacts_and_determinism(tmp_path, capsys):
 def test_localize_exit_checks_leak_and_slope(monkeypatch, tmp_path, capsys,
                                              leak, slope):
     """localize exits 1 when nothing leaks or the tail slope is not finite."""
-    real = cli.nw_evolution
+    real = localization.nw_evolution
 
     def doctored(*args, **kwargs):
         return dataclasses.replace(real(*args, **kwargs),
@@ -131,7 +136,7 @@ def test_localize_exit_checks_leak_and_slope(monkeypatch, tmp_path, capsys,
 
     args = ["localize", "--npts", "2048", "--pmax", "40"]
     assert run(args) == 0
-    monkeypatch.setattr(cli, "nw_evolution", doctored)
+    monkeypatch.setattr(localization, "nw_evolution", doctored)
     assert run(args + ["--out", str(tmp_path / "d.csv")]) == 1
     doc = json.loads((tmp_path / "d.json").read_text())
     assert doc["outside_cone_probability"] == leak
@@ -351,3 +356,22 @@ def test_csv_quotes_round_trip():
     rows = list(csv.reader(io.StringIO(cli._report_csv(rep))))
     assert rows == [["id", "pass", "asserted", "lhs", "expected", "residual"],
                     ['say "hi", twice', "true", "true", "f(a,b)", '"', "0"]]
+
+
+def test_numeric_artifact_does_not_depend_on_blas_threads(tmp_path):
+    """The numeric report is the same bytes with one BLAS thread and with
+    two: no reduction order in it follows the thread count."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    artifacts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"residuals_{threads}.json"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [
+                       str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qpskit.cli", "numeric", "residuals", "--npts", "32",
+             "--nstates", "2", "--seed", "3", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        artifacts.append(out.read_bytes())
+    assert artifacts[0] == artifacts[1]

@@ -135,17 +135,46 @@ def test_table_reads_equal_fresh_computations():
             want = _moved(a, fresh) * _moved(b, fresh), _moved(a, fresh).diff(axis)
             assert fresh.products is None
             assert [r.components() for r in read] == [r.components() for r in want]
-    assert memo.products is None and memo.derivatives is None
+    assert memo.products is None and memo.derivatives is None and memo.texts is None
 
 
 def test_nested_evaluation_shares_the_tables():
     ctx = AlgebraContext(1)
     with ctx.evaluation():
-        outer = ctx.products
+        outer = ctx.products, ctx.derivatives, ctx.texts
         with ctx.evaluation():
-            assert ctx.products is outer
-        assert ctx.products is outer
-    assert ctx.products is None
+            inner = ctx.products, ctx.derivatives, ctx.texts
+            assert all(a is b for a, b in zip(inner, outer))
+        assert ctx.texts is outer[2]
+    assert ctx.products is None and ctx.derivatives is None and ctx.texts is None
+
+
+def test_each_coefficient_is_rendered_once_per_evaluation(monkeypatch):
+    """Inside an evaluation render_scalar keys its text by coefficient: an
+    equal coefficient reads the stored text, which is the text rendered
+    outside any evaluation, and the table goes when the evaluation ends."""
+    import qpskit.parser as parser
+    rng = random.Random(20261020)
+    coeffs = [random_scalar(rng) for _ in range(40)]
+    plain = [parser.render_scalar(c) for c in coeffs]
+    rendered = []
+    real = parser._render_scalar
+
+    def spy(c):
+        rendered.append(c)
+        return real(c)
+
+    monkeypatch.setattr(parser, "_render_scalar", spy)
+    memo = AlgebraContext(1)
+    with memo.evaluation():
+        texts = [parser.render_scalar(_moved(c, memo)) for c in coeffs]
+        again = [parser.render_scalar(_moved(c, memo)) for c in coeffs]
+        assert texts == plain
+        assert all(a is t for a, t in zip(again, texts))
+        assert len(rendered) == len(set(texts)) == len(memo.texts)
+    assert memo.texts is None
+    parser.render_scalar(_moved(coeffs[0], memo))
+    assert len(rendered) == len(set(texts)) + 1
 
 
 class _AxisBlind(dict):

@@ -13,6 +13,8 @@ from qpskit import (AlgebraContext, GridConfigError, GridRep,
                     foldy_generators, lemma_suite, parse_expr, pauli_lubanski,
                     total_time_derivative)
 import qpskit.generators as generators
+import qpskit.parser as parser
+from qpskit.cli import main
 from qpskit.coeffs import ScalarCoeff
 from qpskit.expr import ExprError
 from qpskit.generators import (AXES, BOOST_MATRIX, CASIMIRS, LEMMAS,
@@ -78,6 +80,71 @@ def test_poincare_table_passes(foldy):
     for a in ("H", "P1", "J2", "K3"):
         for b in ("H", "P2", "J1", "K2"):
             assert f"[{a},{b}]" in ids and f"[{b},{a}]" in ids
+
+
+TABLE_NAMES = ["H"] + [f"{p}{i}" for p in "PJK" for i in AXES]
+CANDIDATE = "Lam*omega + 3/2*P2"
+
+
+def _candidate_set(text):
+    """The orbital/spin set built around the candidate H, as the closure
+    check builds it (the candidate fails, so m stays the primitive)."""
+    ctx = AlgebraContext.get(1)
+    names = {**generators._primitives(ctx), "H": P(text, ctx=ctx)}
+    with ctx.evaluation():
+        return generators._declare(ctx, names, generators.ORBITAL_SPIN)
+
+
+def _counting_commutator(monkeypatch):
+    calls = []
+    real = generators.commutator
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(generators, "commutator", counted)
+    return calls
+
+
+def test_table_forms_each_unordered_bracket_once(foldy, monkeypatch):
+    """[B,A] reads the negation of [A,B]: the kernel runs once per unordered
+    pair of the ten table generators, [A,A] included, 55 calls for 100
+    entries; the closure check runs the same table."""
+    calls = _counting_commutator(monkeypatch)
+    rep = check_table(foldy, "poincare")
+    assert len(rep.entries) == 100 and rep.failed == 0
+    name_of = {id(foldy[n]): n for n in TABLE_NAMES}
+    pairs = [frozenset((name_of[id(a)], name_of[id(b)])) for a, b in calls]
+    assert len(calls) == 55 and len(set(pairs)) == 55
+    calls.clear()
+    energy_momentum_constraint_check(P(CANDIDATE))
+    assert len(calls) == 55
+
+
+@pytest.mark.parametrize("which", ["foldy", "candidate"])
+def test_table_brackets_are_antisymmetric(foldy, which):
+    """The engine's antisymmetry at the table's own inputs, which the
+    mirrored [B,A] rows rely on: [B,A] == -[A,B] for all 45 pairs."""
+    gens = dict(foldy.items()) if which == "foldy" else _candidate_set(CANDIDATE)
+    with foldy.ctx.evaluation():
+        for k, a in enumerate(TABLE_NAMES):
+            for b in TABLE_NAMES[k + 1:]:
+                assert commutator(gens[b], gens[a]) == -commutator(gens[a], gens[b])
+
+
+def test_mirrored_rows_are_not_vacuous(foldy, monkeypatch):
+    """A mirrored read that forgets the sign fails exactly the [B,A] rows
+    (B after A in name order) whose expected side is nonzero."""
+    value = generators._Words.value
+    monkeypatch.setattr(generators._Words, "value",
+                        lambda self, word: (value(self, word)[0], 1))
+    rep = check_table(foldy, "poincare")
+    want = {ident.id for ident in TABLES["poincare"]
+            if generators._oriented(ident.id)[1] < 0 and ident.expected}
+    assert len(want) == 24
+    assert {e.id for e in rep.entries if not e.passed} == want
+    assert main(["verify", "poincare"]) == 1
 
 
 def test_specific_table_entries(foldy):
@@ -345,18 +412,27 @@ def test_tables_live_only_while_an_evaluation_runs(foldy, monkeypatch):
             lambda: foldy_generators(ctx=ctx),
             lambda: bargmann_generators(ctx=ctx)]
     mul = ScalarCoeff._mul
-    open_at_mul = []
+    render = parser._render_scalar
+    open_at_mul, open_at_render = [], []
 
     def spy(self, o):
         open_at_mul.append(self.ctx.products is not None)
         return mul(self, o)
 
+    def render_spy(c):
+        open_at_render.append(c.ctx.texts is not None)
+        return render(c)
+
     monkeypatch.setattr(ScalarCoeff, "_mul", spy)
-    for run in runs:
+    monkeypatch.setattr(parser, "_render_scalar", render_spy)
+    for k, run in enumerate(runs):
         open_at_mul.clear()
+        open_at_render.clear()
         run()
         assert open_at_mul and all(open_at_mul)
-        assert ctx.products is None and ctx.derivatives is None
+        # the reports render their residuals; the generator builds render nothing
+        assert all(open_at_render) and bool(open_at_render) == (k < 2)
+        assert ctx.products is None and ctx.derivatives is None and ctx.texts is None
 
 
 def test_tables_are_dropped_when_a_report_raises(foldy, monkeypatch):
@@ -376,3 +452,4 @@ def test_tables_are_dropped_when_a_report_raises(foldy, monkeypatch):
     with pytest.raises(RuntimeError, match="render failed"):
         check_table(foldy, "poincare")
     assert foldy.ctx.products is None and foldy.ctx.derivatives is None
+    assert foldy.ctx.texts is None
