@@ -66,8 +66,8 @@ that vector and phi(x) applied to it reach.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -288,6 +288,22 @@ class FockOperator:
                     if b.vals.size), default=0.0)
 
 
+def _occupations(nsites, nmax):
+    """Per total number 0..nmax, the occupation vectors of ``nsites`` modes
+    with that total, as the rows of an integer array in lexicographic
+    order: vectors of L + 1 modes summing to t are those with first entry
+    v = 0..t, each followed by the vectors of L modes summing to t - v."""
+    tails = [np.full((1, 1), t, dtype=np.intp) for t in range(nmax + 1)]
+    for _ in range(nsites - 1):
+        grown = []
+        for t in range(nmax + 1):
+            parts = tails[t::-1]   # the tails summing to t - v, v = 0..t
+            lead = np.repeat(np.arange(t + 1), [len(part) for part in parts])
+            grown.append(np.column_stack((lead, np.concatenate(parts))))
+        tails = grown
+    return tails
+
+
 class FockField:
     """Lattice phase space plus the truncated Fock representation."""
 
@@ -308,41 +324,25 @@ class FockField:
         self.omega_k = np.sqrt(4.0 * np.sin(np.pi * k / self.nsites) ** 2 + self.m**2)
 
         # occupation basis ordered by total number, then lexicographically
-        basis = []
-        for total in range(self.nmax + 1):
-            # each multiset of modes comes once, so each occupation vector does
-            sector = []
-            for combo in combinations_with_replacement(range(self.nsites), total):
-                occ = [0] * self.nsites
-                for mode in combo:
-                    occ[mode] += 1
-                sector.append(tuple(occ))
-            basis.extend(sorted(sector))
-        self.basis = basis
-        self.index = {occ: i for i, occ in enumerate(basis)}
+        sectors = _occupations(self.nsites, self.nmax)
+        basis = np.concatenate(sectors)
         self.dim = len(basis)
-        totals = np.array([sum(occ) for occ in basis])
+        totals = np.repeat(np.arange(self.nmax + 1), [len(occ) for occ in sectors])
         self.totals = totals
         self.sector_offsets = np.searchsorted(totals, np.arange(self.nmax + 2))
         self.sector_dims = np.diff(self.sector_offsets)
         self.sector_slices = [slice(int(lo), int(hi)) for lo, hi
                               in zip(self.sector_offsets[:-1], self.sector_offsets[1:])]
 
-        # nonzero entries of the mode annihilators a_k: a_k[row, col] = sqrt(n)
-        rows, cols, modes, counts = [], [], [], []
-        for col, occ in enumerate(self.basis):
-            for mode, n in enumerate(occ):
-                if n:
-                    target = list(occ)
-                    target[mode] = n - 1
-                    rows.append(self.index[tuple(target)])
-                    cols.append(col)
-                    modes.append(mode)
-                    counts.append(n)
-        self._ladder_rows = np.array(rows, dtype=np.intp)
-        self._ladder_cols = np.array(cols, dtype=np.intp)
-        self._ladder_modes = np.array(modes, dtype=np.intp)
-        self._ladder_sqrt_n = np.sqrt(np.array(counts, dtype=float))
+        # nonzero entries of the mode annihilators a_k: a_k[row, col] = sqrt(n),
+        # column by column, modes in order within a column
+        cols, modes = np.nonzero(basis)
+        targets = basis[cols]
+        targets[np.arange(len(cols)), modes] -= 1
+        self._ladder_rows = self._basis_index(targets)
+        self._ladder_cols = cols
+        self._ladder_modes = modes
+        self._ladder_sqrt_n = np.sqrt(basis[cols, modes].astype(float))
         # the entries come column by column, so those whose column lies in
         # sector n are one run; each is kept with block-local indices into
         # the (n-1, n) block
@@ -353,9 +353,29 @@ class FockField:
              self._ladder_cols[runs[n]:runs[n + 1]] - self.sector_offsets[n])
             for n in range(1, self.nmax + 1)]
         # basis index of |1_k>, mode by mode
-        self._one_particle_index = np.array(
-            [self.index[tuple(int(j == k) for j in range(self.nsites))]
-             for k in range(self.nsites)], dtype=np.intp)
+        self._one_particle_index = self._basis_index(
+            np.eye(self.nsites, dtype=np.intp))
+
+    def _basis_index(self, occ):
+        """Basis index of each occupation vector, a row of ``occ``: its
+        sector's offset plus its lexicographic rank in the sector. With t
+        the total left at entry j, x that entry and L = nsites - j - 1 modes
+        after it, the vectors that share the first j entries and are
+        smaller at j are those whose L-mode tail sums to t - x' for some
+        x' < x: C(t + L, L) - C(t - x + L, L) of them, C(t + L, L) counting
+        the L-mode vectors of total at most t. No count exceeds the largest
+        sector's dimension, so none overflows."""
+        nsites = self.nsites
+        at_most = np.array([[math.comb(t + modes, modes) for modes in range(nsites)]
+                            for t in range(self.nmax + 1)], dtype=np.intp)
+        left = occ.sum(axis=1)
+        index = self.sector_offsets[left]
+        for j in range(nsites - 1):
+            after = nsites - j - 1
+            x = occ[:, j]
+            index = index + at_most[left, after] - at_most[left - x, after]
+            left = left - x
+        return index
 
     def block_dim(self, max_total):
         """Dimension of the subspace with total number <= max_total."""

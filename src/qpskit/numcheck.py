@@ -14,17 +14,24 @@ applied right to left: ``("A", "B")`` is A(B psi), ``[A,B]`` reads
 ``("A", "B")`` and ``("B", "A")``, and ``A*B*C`` reads ``("A", "B", "C")``,
 which reads ``("B", "C")`` once, when it is computed. Before any map is
 applied, ``_ChainCache`` counts every read of every chain and every
-application of every map, so each chain is computed once and dropped at
-its last read, and each map is realized once and dropped after its last
-application. The identities run in an order that keeps few chains live
-(``[B,A]`` right after ``[A,B]``), and their residuals are reported in
-declaration order. A chain is computed by the same arithmetic whatever the
-order, so the residuals do not depend on it.
+application of every map. A chain that costs a matmul to rebuild, one
+longer than one map or whose map has a Q term, is computed once and
+dropped at its last read; a single Q-free map (H, P_i, S_i, ...) is applied
+to the batch again at each read, which costs a few pointwise products and
+holds no buffer between reads. Each map is realized once and dropped after
+its last application. An identity c (i hbar)^k [B,A] whose expected side
+negates term by term that of an earlier c (i hbar)^k [A,B] is not
+evaluated: IEEE arithmetic is sign-symmetric, so its residual is its
+partner's (``_mirrors``; 45 rows of the Poincare table). The other
+identities run in an order that keeps few chains live (``_schedule``), and
+their residuals are reported in declaration order. A chain is computed by
+the same arithmetic whatever the order, so the residuals do not depend on
+it.
 
 Buffer ownership. Chains, word values and the sums of an identity all sit
 in buffers from the grid's free list (``GridRep.take_buffer``). The cache
-is the one place that gives them back (``GridRep.recycle``): a chain at its
-last read, every other array as soon as the value formed from it exists.
+is the one place that gives them back (``GridRep.recycle``): a held chain at
+its last read, every other array as soon as the value formed from it exists.
 A term whose factor c (i hbar)^k is 1 is its word itself, so a sum may be a
 chain that the cache still holds, and only an owned sum is given back. A
 pass therefore allocates a few state-sized buffers, not some for every
@@ -74,11 +81,19 @@ class _ChainCache:
     """Chains and realized maps on one state batch, read-counted over the
     ``words`` that will be read: each is kept only until its last use.
 
+    A chain is held between its reads only when rebuilding it would cost a
+    matmul: when it is longer than one map, or its map has a Q term. A
+    single map without one (``held`` is false) is applied to the batch
+    again at each of its reads, which costs a few pointwise block products,
+    where holding it would keep a batch-sized buffer over its whole read
+    span. The plan counts one application per such read.
+
     Values travel as ``(array, owned)`` pairs. The batch is never owned;
-    a chain is owned by the reader that reads it last, and every array
-    formed here from chains is owned by its caller. The owner of an array
-    may write to it, and gives it back to the grid's free list with
-    ``recycle`` once it has read it; nothing else ever does.
+    a held chain is owned by the reader that reads it last, a rebuilt one by
+    every reader, and every array formed here from chains is owned by its
+    caller. The owner of an array may write to it, and gives it back to the
+    grid's free list with ``recycle`` once it has read it; nothing else ever
+    does.
     """
 
     def __init__(self, gens: GeneratorSet, grid: GridRep, batch, words):
@@ -86,7 +101,8 @@ class _ChainCache:
         self.grid = grid
         self.batch = batch
         self.in_norms = _state_norms(batch)
-        self.reads = Counter()     # chain -> reads left
+        self.exprs = {}            # map name -> its expression
+        self.reads = Counter()     # held chain -> reads left
         self.applies = Counter()   # map name -> applications left
         for word in words:
             for key in _word_chains(word)[1]:
@@ -94,8 +110,25 @@ class _ChainCache:
         self.maps = {}
         self.chains = {}
 
+    def _expr(self, name):
+        if name not in self.exprs:
+            self.exprs[name] = (self.gens[name[5:]].d_dt()
+                                if name.startswith("d/dt ") else self.gens[name])
+        return self.exprs[name]
+
+    def _transforms(self, key):
+        """Whether the first map that ``key`` applies has a Q term."""
+        return bool(key) and self._expr(key[0]).uses_q()
+
+    def held(self, key):
+        """Whether the chain ``key`` is kept between its reads."""
+        return len(key) > 1 or self._transforms(key)
+
     def _plan(self, key):
         if not key:
+            return
+        if not self.held(key):      # every read applies the map
+            self.applies[key[0]] += 1
             return
         if key not in self.reads:   # the first read computes the chain
             self.applies[key[0]] += 1
@@ -104,9 +137,7 @@ class _ChainCache:
 
     def map(self, name):
         if name not in self.maps:
-            expr = (self.gens[name[5:]].d_dt() if name.startswith("d/dt ")
-                    else self.gens[name])
-            self.maps[name] = realize(expr, self.grid)
+            self.maps[name] = realize(self._expr(name), self.grid)
         left = self.applies.pop(name) - 1   # KeyError: an unplanned apply
         if left:
             self.applies[name] = left
@@ -115,9 +146,11 @@ class _ChainCache:
 
     def chain(self, key):
         """The maps of ``key`` applied right to left to the batch, owned when
-        this is its last read."""
+        this is its last read or the chain is rebuilt at every read."""
         if not key:
             return self.batch, False
+        if not self.held(key):
+            return self.map(key[0]).apply(self.batch), True
         value = self.chains.pop(key, None)
         if value is None:
             arg, owned = self.chain(key[1:])
@@ -134,7 +167,12 @@ class _ChainCache:
         """A declared word applied to the batch, as an ``(array, owned)``
         pair."""
         kind, keys = _word_chains(word)
-        values = [self.chain(key) for key in keys]
+        # a chain whose first map has a Q term goes before the others: its
+        # transform takes a buffer of its own, best taken while no other
+        # chain of the word is live
+        values = [None] * len(keys)
+        for n in sorted(range(len(keys)), key=lambda n: not self._transforms(keys[n])):
+            values[n] = self.chain(keys[n])
         if kind == "[]":
             return self.combine(np.subtract, *values)
         if kind == "d/dt":
@@ -215,11 +253,40 @@ def _make_batch(grid, nstates, seed, sector=None):
                     out=np.moveaxis(inner, (0, 1), (-2, -1)))
 
 
-def _chain_needs(words):
+def _chain_needs(words, held):
     """For each identity, given as its list of words, the set of chains it
-    reads, with the shorter chains they read in turn."""
+    reads, with the shorter chains they read in turn, that ``held`` keeps
+    between reads."""
     return [{key[i:] for w in ws for key in _word_chains(w)[1]
-             for i in range(len(key))} for ws in words]
+             for i in range(len(key)) if held(key[i:])} for ws in words]
+
+
+def _mirrors(idents):
+    """``{n: m}`` for each identity n whose lhs is c (i hbar)^k [B,A], with
+    B other than A, and whose expected side is, term by term, the negation
+    of that of an earlier identity m with lhs c (i hbar)^k [A,B].
+
+    IEEE arithmetic is sign-symmetric, x - y = -(y - x), (-a) b = -(a b) and
+    (-x) + (-y) = -(x + y), so n's residual vector is m's exact negation,
+    up to the signs of zeros, and its norm is m's. Only the declarations
+    are read; m is evaluated, never a mirror itself.
+    """
+    evaluated = {}   # (lhs, expected) -> the first evaluated identity
+    out = {}
+    for n, ident in enumerate(idents):
+        lhs = ident.lhs
+        if len(lhs) == 1:
+            (c, k, word), = lhs
+            kind, names = parse_word(word)
+            if kind == "[]" and names[0] != names[1]:
+                partner = ((c, k, f"[{names[1]},{names[0]}]"),)
+                negated = tuple((-c2, k2, w) for c2, k2, w in ident.expected)
+                m = evaluated.get((partner, negated))
+                if m is not None:
+                    out[n] = m
+                    continue
+        evaluated.setdefault((lhs, ident.expected), n)
+    return out
 
 
 def _schedule(needs):
@@ -263,19 +330,23 @@ def _grid_reports(suites, gens, grid, nstates, seed, tol):
             raise GridConfigError(f"{suite}: no declared identity has a grid twin")
         twins.append(found)
     idents = [ident for found in twins for ident in found]
-    words = [[word for _, _, word in ident.lhs + ident.expected]
-             for ident in idents]
+    mirrors = _mirrors(idents)
+    evaluated = [n for n in range(len(idents)) if n not in mirrors]
+    words = [[word for _, _, word in idents[n].lhs + idents[n].expected]
+             for n in evaluated]
     batch = _make_batch(grid, nstates, seed)
     cache = _ChainCache(gens, grid, batch, [w for ws in words for w in ws])
-    needs = _chain_needs(words)
     residuals = [None] * len(idents)
-    for n in _schedule(needs):
+    for i in _schedule(_chain_needs(words, cache.held)):
+        n = evaluated[i]
         acc = _sum_words(cache, [(sign * c, k, word) for sign, terms in
                                  ((1, idents[n].lhs), (-1, idents[n].expected))
                                  for c, k, word in terms])
         residuals[n] = cache.residual(acc[0])
         if acc[1]:
             cache.recycle(acc[0])
+    for n, m in mirrors.items():
+        residuals[n] = residuals[m]
     rows = zip(idents, residuals)
     reports = []
     for (suite, _), found in zip(suites, twins):

@@ -3,12 +3,14 @@
 The package keeps only what its commands run: Fock operators held as
 sparse blocks with an in-place algebra, realized grid maps that only
 apply, and one spin convention, the grid's Hermitian matrices. The
-assembled matrices, the out-of-place Fock forms, the power-iteration norm
-and the exact fixed-spin matrix backend live here, built from that public
-algebra.
+assembled matrices, the out-of-place Fock forms, the power-iteration norm,
+the loop-built occupation basis and the exact fixed-spin matrix backend
+live here, built from that public algebra.
 """
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -18,6 +20,46 @@ from qpskit.spin import check_spin
 
 
 # -- Fock operators ------------------------------------------------------------------
+
+
+def fock_ladder(nsites, nmax):
+    """The occupation basis (by total number, then lexicographic), its index
+    and the mode annihilators' nonzero entries, built by Python loops over
+    occupation tuples: the reference for ``FockField``'s array build."""
+    basis = []
+    for total in range(nmax + 1):
+        sector = []
+        for combo in combinations_with_replacement(range(nsites), total):
+            occ = [0] * nsites
+            for mode in combo:
+                occ[mode] += 1
+            sector.append(tuple(occ))
+        basis.extend(sorted(sector))
+    index = {occ: i for i, occ in enumerate(basis)}
+    totals = np.array([sum(occ) for occ in basis])
+    offsets = np.searchsorted(totals, np.arange(nmax + 2))
+    rows, cols, modes, counts = [], [], [], []
+    for col, occ in enumerate(basis):
+        for mode, n in enumerate(occ):
+            if n:
+                target = list(occ)
+                target[mode] = n - 1
+                rows.append(index[tuple(target)])
+                cols.append(col)
+                modes.append(mode)
+                counts.append(n)
+    rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+    runs = np.searchsorted(cols, offsets)
+    sectors = [(n, slice(int(runs[n]), int(runs[n + 1])),
+                rows[runs[n]:runs[n + 1]] - offsets[n - 1],
+                cols[runs[n]:runs[n + 1]] - offsets[n]) for n in range(1, nmax + 1)]
+    one_particle = np.array([index[tuple(int(j == k) for j in range(nsites))]
+                             for k in range(nsites)], dtype=np.intp)
+    return SimpleNamespace(
+        basis=basis, index=index, totals=totals, sector_offsets=offsets,
+        rows=rows, cols=cols, modes=np.array(modes, dtype=np.intp),
+        sqrt_n=np.sqrt(np.array(counts, dtype=float)), sectors=sectors,
+        one_particle_index=one_particle)
 
 
 def fock_from_dense(field, blocks):

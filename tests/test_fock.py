@@ -281,17 +281,38 @@ def test_block_bounds_are_checked(field):
 
 def _dense_mode_annihilators(field):
     """Per-mode a_k as dense matrices, from the occupation basis directly."""
+    ref = oracles.fock_ladder(field.nsites, field.nmax)
     mats = []
     for mode in range(field.nsites):
         mat = np.zeros((field.dim, field.dim))
-        for col, occ in enumerate(field.basis):
+        for col, occ in enumerate(ref.basis):
             n = occ[mode]
             if n:
                 target = list(occ)
                 target[mode] = n - 1
-                mat[field.index[tuple(target)], col] = np.sqrt(n)
+                mat[ref.index[tuple(target)], col] = np.sqrt(n)
         mats.append(mat)
     return mats
+
+
+@pytest.mark.parametrize("sites,nmax", [(4, 2), (6, 3), (10, 2), (10, 4), (70, 2)])
+def test_ladder_arrays_match_the_loop_built_basis(sites, nmax):
+    """(70, 2): C(71, 35) overflows 64 bits, though no index comes near it."""
+    field = FockField(sites, 1.0, nmax)
+    ref = oracles.fock_ladder(sites, nmax)
+    assert field.dim == len(ref.basis)
+    for got, want in ((field.totals, ref.totals),
+                      (field.sector_offsets, ref.sector_offsets),
+                      (field._ladder_rows, ref.rows), (field._ladder_cols, ref.cols),
+                      (field._ladder_modes, ref.modes),
+                      (field._ladder_sqrt_n, ref.sqrt_n),
+                      (field._one_particle_index, ref.one_particle_index)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert len(field._ladder_sectors) == len(ref.sectors) == nmax
+    for (n, run, rows, cols), (rn, rrun, rrows, rcols) in zip(
+            field._ladder_sectors, ref.sectors):
+        assert (n, run) == (rn, rrun)
+        assert np.array_equal(rows, rrows) and np.array_equal(cols, rcols)
 
 
 @pytest.mark.parametrize("sites,nmax,hbar", [(4, 2, 1.0), (6, 4, 0.7), (8, 3, 1.0)])

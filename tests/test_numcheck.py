@@ -4,6 +4,7 @@ its work and memory, and the convergence plumbing (which needs no grid)."""
 import random
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -28,11 +29,6 @@ def _grid(npts):
 
 def _twins(identities):
     return [ident for ident in identities if not ident.symbolic_only]
-
-
-def _words(identities):
-    return [word for ident in _twins(identities)
-            for _, _, word in ident.lhs + ident.expected]
 
 
 def _chains(word):
@@ -113,12 +109,51 @@ def recorded_caches(monkeypatch):
     return caches
 
 
+def _expr_of(gens, name):
+    return gens[name[5:]].d_dt() if name.startswith("d/dt ") else gens[name]
+
+
+def _mirrored(identities):
+    """Rows c (i hbar)^k [B,A], B other than A, whose expected side negates
+    term by term that of an earlier row c (i hbar)^k [A,B]."""
+    seen = set()
+    out = set()
+    for ident in identities:
+        if len(ident.lhs) == 1 and parse_word(ident.lhs[0][2])[0] == "[]":
+            c, k, word = ident.lhs[0]
+            a, b = parse_word(word)[1]
+            negated = tuple((-c2, k2, w) for c2, k2, w in ident.expected)
+            if a != b and (((c, k, f"[{b},{a}]"),), negated) in seen:
+                out.add(ident.id)
+                continue
+        seen.add((ident.lhs, ident.expected))
+    return out
+
+
 def test_each_chain_applied_once_and_each_map_realized_once(
         foldy, monkeypatch, recorded_caches):
-    chains = set()
-    for word in _words(TABLES["poincare"]) + _words(LEMMAS) + _words(PAULI_LUBANSKI):
-        for names in _chains(word):
-            chains |= {names[i:] for i in range(len(names))}
+    """A chain longer than one map, or whose map has a Q term, is applied
+    once; every read of a single Q-free map applies it again; each map is
+    realized once; the mirrored rows read nothing."""
+    twins = [ident for identities in SUITES for ident in _twins(identities)]
+    mirrored = _mirrored(twins)
+    assert len(mirrored) == 45
+    held, rebuilt_reads = set(), 0
+    for ident in twins:
+        if ident.id in mirrored:
+            continue
+        for _, _, word in ident.lhs + ident.expected:
+            for names in _chains(word):
+                # the read itself, then the first computation of each held
+                # chain reads its tail
+                for i in range(len(names)):
+                    key = names[i:]
+                    if len(key) > 1 or _expr_of(foldy, key[0]).uses_q():
+                        if key in held:
+                            break
+                        held.add(key)
+                    else:
+                        rebuilt_reads += 1
     calls = {"apply": 0, "realize": 0}
     apply, real_realize = LinearMap.apply, numcheck.realize
 
@@ -133,8 +168,12 @@ def test_each_chain_applied_once_and_each_map_realized_once(
     monkeypatch.setattr(LinearMap, "apply", counting_apply)
     monkeypatch.setattr(numcheck, "realize", counting_realize)
     numeric_residual_reports(foldy, _grid(16), nstates=1)
-    assert calls == {"apply": len(chains),
-                     "realize": len({names[0] for names in chains})}
+    maps = {names[0] for names in held} | {
+        name for ident in twins if ident.id not in mirrored
+        for _, _, word in ident.lhs + ident.expected
+        for names in _chains(word) for name in names}
+    assert calls == {"apply": len(held) + rebuilt_reads, "realize": len(maps)}
+    assert len(maps) == 36
     # every chain and map was dropped at its last read or application
     (cache,) = recorded_caches
     assert not cache.chains and not cache.maps
@@ -152,8 +191,10 @@ def test_shared_evaluator_memory_peak(foldy, recorded_caches):
         tracemalloc.stop()
     # 36.1 arrays when each suite kept every single-map chain and map for its
     # whole run; 18.6 with the read-counted cache, and 18.9 with the chains,
-    # sums and scratch in buffers that the grid hands out again
-    assert peak < 24 * batch_bytes, peak / batch_bytes
+    # sums and scratch in buffers that the grid hands out again; 13.7 with
+    # the mirrored rows reusing their partners and the Q-free single maps
+    # applied again at each read instead of held
+    assert peak < 16 * batch_bytes, peak / batch_bytes
     (cache,) = recorded_caches
     assert not cache.chains and not cache.maps
 
@@ -171,9 +212,10 @@ def test_state_sized_buffers_are_allocated_a_bounded_number_of_times(
 
     monkeypatch.setattr(qpskit.grid, "_new_buffer", counted)
     numeric_residual_reports(foldy, grid, nstates=1)
-    # 14 state-sized buffers serve the 278 applications and 174 sums; one
-    # per term would be thousands. The tracemalloc peak allows 24.
-    assert 0 < sizes[state_size] <= 24, sizes
+    # 9 state-sized buffers serve the 416 applications and 129 sums (14 for
+    # 278 applications when every chain was held and the 45 mirrored rows
+    # evaluated); one per term would be thousands.
+    assert 0 < sizes[state_size] <= 10, sizes
 
 
 def test_no_map_copies_the_batch(foldy, monkeypatch):
@@ -198,14 +240,20 @@ def test_no_map_copies_the_batch(foldy, monkeypatch):
 def test_a_word_with_factor_one_is_summed_without_a_copy(foldy):
     """c (i hbar)^k = 1 makes the sum the word itself: a chain that the
     cache still holds for a later read comes back unowned, so nobody
-    recycles it, and its last read comes back owned."""
+    recycles it, and its last read comes back owned. A Q-free single map is
+    not held: each read applies it again and hands its reader a new array."""
     grid = _grid(8)
     batch = numcheck._make_batch(grid, 1, 0)
-    cache = numcheck._ChainCache(foldy, grid, batch, ["H", "H"])
-    first, owned = numcheck._sum_words(cache, [(1, 0, "H")])
-    assert not owned and cache.chains[("H",)] is first
-    again, owned = numcheck._sum_words(cache, [(1, 0, "H")])
+    cache = numcheck._ChainCache(foldy, grid, batch, ["J1", "J1", "H", "H"])
+    first, owned = numcheck._sum_words(cache, [(1, 0, "J1")])
+    assert not owned and cache.chains[("J1",)] is first
+    again, owned = numcheck._sum_words(cache, [(1, 0, "J1")])
     assert owned and again is first and not cache.chains
+    reads = [numcheck._sum_words(cache, [(1, 0, "H")]) for _ in range(2)]
+    assert [owned for _, owned in reads] == [True, True]
+    assert reads[0][0] is not reads[1][0] and not cache.chains
+    assert np.array_equal(reads[0][0], reads[1][0])
+    assert not cache.applies and not cache.maps
 
 
 def test_batch_is_the_sample_states_over_spin_first_memory():
@@ -271,10 +319,13 @@ def _reference_schedule(needs):
     return order
 
 
-def test_incremental_schedule_matches_rescoring_every_step():
+def test_incremental_schedule_matches_rescoring_every_step(foldy):
     words = [[word for _, _, word in ident.lhs + ident.expected]
              for identities in SUITES for ident in _twins(identities)]
-    needs = numcheck._chain_needs(words)
+    grid = _grid(8)
+    cache = numcheck._ChainCache(foldy, grid, numcheck._make_batch(grid, 1, 0),
+                                 [w for ws in words for w in ws])
+    needs = numcheck._chain_needs(words, cache.held)
     assert len(needs) == 174
     assert numcheck._schedule(needs) == _reference_schedule(needs)
     rng = random.Random(20261018)
@@ -283,3 +334,36 @@ def test_incremental_schedule_matches_rescoring_every_step():
         needs = [set(rng.sample(keys, rng.randint(0, 5)))
                  for _ in range(rng.randint(0, 30))]
         assert numcheck._schedule(needs) == _reference_schedule(needs)
+
+
+@pytest.mark.parametrize("npts,nstates,seed", [
+    (16, 1, 0), (16, 2, 0), (16, 1, 7), (16, 2, 7),
+    (32, 1, 0), (32, 2, 0), (32, 1, 7), (32, 2, 7)])
+def test_mirrored_rows_equal_their_own_evaluation(foldy, monkeypatch, npts,
+                                                  nstates, seed):
+    """A mirrored [B,A] row reads its [A,B] partner's residual, which is the
+    float its own evaluation gives."""
+    twins = [ident for identities in SUITES for ident in _twins(identities)]
+    mirrors = numcheck._mirrors(twins)
+    assert {twins[n].id for n in mirrors} == _mirrored(twins)
+    assert all(twins[m].id == "[{1},{0}]".format(*parse_word(twins[n].lhs[0][2])[1])
+               for n, m in mirrors.items())
+    paired = numeric_residual_reports(foldy, _grid(npts), nstates=nstates, seed=seed)
+    monkeypatch.setattr(numcheck, "_mirrors", lambda idents: {})
+    alone = numeric_residual_reports(foldy, _grid(npts), nstates=nstates, seed=seed)
+    assert [_norms_of(rep) for rep in paired] == [_norms_of(rep) for rep in alone]
+
+
+def test_a_row_that_is_not_a_mirror_is_evaluated(foldy):
+    """A [B,A] row whose expected side is not the negation of its partner's
+    is evaluated on its own, so a wrong declaration fails there. On this
+    coarse grid [H,K1] leaves 2.2e-4 and the wrong side 0.57."""
+    table = list(TABLES["poincare"])
+    at = next(n for n, ident in enumerate(table) if ident.id == "[K1,H]")
+    table[at] = replace(table[at], expected=((1, 0, "P1"),))   # declared -P1
+    assert len(numcheck._mirrors(_twins(table))) == 44
+    (report,) = numcheck._grid_reports([("t", table)], foldy, _grid(16), 1, 0,
+                                       1e-2)
+    by_id = {e.id: e for e in report.entries}
+    assert not by_id["[K1,H]"].passed and by_id["[H,K1]"].passed
+    assert report.failed == 1
