@@ -722,82 +722,6 @@ def _feval(fr, values):
     return poly_eval(fr[0]) / poly_eval(fr[1])
 
 
-_HBAR = GENS[GEN_NAMES.index("hbar")]
-_HBAR_SHIFT = _SHIFT[GEN_NAMES.index("hbar")]
-
-
-def _hbar_order(p):
-    """The exponent of the largest power of hbar that divides p."""
-    return min((key >> _HBAR_SHIFT) & MAX_EXPONENT for key in p)
-
-
-def _fscale(ctx, f, qn, qd, k):
-    """Canonical f * (qn/qd) * hbar^k, for coprime integers qn and qd > 0.
-
-    hbar is irreducible, so the power of it in f's other part cancels as
-    far as it goes, by shifting exponents; qn shares with the denominator's
-    content only gcd(qn, content(d)), and qd with the numerator's only
-    gcd(qd, content(n)). The new denominator's factorization is d's with
-    hbar's exponent and the content moved, so no division is tried."""
-    n, d = f
-    if not n:
-        return f
-    dn = dd = 0   # powers of hbar that n and d gain
-    if k > 0:
-        dd = -min(k, _hbar_order(d))
-        dn = k + dd
-    elif k < 0:
-        dn = -min(-k, _hbar_order(n))
-        dd = -k + dn
-    g1 = _content(d, qn)
-    g2 = _content(n, qd)
-    a, b = qn // g1, qd // g2
-    n2 = _checked({key + (dn << _HBAR_SHIFT): c // g2 * a for key, c in n.items()})
-    d2 = _checked({key + (dd << _HBAR_SHIFT): c // g1 * b for key, c in d.items()})
-    if not _is_ground(d2) and d2 not in ctx.factorizations:
-        content, fac = _factorization(ctx, d)
-        exps = dict(fac)
-        e = exps.pop(_HBAR, 0) + dd
-        if e:
-            exps[_HBAR] = e
-        ctx.factorizations[d2] = (content // g1 * b, tuple(exps.items()))
-    return n2, d2
-
-
-def _scaling(ctx, c, k):
-    """The map x -> x * c * (i hbar)^k on coefficients, for a nonzero
-    rational c, without the general product: each nonzero component is
-    scaled by the rational monomial c hbar^k (``_fscale``), and each factor
-    i turns (x + i y) into -y + i x. Canonical fractions are unique, so the
-    result equals ``x * (c * (i hbar)**k)``; while an evaluation runs it is
-    kept in, and read from, the products table under that product's key.
-    The map is made once per context and (c, k)."""
-    scale = ctx.scale_cache.get((c, k))
-    if scale is not None:
-        return scale
-    q = Fraction(c)
-    qn, qd = q.numerator, q.denominator
-
-    def turned(ar, ai, br, bi):
-        for _ in range(k % 4):
-            ar, ai, br, bi = _fneg(ai), ar, _fneg(bi), br
-        return ScalarCoeff(ctx, ar, ai, br, bi)
-
-    const = turned(_fscale(ctx, _FONE, qn, qd, k), _FZERO, _FZERO, _FZERO)
-
-    def scale(x):
-        products = ctx.products
-        out = None if products is None else products.get((x, const))
-        if out is None:
-            out = turned(*(_fscale(ctx, part, qn, qd, k) for part in x.components()))
-            if products is not None:
-                products[x, const] = out
-        return out
-
-    ctx.scale_cache[c, k] = scale
-    return scale
-
-
 class AlgebraContext:
     """Shared ring data: the omega radicand and the factor registry.
 
@@ -838,8 +762,8 @@ class AlgebraContext:
         self.s_mul_cache: dict = {}
         self.scalar_cache: dict = {}
         self.shuffle_cache: dict = {}
-        self.scale_cache: dict = {}   # (c, k) -> _scaling's map
-        self._i_hbar = ScalarCoeff(self, _FZERO, (_HBAR, ONE), _FZERO, _FZERO)
+        self._i_hbar = ScalarCoeff(self, _FZERO, (GENS[GEN_NAMES.index("hbar")], ONE),
+                                   _FZERO, _FZERO)
         self.p_over_w = tuple(_fdiv(self, (g, ONE), self.radicand) for g in GENS[:3])
 
     @classmethod

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .coeffs import AlgebraContext, DEFAULT_CONTEXT, ScalarCoeff, _scaling
+from .coeffs import AlgebraContext, DEFAULT_CONTEXT, ScalarCoeff
 
 Mono = tuple  # (q1, q2, q3, s1, s2, s3, lam)
 
@@ -484,15 +484,13 @@ def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
     return OperatorExpr(ctx, out)
 
 
-def _scale(e: OperatorExpr, c, k: int) -> OperatorExpr:
-    """e * c * (i hbar)^k for a nonzero rational c: a constant with no P or
-    omega in it has no Leibniz tail and commutes with S and Lam, so each
-    coefficient is scaled where it stands, by ``coeffs._scaling`` rather
-    than the general product."""
-    scale = _scaling(e.ctx, c, k)
-    return OperatorExpr(e.ctx, {mono: scale(co) for mono, co in e.terms.items()})
+def _scale(e: OperatorExpr, c: ScalarCoeff) -> OperatorExpr:
+    """e * c for a nonzero constant c, one with no P or omega in it: it has
+    no Leibniz tail and commutes with S and Lam, so each coefficient is
+    multiplied by c where it stands."""
+    return OperatorExpr(e.ctx, {mono: co * c for mono, co in e.terms.items()})
 
 
 def total_time_derivative(e: OperatorExpr, h: OperatorExpr) -> OperatorExpr:
     """d e/dt = partial_t e + (1/i hbar)[e, H]."""
-    return e.d_dt() + _scale(commutator(e, h), 1, -1)
+    return e.d_dt() + _scale(commutator(e, h), e.ctx.i_hbar().inv())

@@ -175,7 +175,7 @@ class _Words:
         self.ctx = ctx
         self.names = names
         self.reads = Counter(_oriented(word)[0] for _, _, word in terms)
-        self.words = {}
+        self.words, self.factors = {}, {}
 
     def name(self, name):
         if name not in self.names:
@@ -220,11 +220,13 @@ class _Words:
     def side(self, terms):
         total = OperatorExpr.zero(self.ctx)
         for c, k, word in terms:
-            # a mirrored bracket is scaled as read, so its scaled
-            # coefficients are those of [A,B] and the sign goes last
+            # a mirrored bracket is scaled as read, so its coefficient
+            # products are those of [A,B] and the sign goes last
             v, sign = self.value(word)
             if (c, k) != (1, 0):
-                v = _scale(v, c, k)
+                if (c, k) not in self.factors:
+                    self.factors[c, k] = self.ctx.scalar(c) * self.ctx.i_hbar() ** k
+                v = _scale(v, self.factors[c, k])
             total = total + v if sign > 0 else total - v
         return total
 

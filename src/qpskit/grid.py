@@ -48,9 +48,7 @@ Buffer ownership. A ``GridRep`` keeps a free list of flat complex buffers,
 keyed by size (``take_buffer``, ``recycle``). A realized map draws its
 output and its scratch from it: the transformed state of a Q-monomial, and
 one (batch, spatial) block through which every term after the first of an
-output block is added. The scratch goes back before ``apply`` returns. A
-map that is one Q-monomial with weight 1 on every block, Q1 say, returns
-the transformed state itself as its output. An
+output block is added. The scratch goes back before ``apply`` returns. An
 input whose memory is spin-first is read in place; numpy copies any other
 into a fresh spin-first array. A map never writes to its input; the array
 it returns belongs to the caller, and the free list never holds an array
@@ -433,16 +431,11 @@ def _write_block(dst, carr, src, sign, tmp, first):
         dst += tmp
 
 
-def _bare_q(table, grid: GridRep):
-    """The Q-monomial of a table that is one nonempty Q-monomial with unit
-    weight on every (spin, sector) block, Q1 say, else None."""
-    if len(table) != 1 or not any(table[0][0]):
-        return None
-    qmono, rows = table[0]
-    unit = sum(len(row) == 1 and row[0][0] == i and row[0][2] == 1
-               and np.ndim(row[0][1]) == 0 and row[0][1] == 1
-               for i, _, row in rows)
-    return qmono if unit == 2 * grid.nspin else None
+def _cheap_to_reapply(e: OperatorExpr) -> bool:
+    """Whether ``realize(e).apply`` runs no Q transform (no matmul, no FFT),
+    only pointwise block products: such a map costs less to apply again
+    than its batch-sized result costs to keep."""
+    return not e.uses_q()
 
 
 def realize(e: OperatorExpr, grid: GridRep) -> LinearMap:
@@ -453,14 +446,8 @@ def realize(e: OperatorExpr, grid: GridRep) -> LinearMap:
     (``_compile_terms``) that ``apply`` runs in the spin-first inner layout,
     in buffers of the grid's; see the module docstring. ``apply`` never
     writes to its input, and returns an array that belongs to its caller.
-    A bare Q-monomial (Q1, Q2, Q3) returns its transform's buffer as it is,
-    with no output buffer and no block copies, since 1 * x = x exactly.
     """
     table = _compile_terms(e, grid)
-    qmono = _bare_q(table, grid)
-    if qmono is not None:
-        return LinearMap(lambda state: _to_public(
-            _q_apply(grid, qmono, _to_inner(grid, state))))
 
     def apply_fn(state):
         inner = _to_inner(grid, state)

@@ -14,11 +14,12 @@ applied right to left: ``("A", "B")`` is A(B psi), ``[A,B]`` reads
 ``("A", "B")`` and ``("B", "A")``, and ``A*B*C`` reads ``("A", "B", "C")``,
 which reads ``("B", "C")`` once, when it is computed. Before any map is
 applied, ``_ChainCache`` counts every read of every chain and every
-application of every map. A chain that costs a matmul to rebuild, one
-longer than one map or whose map has a Q term, is computed once and
-dropped at its last read; a single Q-free map (H, P_i, S_i, ...) is applied
-to the batch again at each read, which costs a few pointwise products and
-holds no buffer between reads. Each map is realized once and dropped after
+application of every map. A chain longer than one map, or one map that
+the grid reports costly to apply again (one with a Q term, which costs a
+matmul or an FFT: ``grid._cheap_to_reapply``), is computed once and dropped
+at its last read; any other single map (H, P_i, S_i, ...) is applied to the
+batch again at each read, which costs a few pointwise products and holds
+no buffer between reads. Each map is realized once and dropped after
 its last application. An identity c (i hbar)^k [B,A] whose expected side
 negates term by term that of an earlier c (i hbar)^k [A,B] is not
 evaluated: IEEE arithmetic is sign-symmetric, so its residual is its
@@ -53,7 +54,8 @@ import numpy as np
 
 from .generators import (DERIVED, LEMMAS, PAULI_LUBANSKI, TABLES, GeneratorSet,
                          parse_word)
-from .grid import GridConfigError, GridRep, gaussian_states, realize
+from .grid import (GridConfigError, GridRep, _cheap_to_reapply, gaussian_states,
+                   realize)
 from .report import VerificationReport
 
 DEFAULT_TOL = 1e-6
@@ -81,12 +83,13 @@ class _ChainCache:
     """Chains and realized maps on one state batch, read-counted over the
     ``words`` that will be read: each is kept only until its last use.
 
-    A chain is held between its reads only when rebuilding it would cost a
-    matmul: when it is longer than one map, or its map has a Q term. A
-    single map without one (``held`` is false) is applied to the batch
-    again at each of its reads, which costs a few pointwise block products,
-    where holding it would keep a batch-sized buffer over its whole read
-    span. The plan counts one application per such read.
+    A chain is held between its reads when it is longer than one map, or
+    when the grid reports its map costly to apply again
+    (``grid._cheap_to_reapply``). Any other single map (``held`` is false)
+    is applied to the batch again at each of its reads, which on the grid
+    costs a few pointwise block products, where holding it would keep a
+    batch-sized buffer over its whole read span. The plan counts one
+    application per such read.
 
     Values travel as ``(array, owned)`` pairs. The batch is never owned;
     a held chain is owned by the reader that reads it last, a rebuilt one by
@@ -116,13 +119,14 @@ class _ChainCache:
                                 if name.startswith("d/dt ") else self.gens[name])
         return self.exprs[name]
 
-    def _transforms(self, key):
-        """Whether the first map that ``key`` applies has a Q term."""
-        return bool(key) and self._expr(key[0]).uses_q()
+    def _costly(self, key):
+        """Whether the first map that ``key`` applies is one the grid
+        prefers not to apply again (``grid._cheap_to_reapply``)."""
+        return bool(key) and not _cheap_to_reapply(self._expr(key[0]))
 
     def held(self, key):
         """Whether the chain ``key`` is kept between its reads."""
-        return len(key) > 1 or self._transforms(key)
+        return len(key) > 1 or self._costly(key)
 
     def _plan(self, key):
         if not key:
@@ -167,11 +171,11 @@ class _ChainCache:
         """A declared word applied to the batch, as an ``(array, owned)``
         pair."""
         kind, keys = _word_chains(word)
-        # a chain whose first map has a Q term goes before the others: its
-        # transform takes a buffer of its own, best taken while no other
-        # chain of the word is live
+        # a chain whose first map is costly to apply goes before the others:
+        # on the grid its Q transform takes a buffer of its own, best taken
+        # while no other chain of the word is live
         values = [None] * len(keys)
-        for n in sorted(range(len(keys)), key=lambda n: not self._transforms(keys[n])):
+        for n in sorted(range(len(keys)), key=lambda n: not self._costly(keys[n])):
             values[n] = self.chain(keys[n])
         if kind == "[]":
             return self.combine(np.subtract, *values)

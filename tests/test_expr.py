@@ -1,14 +1,12 @@
 """Normal ordering, commutators, adjoints, substitutions."""
 
-import random
 from fractions import Fraction
 
 import pytest
 
-from property_laws import random_expr
-from qpskit import (DEFAULT_CONTEXT, OperatorExpr, ScalarCoeff, commutator,
-                    normal_form, parse_expr, total_time_derivative)
-from qpskit.expr import ExprError, _scale
+from qpskit import (DEFAULT_CONTEXT, OperatorExpr, commutator, normal_form,
+                    parse_expr, total_time_derivative)
+from qpskit.expr import ExprError
 
 P = parse_expr
 
@@ -133,34 +131,6 @@ def test_total_time_derivative():
     assert total_time_derivative(P("P2"), h).is_zero()
     # explicitly time-dependent: d(t*P1)/dt = P1
     assert total_time_derivative(P("t*P1"), h) == P("P1")
-
-
-@pytest.mark.parametrize("k", [-1, 0, 1, 2])
-def test_constant_scaling_equals_the_general_product(k, monkeypatch):
-    """c (i hbar)^k scales each coefficient without ``ScalarCoeff._mul``,
-    and each result equals the general product with that constant."""
-    rng = random.Random(20261020 + k)
-    ctx = DEFAULT_CONTEXT
-    exprs = [random_expr(rng) for _ in range(30)]
-    consts = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 5))
-              for _ in exprs]
-    calls = []
-    mul = ScalarCoeff._mul
-
-    def counted(self, o):
-        calls.append(1)
-        return mul(self, o)
-
-    monkeypatch.setattr(ScalarCoeff, "_mul", counted)
-    scaled = [_scale(e, c, k) for e, c in zip(exprs, consts)]
-    assert not calls
-    monkeypatch.setattr(ScalarCoeff, "_mul", mul)
-    for e, c, got in zip(exprs, consts, scaled):
-        factor = ctx.scalar(c) * ctx.i_hbar() ** k
-        want = {mono: co * factor for mono, co in e.terms.items()}
-        assert got.terms == want
-        assert all(got.terms[mono].components() == want[mono].components()
-                   for mono in want)
 
 
 def test_invert_rules():

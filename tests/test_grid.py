@@ -347,29 +347,6 @@ def test_recycled_buffers_are_handed_out_again_and_only_once():
     assert not np.shares_memory(g.take_buffer((4, 8)), buf)
 
 
-@pytest.mark.parametrize("d,npts", [(3, 8), (1, 128)], ids=["matmul", "fft"])
-def test_bare_q_returns_its_transform_as_the_table_would(monkeypatch, d, npts):
-    """Q1, Q2, Q3 hand back the transform's own buffer: the same bits as
-    the general table path, which copies it block by block times 1, and
-    the caller's to recycle once. Q1*Lam and 2*Q1 are not bare."""
-    g = GridRep(d=d, npts=npts, pmax=2.0, m=1.0, s=Fraction(1, 2), tval=0.3)
-    psi = _two_batch_axes(g, 47)
-    general = {}
-    with monkeypatch.context() as patched:
-        patched.setattr(qpskit.grid, "_bare_q", lambda table, grid: None)
-        for text in ["Q1", "Q2", "Q3"][:d] + ["Q1*Lam", "2*Q1"]:
-            general[text] = realize(P(text), g).apply(psi)
-    for text, want in general.items():
-        got = realize(P(text), g).apply(psi)
-        assert got.tobytes() == want.tobytes(), text
-        assert not np.shares_memory(got, psi)
-        bare = qpskit.grid._bare_q(qpskit.grid._compile_terms(P(text), g), g)
-        assert (bare is not None) == (text in ("Q1", "Q2", "Q3")), text
-        g.recycle(got)
-        with pytest.raises(GridConfigError):
-            g.recycle(got)
-
-
 @pytest.mark.parametrize("spin", [Fraction(1, 2), 0], ids=["s1/2", "s0"])
 def test_apply_reads_no_reused_buffer_before_writing_it(spin):
     """A realized map writes its first term into its output instead of adding
