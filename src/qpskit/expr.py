@@ -295,45 +295,33 @@ def _q_shuffle(ctx, qexp, coeff):
     return pieces[1:]
 
 
+def eps(i, j, k):
+    """The Levi-Civita symbol on axes 1..3: zero on repeated indices."""
+    return (i - j) * (j - k) * (k - i) // 2
+
+
 def _s_left(ctx, i, mono):
-    """PBW form of S_i * S1^a S2^b S3^c as {mono: coeff}."""
+    """PBW form of S_i * S1^a S2^b S3^c as {mono: coeff}.
+
+    S_i moves right past the first letter S_j with j < i by
+    S_i S_j = S_j S_i + i*hbar * eps_ijk * S_k."""
     key = (i, mono)
     cached = ctx.s_left_cache.get(key)
     if cached is not None:
         return cached
-    a, b, c = mono
-    one = ctx.scalar(1)
-    ih = ctx.i_hbar()
-    if i == 1:
-        out = {(a + 1, b, c): one}
-    elif i == 2:
-        if a == 0:
-            out = {(0, b + 1, c): one}
-        else:
-            rest = (a - 1, b, c)
-            out = {}
-            for mo, co in _s_left(ctx, 2, rest).items():
-                _acc(out, (mo[0] + 1, mo[1], mo[2]), co)
-            for mo, co in _s_left(ctx, 3, rest).items():
-                _acc(out, mo, -ih * co)
-    else:  # i == 3
-        if a > 0:
-            rest = (a - 1, b, c)
-            out = {}
-            for mo, co in _s_left(ctx, 3, rest).items():
-                _acc(out, (mo[0] + 1, mo[1], mo[2]), co)
-            for mo, co in _s_left(ctx, 2, rest).items():
-                _acc(out, mo, ih * co)
-        elif b > 0:
-            rest = (0, b - 1, c)
-            out = {}
-            for mo, co in _s_left(ctx, 3, rest).items():
-                for mo2, co2 in _s_left(ctx, 2, mo).items():
-                    _acc(out, mo2, co * co2)
-            for mo, co in _s_left(ctx, 1, rest).items():
-                _acc(out, mo, -ih * co)
-        else:
-            out = {(0, 0, c + 1): one}
+    j = next((n + 1 for n, e in enumerate(mono[:i - 1]) if e), None)
+    if j is None:
+        out = {mono[:i - 1] + (mono[i - 1] + 1,) + mono[i:]: ctx.scalar(1)}
+    else:
+        k = 6 - i - j
+        rest = mono[:j - 1] + (mono[j - 1] - 1,) + mono[j:]
+        out = {}
+        for mo, co in _s_left(ctx, i, rest).items():
+            for mo2, co2 in _s_left(ctx, j, mo).items():
+                _acc(out, mo2, co * co2)
+        ih = eps(i, j, k) * ctx.i_hbar()
+        for mo, co in _s_left(ctx, k, rest).items():
+            _acc(out, mo, ih * co)
     out = {mo: co for mo, co in out.items() if co}
     ctx.s_left_cache[key] = out
     return out

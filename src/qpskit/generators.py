@@ -24,19 +24,12 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .coeffs import AlgebraContext, DEFAULT_CONTEXT, scalar_sqrt
-from .expr import (ExprError, OperatorExpr, _scale, commutator, normal_form,
-                   total_time_derivative)
+from .expr import (ExprError, OperatorExpr, _scale, commutator, eps,
+                   normal_form, total_time_derivative)
 from .parser import render_expr, render_scalar
 from .report import VerificationReport
 
-_EPS = {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
-        (3, 2, 1): -1, (1, 3, 2): -1, (2, 1, 3): -1}
-
 AXES = (1, 2, 3)
-
-
-def eps(i, j, k):
-    return _EPS.get((i, j, k), 0)
 
 
 class GeneratorSet:

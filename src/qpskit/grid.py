@@ -54,12 +54,22 @@ into a fresh spin-first array. A map never writes to its input; the array
 it returns belongs to the caller, and the free list never holds an array
 that anyone can still read. A caller that keeps its results, or lets the
 garbage collector have them, does nothing; one that knows nothing reads a
-result any more may ``recycle`` it (the chain cache of ``numcheck`` does).
-Each value is computed by the same per-element arithmetic, in the same
-memory layout, as with freshly allocated arrays, so results are
-bit-identical to theirs. An output is never zero-filled: the first term of
-each block is written into it and the others are added, and only a block
-that no term writes is zeroed.
+result any more may ``recycle`` it. An output is never zero-filled: the
+first term of each block is written into it and the others are added, and
+only a block that no term writes is zeroed.
+
+A chain evaluator (``numcheck``) works through a ``sample_batch``: the
+sample states in the public layout over spin-first memory, which every map
+reads in place. Values travel as ``(array, owned)`` pairs; the states are
+never owned. The owner of an array may write to it and gives it back with
+``release`` once it has read it; nothing else ever does. ``combine`` writes
+a sum or a scaling over its first owned operand, else into a buffer of the
+grid's, spin-first as numpy lays out a fresh result, so a pass allocates a
+few state-sized buffers, not some for every term. A residual norm is one
+dot product per (spin, sector) block and state over that memory
+(``norms``). Each value is computed by the same per-element arithmetic, in
+the same memory layout, as with freshly allocated arrays, so results are
+bit-identical to theirs.
 """
 
 from __future__ import annotations
@@ -431,13 +441,6 @@ def _write_block(dst, carr, src, sign, tmp, first):
         dst += tmp
 
 
-def _cheap_to_reapply(e: OperatorExpr) -> bool:
-    """Whether ``realize(e).apply`` runs no Q transform (no matmul, no FFT),
-    only pointwise block products: such a map costs less to apply again
-    than its batch-sized result costs to keep."""
-    return not e.uses_q()
-
-
 def realize(e: OperatorExpr, grid: GridRep) -> LinearMap:
     """Concrete linear operator for a normal-form expression.
 
@@ -512,3 +515,72 @@ def gaussian_states(grid: GridRep, nstates=8, seed=0, sector=None):
         state = envelope[..., None, None] * amps
         states.append(grid.normalize(state))
     return states
+
+
+def sample_batch(grid: GridRep, nstates, seed, sector) -> _SampleBatch:
+    """The ``gaussian_states`` of one evaluation as a ``_SampleBatch``."""
+    return _SampleBatch(grid, nstates, seed, sector)
+
+
+class _SampleBatch:
+    """The sample states of one evaluation on a leading axis (``states``,
+    never owned), and the array work that a chain evaluator does on them:
+    see "Buffer ownership" in the module docstring. ``residual`` is the
+    worst per-state norm of an array relative to that of its state."""
+
+    def __init__(self, grid: GridRep, nstates, seed, sector):
+        shape = grid.state_shape
+        self.grid = grid
+        self.hbar = grid.hbar
+        self._inner_shape = shape[-2:] + (nstates,) + shape[:-2]
+        self.states = np.stack(
+            gaussian_states(grid, nstates=nstates, seed=seed, sector=sector),
+            out=_to_public(np.empty(self._inner_shape, dtype=complex)))
+        self.in_norms = self.norms(self.states)
+
+    def realize(self, e: OperatorExpr) -> LinearMap:
+        return realize(e, self.grid)
+
+    def apply(self, op: LinearMap, state):
+        """``op`` applied to ``state``: an owned array."""
+        return op.apply(state)
+
+    @staticmethod
+    def cheap_to_reapply(e: OperatorExpr) -> bool:
+        """Whether ``realize(e).apply`` runs no Q transform (no matmul, no
+        FFT), only pointwise block products: such a map costs less to apply
+        again than its batch-sized result costs to keep."""
+        return not e.uses_q()
+
+    def combine(self, ufunc, *operands):
+        """``ufunc`` of ``(array or scalar, owned)`` operands, owned: written
+        over the first owned operand, else into a new buffer of the grid's;
+        the other owned operands are released."""
+        arrays = [(arr, owned) for arr, owned in operands if np.ndim(arr)]
+        out = next((arr for arr, owned in arrays if owned), None)
+        if out is None:
+            out = _to_public(self.grid.take_buffer(self._inner_shape))
+        ufunc(*(arr for arr, _ in operands), out=out)
+        for arr, owned in arrays:
+            if owned and arr is not out:
+                self.release(arr)
+        return out, True
+
+    def release(self, arr):
+        self.grid.recycle(arr)
+
+    def norms(self, arr):
+        """Per-state norms: for each state, the squared moduli of its (spin,
+        sector) blocks summed by one dot product of each block's real view,
+        block after block, over spin-first memory. ``np.einsum`` forms a dot
+        product the same way for any number of BLAS threads, where
+        ``np.vdot`` splits it between them."""
+        nstates = len(arr)
+        blocks = _to_inner(self.grid, arr).reshape(
+            -1, nstates, math.prod(arr.shape[1:-2]))
+        return np.sqrt([sum(np.einsum("i,i->", v, v) for v in
+                            (block.view(float) for block in blocks[:, n]))
+                        for n in range(nstates)])
+
+    def residual(self, arr):
+        return float(np.max(self.norms(arr) / self.in_norms))

@@ -72,9 +72,7 @@ def nw_evolution(y: float, sigma: float, t: float, grid: GridRep) -> NWEvolution
 
     p = grid.p_axis
     psi_p = np.exp(-p**2 * sigma**2 / (2.0 * grid.hbar**2) - 1j * p * y / grid.hbar)
-    psi_p = psi_p.astype(complex)
-    nrm = np.sqrt(np.sum(np.abs(psi_p) ** 2) * grid.dp)
-    psi_p /= nrm
+    psi_p = grid.normalize(psi_p.astype(complex))
     phase = np.exp(-1j * grid.omega * t / grid.hbar)
     psi_xt = _axis_transform(grid, phase * psi_p)
     density = np.abs(psi_xt) ** 2

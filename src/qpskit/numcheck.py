@@ -15,12 +15,12 @@ applied right to left: ``("A", "B")`` is A(B psi), ``[A,B]`` reads
 which reads ``("B", "C")`` once, when it is computed. Before any map is
 applied, ``_ChainCache`` counts every read of every chain and every
 application of every map. A chain longer than one map, or one map that
-the grid reports costly to apply again (one with a Q term, which costs a
-matmul or an FFT: ``grid._cheap_to_reapply``), is computed once and dropped
-at its last read; any other single map (H, P_i, S_i, ...) is applied to the
-batch again at each read, which costs a few pointwise products and holds
-no buffer between reads. Each map is realized once and dropped after
-its last application. An identity c (i hbar)^k [B,A] whose expected side
+the batch reports costly to apply again (on the grid, one with a Q term,
+which costs a matmul or an FFT), is computed once and dropped at its last
+read; any other single map (H, P_i, S_i, ...) is applied to the batch
+again at each read, which costs a few pointwise products and holds no
+buffer between reads. Each map is realized once and dropped after its
+last application. An identity c (i hbar)^k [B,A] whose expected side
 negates term by term that of an earlier c (i hbar)^k [A,B] is not
 evaluated: IEEE arithmetic is sign-symmetric, so its residual is its
 partner's (``_mirrors``; 45 rows of the Poincare table). The other
@@ -29,24 +29,17 @@ their residuals are reported in declaration order. A chain is computed by
 the same arithmetic whatever the order, so the residuals do not depend on
 it.
 
-Buffer ownership. Chains, word values and the sums of an identity all sit
-in buffers from the grid's free list (``GridRep.take_buffer``). The cache
-is the one place that gives them back (``GridRep.recycle``): a held chain at
-its last read, every other array as soon as the value formed from it exists.
-A term whose factor c (i hbar)^k is 1 is its word itself, so a sum may be a
-chain that the cache still holds, and only an owned sum is given back. A
-pass therefore allocates a few state-sized buffers, not some for every
-term. The batch is laid out spin-first in memory (``_make_batch``), so every
-map reads it and every chain in place, and every array formed here is
-spin-first too: the memory order numpy gives a fresh result of the same
-operation. A residual norm is one dot product per (spin, sector) block and
-state over that memory (``_state_norms``), with no squared-moduli array,
-so the residuals do not depend on where the arrays came from.
+The array work is the sample batch's (``grid.sample_batch``): it realizes
+and applies maps, forms sums in its own buffers, gives owned values back
+and measures residuals; see "Buffer ownership" in ``grid``. The cache
+releases a held chain at its last read and every other owned value as soon
+as the value formed from it exists. A term whose factor c (i hbar)^k is 1
+is its word itself, so a sum may be a chain that the cache still holds, and
+only an owned sum is released.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from itertools import islice
 
@@ -54,8 +47,7 @@ import numpy as np
 
 from .generators import (DERIVED, LEMMAS, PAULI_LUBANSKI, TABLES, GeneratorSet,
                          parse_word)
-from .grid import (GridConfigError, GridRep, _cheap_to_reapply, gaussian_states,
-                   realize)
+from .grid import GridConfigError, GridRep, sample_batch
 from .report import VerificationReport
 
 DEFAULT_TOL = 1e-6
@@ -80,30 +72,24 @@ def _word_chains(word):
 
 
 class _ChainCache:
-    """Chains and realized maps on one state batch, read-counted over the
+    """Chains and realized maps on one sample batch, read-counted over the
     ``words`` that will be read: each is kept only until its last use.
 
     A chain is held between its reads when it is longer than one map, or
-    when the grid reports its map costly to apply again
-    (``grid._cheap_to_reapply``). Any other single map (``held`` is false)
-    is applied to the batch again at each of its reads, which on the grid
-    costs a few pointwise block products, where holding it would keep a
-    batch-sized buffer over its whole read span. The plan counts one
-    application per such read.
+    when the batch reports its map costly to apply again. Any other single
+    map (``held`` is false) is applied to the states again at each of its
+    reads, which on the grid costs a few pointwise block products, where
+    holding it would keep a batch-sized buffer over its whole read span.
+    The plan counts one application per such read.
 
-    Values travel as ``(array, owned)`` pairs. The batch is never owned;
-    a held chain is owned by the reader that reads it last, a rebuilt one by
-    every reader, and every array formed here from chains is owned by its
-    caller. The owner of an array may write to it, and gives it back to the
-    grid's free list with ``recycle`` once it has read it; nothing else ever
-    does.
+    Values are the batch's ``(array, owned)`` pairs: a held chain is owned
+    by the reader that reads it last, a rebuilt one by every reader, and
+    every value formed here from chains by its caller.
     """
 
-    def __init__(self, gens: GeneratorSet, grid: GridRep, batch, words):
+    def __init__(self, gens: GeneratorSet, batch, words):
         self.gens = gens
-        self.grid = grid
         self.batch = batch
-        self.in_norms = _state_norms(batch)
         self.exprs = {}            # map name -> its expression
         self.reads = Counter()     # held chain -> reads left
         self.applies = Counter()   # map name -> applications left
@@ -120,9 +106,9 @@ class _ChainCache:
         return self.exprs[name]
 
     def _costly(self, key):
-        """Whether the first map that ``key`` applies is one the grid
-        prefers not to apply again (``grid._cheap_to_reapply``)."""
-        return bool(key) and not _cheap_to_reapply(self._expr(key[0]))
+        """Whether the first map that ``key`` applies is one the batch
+        prefers not to apply again."""
+        return bool(key) and not self.batch.cheap_to_reapply(self._expr(key[0]))
 
     def held(self, key):
         """Whether the chain ``key`` is kept between its reads."""
@@ -141,7 +127,7 @@ class _ChainCache:
 
     def map(self, name):
         if name not in self.maps:
-            self.maps[name] = realize(self._expr(name), self.grid)
+            self.maps[name] = self.batch.realize(self._expr(name))
         left = self.applies.pop(name) - 1   # KeyError: an unplanned apply
         if left:
             self.applies[name] = left
@@ -149,18 +135,19 @@ class _ChainCache:
         return self.maps.pop(name)
 
     def chain(self, key):
-        """The maps of ``key`` applied right to left to the batch, owned when
-        this is its last read or the chain is rebuilt at every read."""
+        """The maps of ``key`` applied right to left to the states, owned
+        when this is its last read or the chain is rebuilt at every read."""
+        batch = self.batch
         if not key:
-            return self.batch, False
+            return batch.states, False
         if not self.held(key):
-            return self.map(key[0]).apply(self.batch), True
+            return batch.apply(self.map(key[0]), batch.states), True
         value = self.chains.pop(key, None)
         if value is None:
             arg, owned = self.chain(key[1:])
-            value = self.map(key[0]).apply(arg)
+            value = batch.apply(self.map(key[0]), arg)
             if owned:
-                self.recycle(arg)
+                batch.release(arg)
         left = self.reads.pop(key) - 1      # KeyError: an unplanned read
         if left:
             self.reads[key] = left
@@ -168,7 +155,7 @@ class _ChainCache:
         return value, not left
 
     def word(self, word):
-        """A declared word applied to the batch, as an ``(array, owned)``
+        """A declared word applied to the states, as an ``(array, owned)``
         pair."""
         kind, keys = _word_chains(word)
         # a chain whose first map is costly to apply goes before the others:
@@ -177,84 +164,32 @@ class _ChainCache:
         values = [None] * len(keys)
         for n in sorted(range(len(keys)), key=lambda n: not self._costly(keys[n])):
             values[n] = self.chain(keys[n])
+        combine = self.batch.combine
         if kind == "[]":
-            return self.combine(np.subtract, *values)
+            return combine(np.subtract, *values)
         if kind == "d/dt":
             explicit, ah, ha = values
-            rate = self.combine(np.divide, self.combine(np.subtract, ah, ha),
-                                (1j * self.grid.hbar, False))
-            return self.combine(np.add, explicit, rate)
+            rate = combine(np.divide, combine(np.subtract, ah, ha),
+                           (1j * self.batch.hbar, False))
+            return combine(np.add, explicit, rate)
         return values[0]
-
-    def combine(self, ufunc, *operands):
-        """``ufunc`` of ``(array or scalar, owned)`` operands, owned.
-
-        Every array operand is spin-first, as numpy would lay out a fresh
-        result. The result is written over the first owned operand, else
-        into a new buffer of the grid's; the other owned operands are
-        recycled.
-        """
-        arrays = [(arr, owned) for arr, owned in operands if np.ndim(arr)]
-        out = next((arr for arr, owned in arrays if owned), None)
-        if out is None:
-            out = self._buffer()
-        ufunc(*(arr for arr, _ in operands), out=out)
-        for arr, owned in arrays:
-            if owned and arr is not out:
-                self.recycle(arr)
-        return out, True
-
-    def _buffer(self):
-        """A batch-shaped array over a buffer of the grid's, in the public
-        layout over spin-first memory, as the batch is."""
-        shape = self.batch.shape
-        buf = self.grid.take_buffer(shape[-2:] + shape[:-2])
-        return np.moveaxis(buf, (0, 1), (-2, -1))
-
-    def recycle(self, arr):
-        self.grid.recycle(arr)
-
-    def residual(self, arr):
-        return float(np.max(_state_norms(arr) / self.in_norms))
-
-
-def _state_norms(arr):
-    """Per-state norms of a batch in the public layout: for each state, the
-    squared moduli of its (spin, sector) blocks summed by one dot product of
-    each block's real view, block after block, over spin-first memory.
-    ``np.einsum`` forms a dot product the same way for any number of BLAS
-    threads, where ``np.vdot`` splits it between them."""
-    nstates = len(arr)
-    blocks = np.moveaxis(arr, (-2, -1), (0, 1)).reshape(
-        -1, nstates, math.prod(arr.shape[1:-2]))
-    return np.sqrt([sum(np.einsum("i,i->", v, v) for v in
-                        (block.view(float) for block in blocks[:, n]))
-                    for n in range(nstates)])
 
 
 def _sum_words(cache, terms):
-    """Sum of c * (i hbar)^k * word over the ``(c, k, word)`` terms, formed in
-    buffers of the grid's, as an ``(array, owned)`` pair: a lone word with
+    """Sum of c * (i hbar)^k * word over the ``(c, k, word)`` terms, formed by
+    the batch, as an ``(array, owned)`` pair: a lone word with
     c (i hbar)^k = 1 is the word itself, which may be a chain that the cache
     still holds."""
-    ih = 1j * cache.grid.hbar
+    combine = cache.batch.combine
+    ih = 1j * cache.batch.hbar
     acc = None
     for c, k, word in terms:
         factor = c * ih**k
         term = cache.word(word)
         if factor != 1:
-            term = cache.combine(np.multiply, (factor, False), term)
-        acc = term if acc is None else cache.combine(np.add, acc, term)
+            term = combine(np.multiply, (factor, False), term)
+        acc = term if acc is None else combine(np.add, acc, term)
     return acc
-
-
-def _make_batch(grid, nstates, seed, sector=None):
-    """The sample states on a leading axis, in the public layout over
-    spin-first memory, so that every map reads them in place."""
-    shape = grid.state_shape
-    inner = np.empty(shape[-2:] + (nstates,) + shape[:-2], dtype=complex)
-    return np.stack(gaussian_states(grid, nstates=nstates, seed=seed, sector=sector),
-                    out=np.moveaxis(inner, (0, 1), (-2, -1)))
 
 
 def _chain_needs(words, held):
@@ -338,17 +273,17 @@ def _grid_reports(suites, gens, grid, nstates, seed, tol):
     evaluated = [n for n in range(len(idents)) if n not in mirrors]
     words = [[word for _, _, word in idents[n].lhs + idents[n].expected]
              for n in evaluated]
-    batch = _make_batch(grid, nstates, seed)
-    cache = _ChainCache(gens, grid, batch, [w for ws in words for w in ws])
+    batch = sample_batch(grid, nstates, seed, None)
+    cache = _ChainCache(gens, batch, [w for ws in words for w in ws])
     residuals = [None] * len(idents)
     for i in _schedule(_chain_needs(words, cache.held)):
         n = evaluated[i]
         acc = _sum_words(cache, [(sign * c, k, word) for sign, terms in
                                  ((1, idents[n].lhs), (-1, idents[n].expected))
                                  for c, k, word in terms])
-        residuals[n] = cache.residual(acc[0])
+        residuals[n] = batch.residual(acc[0])
         if acc[1]:
-            cache.recycle(acc[0])
+            batch.release(acc[0])
     for n, m in mirrors.items():
         residuals[n] = residuals[m]
     rows = zip(idents, residuals)
@@ -408,26 +343,27 @@ def numeric_casimir_report(gens: GeneratorSet, grid: GridRep, nstates=8,
     target = -grid.hbar**2 * grid.m**2 * s * (s + 1.0)
     scale = abs(target) if target else 1.0
     for sector, tag in ((1, "positive"), (-1, "negative")):
-        batch = _make_batch(grid, nstates, seed, sector=sector)
-        cache = _ChainCache(gens, grid, batch, [word for _, _, word in c2])
+        batch = sample_batch(grid, nstates, seed, sector)
+        cache = _ChainCache(gens, batch, [word for _, _, word in c2])
         acc, owned = _sum_words(cache, c2)
-        resid, _ = cache.combine(np.subtract, (acc, False),
-                                 cache.combine(np.multiply, (target, False),
-                                               (batch, False)))
-        r = cache.residual(resid) / scale
-        cache.recycle(resid)
+        resid, _ = batch.combine(np.subtract, (acc, False),
+                                 batch.combine(np.multiply, (target, False),
+                                               (batch.states, False)))
+        r = batch.residual(resid) / scale
+        batch.release(resid)
         report.add(id=f"spectrum[{tag}]", lhs="(W0^2 - W.W) psi",
                    expected=f"{target:.6g} * psi", residual=f"{r:.3e}",
                    passed=r <= tol, residual_norm=r)
-        axes = tuple(range(1, batch.ndim))
-        forms = np.sum(np.conj(batch) * acc, axis=axes).real \
-            / np.sum(np.abs(batch) ** 2, axis=axes)
+        states = batch.states
+        axes = tuple(range(1, states.ndim))
+        forms = np.sum(np.conj(states) * acc, axis=axes).real \
+            / np.sum(np.abs(states) ** 2, axis=axes)
         worst = float(np.max(np.abs(forms - target))) / scale
         report.add(id=f"quadratic_form[{tag}]", lhs="<psi,(W0^2-W.W)psi>/|psi|^2",
                    expected=f"{target:.6g}", residual=f"{worst:.3e}",
                    passed=worst <= tol, residual_norm=worst)
         if owned:
-            cache.recycle(acc)
+            batch.release(acc)
     return report
 
 

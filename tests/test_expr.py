@@ -1,12 +1,15 @@
 """Normal ordering, commutators, adjoints, substitutions."""
 
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
 
 from qpskit import (DEFAULT_CONTEXT, OperatorExpr, commutator, normal_form,
                     parse_expr, total_time_derivative)
-from qpskit.expr import ExprError
+from qpskit.expr import ExprError, _s_mul
+from qpskit.grid import spin_matrices_numeric
 
 P = parse_expr
 
@@ -21,6 +24,30 @@ def test_spin_straightening():
     assert P("S2*S1") == P("S1*S2 - i*hbar*S3")
     assert P("S3*S1") == P("S1*S3 + i*hbar*S2")
     assert P("S3*S2") == P("S2*S3 - i*hbar*S1")
+
+
+@pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(1), Fraction(3, 2)])
+def test_straightened_spin_products_are_spin_matrix_products(s):
+    """Every product of two spin monomials of total degree <= 6, straightened
+    by ``_s_mul``, is the product of their spin matrices: an exhaustive
+    companion to the random spin_matrix_homomorphism law."""
+    hbar = 0.7
+    mats = spin_matrices_numeric(s, hbar)
+    values = [0.0, 0.0, 0.0, 1.0, 0.0, hbar, 0.0, 0.0]   # GEN_NAMES order
+
+    def matrix(mono):
+        out = np.eye(len(mats[0]), dtype=complex)
+        for mat, e in zip(mats, mono):
+            out = out @ np.linalg.matrix_power(mat, e)
+        return out
+
+    monos = [m for m in product(range(7), repeat=3) if sum(m) <= 6]
+    pairs = [(a, b) for a in monos for b in monos if sum(a) + sum(b) <= 6]
+    assert len(pairs) == 924
+    for a, b in pairs:
+        got = sum(co.evaluate(values, 0.0) * matrix(mono)
+                  for mono, co in _s_mul(DEFAULT_CONTEXT, a, b).items())
+        assert np.allclose(got, matrix(a) @ matrix(b), rtol=0, atol=1e-12), (a, b)
 
 
 def test_sector_involution():

@@ -347,6 +347,50 @@ def test_recycled_buffers_are_handed_out_again_and_only_once():
     assert not np.shares_memory(g.take_buffer((4, 8)), buf)
 
 
+def _block_dot_norms(arr):
+    """Per-state norms as one ``einsum`` dot product of each (spin, sector)
+    block's real view, block after block, in spin-first order."""
+    nstates = len(arr)
+    blocks = np.moveaxis(arr, (-2, -1), (0, 1)).reshape(-1, nstates,
+                                                        np.prod(arr.shape[1:-2]))
+    return np.sqrt([sum(np.einsum("i,i->", v, v) for v in
+                        (block.view(float) for block in blocks[:, n]))
+                    for n in range(nstates)])
+
+
+def test_sample_batch_norms_are_the_block_dot_product_reduction():
+    g = GridRep(d=3, npts=8, pmax=2.0, s=Fraction(1, 2))
+    batch = qpskit.grid.sample_batch(g, 3, 4, None)
+    assert np.moveaxis(batch.states, (-2, -1), (0, 1)).flags.c_contiguous
+    k1 = realize(foldy_generators()["K1"], g).apply(batch.states)
+    for arr in (batch.states, k1):
+        assert np.array_equal(batch.norms(arr), _block_dot_norms(arr))
+    # an array in C order is read through a spin-first copy
+    assert np.array_equal(batch.norms(np.ascontiguousarray(k1)), batch.norms(k1))
+    assert np.array_equal(batch.in_norms, _block_dot_norms(batch.states))
+    assert batch.residual(k1) == float(np.max(_block_dot_norms(k1) / batch.in_norms))
+
+
+def test_sample_batch_combine_writes_over_the_first_owned_operand():
+    g = GridRep(d=3, npts=8, pmax=2.0, s=Fraction(1, 2))
+    batch = qpskit.grid.sample_batch(g, 2, 0, None)
+    states = batch.states
+    # no owned operand: a new buffer of the grid's, spin-first like the states
+    a, owned = batch.combine(np.multiply, (2.0, False), (states, False))
+    b, _ = batch.combine(np.multiply, (3.0, False), (states, False))
+    assert owned and not np.shares_memory(a, b) and not np.shares_memory(a, states)
+    assert np.moveaxis(a, (-2, -1), (0, 1)).flags.c_contiguous
+    out, owned = batch.combine(np.subtract, (states, False), (a, True))
+    assert owned and out is a
+    assert np.array_equal(out, states - 2.0 * states)
+    out, owned = batch.combine(np.add, (a, True), (b, True))
+    assert owned and out is a
+    assert np.array_equal(out, (states - 2.0 * states) + 3.0 * states)
+    with pytest.raises(GridConfigError, match="recycled twice"):
+        batch.release(b)   # combine gave it back already
+    batch.release(a)
+
+
 @pytest.mark.parametrize("spin", [Fraction(1, 2), 0], ids=["s1/2", "s0"])
 def test_apply_reads_no_reused_buffer_before_writing_it(spin):
     """A realized map writes its first term into its output instead of adding

@@ -219,3 +219,31 @@ def test_guard_flags_an_unread_method():
                   "def f(x):\n    shadowed = x + 1\n    return shadowed\n")
     b = ast.parse("from a import A\nprint(A().used(), A().shown)\n")
     assert _unread_methods({"a": a, "b": b}) == {"a:A.dead", "a:A.shadowed"}
+
+
+# The grid's memory layout and buffer pool, which only its sample batch may
+# touch on an evaluator's behalf.
+GRID_INTERNALS = {"moveaxis", "take_buffer", "recycle", "_to_inner", "_to_public"}
+
+
+def _grid_internals(tree):
+    """Underscore names that ``tree`` imports from ``.grid``, and the
+    ``GRID_INTERNALS`` it names."""
+    imported = {a.name for n in ast.walk(tree)
+                if isinstance(n, ast.ImportFrom) and n.level == 1 and n.module == "grid"
+                for a in n.names if a.name.startswith("_")}
+    return imported | (_referenced_names(tree) & GRID_INTERNALS)
+
+
+def test_numcheck_holds_no_layout_or_buffer_code():
+    tree = ast.parse((SRC / "numcheck.py").read_text())
+    found = _grid_internals(tree)
+    assert not found, f"numcheck.py reaches into the grid: {sorted(found)}"
+
+
+def test_guard_flags_grid_internals_in_an_evaluator():
+    tree = ast.parse("from .grid import GridRep, _cheap_to_reapply\n"
+                     "import numpy as np\n"
+                     "def f(grid: GridRep, a):\n"
+                     "    grid.recycle(np.moveaxis(a, 0, 1))\n")
+    assert _grid_internals(tree) == {"_cheap_to_reapply", "recycle", "moveaxis"}

@@ -14,7 +14,7 @@ import pytest
 import qpskit.grid
 import qpskit.numcheck as numcheck
 from qpskit.generators import LEMMAS, PAULI_LUBANSKI, TABLES, parse_word
-from qpskit.grid import GridRep, LinearMap, gaussian_states, realize
+from qpskit.grid import GridRep, gaussian_states, realize, sample_batch
 from qpskit.numcheck import (convergence_report, numeric_casimir_report,
                              numeric_lemma_report, numeric_pl_report,
                              numeric_residual_reports, numeric_table_report)
@@ -48,8 +48,8 @@ def _direct_residuals(gens, grid, identities):
     with nothing shared between words or identities, on the evaluator's
     batch: the same states in the same memory order, and the norms by the
     evaluator's own reduction."""
-    batch = numcheck._make_batch(grid, 1, 0)
-    norms = numcheck._state_norms
+    sample = sample_batch(grid, 1, 0, None)
+    batch, norms = sample.states, sample.norms
 
     def compose(names):
         out = batch
@@ -134,7 +134,8 @@ def test_each_chain_applied_once_and_each_map_realized_once(
         foldy, monkeypatch, recorded_caches):
     """A chain longer than one map, or whose map has a Q term, is applied
     once; every read of a single Q-free map applies it again; each map is
-    realized once; the mirrored rows read nothing."""
+    realized once; the mirrored rows read nothing. The batch realizes and
+    applies every map, so a counting batch sees all of them."""
     twins = [ident for identities in SUITES for ident in _twins(identities)]
     mirrored = _mirrored(twins)
     assert len(mirrored) == 45
@@ -155,18 +156,17 @@ def test_each_chain_applied_once_and_each_map_realized_once(
                     else:
                         rebuilt_reads += 1
     calls = {"apply": 0, "realize": 0}
-    apply, real_realize = LinearMap.apply, numcheck.realize
 
-    def counting_apply(self, state):
-        calls["apply"] += 1
-        return apply(self, state)
+    class Counting(qpskit.grid._SampleBatch):
+        def realize(self, e):
+            calls["realize"] += 1
+            return super().realize(e)
 
-    def counting_realize(expr, grid):
-        calls["realize"] += 1
-        return real_realize(expr, grid)
+        def apply(self, op, state):
+            calls["apply"] += 1
+            return super().apply(op, state)
 
-    monkeypatch.setattr(LinearMap, "apply", counting_apply)
-    monkeypatch.setattr(numcheck, "realize", counting_realize)
+    monkeypatch.setattr(numcheck, "sample_batch", Counting)
     numeric_residual_reports(foldy, _grid(16), nstates=1)
     maps = {names[0] for names in held} | {
         name for ident in twins if ident.id not in mirrored
@@ -242,9 +242,8 @@ def test_a_word_with_factor_one_is_summed_without_a_copy(foldy):
     cache still holds for a later read comes back unowned, so nobody
     recycles it, and its last read comes back owned. A Q-free single map is
     not held: each read applies it again and hands its reader a new array."""
-    grid = _grid(8)
-    batch = numcheck._make_batch(grid, 1, 0)
-    cache = numcheck._ChainCache(foldy, grid, batch, ["J1", "J1", "H", "H"])
+    cache = numcheck._ChainCache(foldy, sample_batch(_grid(8), 1, 0, None),
+                                 ["J1", "J1", "H", "H"])
     first, owned = numcheck._sum_words(cache, [(1, 0, "J1")])
     assert not owned and cache.chains[("J1",)] is first
     again, owned = numcheck._sum_words(cache, [(1, 0, "J1")])
@@ -258,7 +257,7 @@ def test_a_word_with_factor_one_is_summed_without_a_copy(foldy):
 
 def test_batch_is_the_sample_states_over_spin_first_memory():
     grid = _grid(8)
-    batch = numcheck._make_batch(grid, 2, 5, sector=-1)
+    batch = sample_batch(grid, 2, 5, -1).states
     assert np.array_equal(batch, np.stack(gaussian_states(grid, nstates=2, seed=5,
                                                           sector=-1)))
     assert np.moveaxis(batch, (-2, -1), (0, 1)).flags.c_contiguous
@@ -322,8 +321,7 @@ def _reference_schedule(needs):
 def test_incremental_schedule_matches_rescoring_every_step(foldy):
     words = [[word for _, _, word in ident.lhs + ident.expected]
              for identities in SUITES for ident in _twins(identities)]
-    grid = _grid(8)
-    cache = numcheck._ChainCache(foldy, grid, numcheck._make_batch(grid, 1, 0),
+    cache = numcheck._ChainCache(foldy, sample_batch(_grid(8), 1, 0, None),
                                  [w for ws in words for w in ws])
     needs = numcheck._chain_needs(words, cache.held)
     assert len(needs) == 174
