@@ -12,35 +12,42 @@ The three suites of ``numeric residuals`` run together over one batch
 evaluation on one suite). Words are read as *chains*, tuples of map names
 applied right to left: ``("A", "B")`` is A(B psi), ``[A,B]`` reads
 ``("A", "B")`` and ``("B", "A")``, and ``A*B*C`` reads ``("A", "B", "C")``,
-which reads ``("B", "C")`` once, when it is computed. Before any map is
-applied, ``_ChainCache`` counts every read of every chain and every
-application of every map. A chain longer than one map, or one map that
+which reads ``("B", "C")`` when it is computed. The identities are
+scheduled first (``_schedule``), and then, before any map is applied,
+``_ChainCache`` counts every read of every chain and every application of
+every map over that schedule. A chain longer than one map, or one map that
 the batch reports costly to apply again (on the grid, one with a Q term,
-which costs a matmul or an FFT), is computed once and dropped at its last
-read; any other single map (H, P_i, S_i, ...) is applied to the batch
-again at each read, which costs a few pointwise products and holds no
-buffer between reads. Each map is realized once and dropped after its
-last application. An identity c (i hbar)^k [B,A] whose expected side
-negates term by term that of an earlier c (i hbar)^k [A,B] is not
-evaluated: IEEE arithmetic is sign-symmetric, so its residual is its
+which costs a matmul or an FFT), is computed once per *epoch* and dropped
+at the epoch's last read; any other single map (H, P_i, S_i, ...) is
+applied to the batch again at each read, which costs a few pointwise
+products and holds no buffer between reads. Each map is realized once and
+dropped after its last application. An identity c (i hbar)^k [B,A] whose
+expected side negates term by term that of an earlier c (i hbar)^k [A,B]
+is not evaluated: IEEE arithmetic is sign-symmetric, so its residual is its
 partner's (``_mirrors``; 45 rows of the Poincare table). The other
-identities run in an order that keeps few chains live (``_schedule``), and
-their residuals are reported in declaration order. A chain is computed by
-the same arithmetic whatever the order, so the residuals do not depend on
-it.
+identities run in an order that keeps few chains live, and their residuals
+are reported in declaration order. Between identities the schedule keeps
+at most as many held single-map chains live as one identity reads (3: the
+J and K rows read every pair of J_i and K_i together, so no order alone
+can finish one chain before the others are computed); past that bound it
+ends the epoch of the chain read again last, which is computed again at
+that read. A chain is computed by the same arithmetic whatever the order
+and however often, so the residuals do not depend on either.
 
 The array work is the sample batch's (``grid.sample_batch``): it realizes
 and applies maps, forms sums in its own buffers, gives owned values back
 and measures residuals; see "Buffer ownership" in ``grid``. The cache
-releases a held chain at its last read and every other owned value as soon
+releases a held chain at the last read of its epoch and every other owned value as soon
 as the value formed from it exists. A term whose factor c (i hbar)^k is 1
 is its word itself, so a sum may be a chain that the cache still holds, and
-only an owned sum is released.
+only an owned sum is released. ``numeric_casimir_report`` plans both
+frequency sectors in one cache, each on a batch of its own that goes before
+the next is drawn, so W0-W3 are realized once for both.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from itertools import islice
 
 import numpy as np
@@ -72,8 +79,9 @@ def _word_chains(word):
 
 
 class _ChainCache:
-    """Chains and realized maps on one sample batch, read-counted over the
-    ``words`` that will be read: each is kept only until its last use.
+    """Chains and realized maps on one sample batch, read-counted over a
+    plan of the words that will be read: each is kept only until its last
+    use.
 
     A chain is held between its reads when it is longer than one map, or
     when the batch reports its map costly to apply again. Any other single
@@ -82,20 +90,27 @@ class _ChainCache:
     holding it would keep a batch-sized buffer over its whole read span.
     The plan counts one application per such read.
 
+    ``plan`` counts the reads of each held chain by *epoch*: the chain is
+    computed once per epoch, at its first read there, and dropped at the
+    epoch's last read. An epoch ends where the plan says so, and the next
+    read starts another, which computes the chain again from the same maps
+    applied to the same input, so every epoch's value is bit-identical.
+    Each map's applications are counted over the whole plan, recomputations
+    included: it is realized once and dropped after its last application.
+    The words must then be read in the planned order.
+
     Values are the batch's ``(array, owned)`` pairs: a held chain is owned
-    by the reader that reads it last, a rebuilt one by every reader, and
-    every value formed here from chains by its caller.
+    by the reader that reads it last in its epoch, a rebuilt one by every
+    reader, and every value formed here from chains by its caller.
     """
 
-    def __init__(self, gens: GeneratorSet, batch, words):
+    def __init__(self, gens: GeneratorSet, batch):
         self.gens = gens
         self.batch = batch
         self.exprs = {}            # map name -> its expression
-        self.reads = Counter()     # held chain -> reads left
+        self.reads = {}            # held chain -> reads left in each epoch
         self.applies = Counter()   # map name -> applications left
-        for word in words:
-            for key in _word_chains(word)[1]:
-                self._plan(key)
+        self.open = set()          # held chains whose planned epoch goes on
         self.maps = {}
         self.chains = {}
 
@@ -114,16 +129,34 @@ class _ChainCache:
         """Whether the chain ``key`` is kept between its reads."""
         return len(key) > 1 or self._costly(key)
 
+    def plan(self, words, dropped=()):
+        """Count the reads of ``words``, read next, and the applications
+        they make; then end the epochs of the chains in ``dropped``, so that
+        the next read of each computes it again."""
+        for word in words:
+            for key in _word_chains(word)[1]:
+                self._plan(key)
+        self.open -= set(dropped)
+
     def _plan(self, key):
         if not key:
             return
         if not self.held(key):      # every read applies the map
             self.applies[key[0]] += 1
             return
-        if key not in self.reads:   # the first read computes the chain
+        if key not in self.open:    # the epoch's first read computes the chain
+            self.open.add(key)
+            self.reads.setdefault(key, deque()).append(0)
             self.applies[key[0]] += 1
             self._plan(key[1:])
-        self.reads[key] += 1
+        self.reads[key][-1] += 1
+
+    def q_transforms(self, key):
+        """Transforms along one axis that the first map of ``key`` runs, one
+        per axis of each of its Q-monomials: what recomputing the chain
+        costs beyond pointwise products."""
+        qmonos = {mono[:3] for mono in self._expr(key[0]).terms}
+        return sum(power > 0 for qmono in qmonos for power in qmono)
 
     def map(self, name):
         if name not in self.maps:
@@ -136,7 +169,8 @@ class _ChainCache:
 
     def chain(self, key):
         """The maps of ``key`` applied right to left to the states, owned
-        when this is its last read or the chain is rebuilt at every read."""
+        when this is the last read of its epoch or the chain is rebuilt at
+        every read."""
         batch = self.batch
         if not key:
             return batch.states, False
@@ -148,11 +182,15 @@ class _ChainCache:
             value = batch.apply(self.map(key[0]), arg)
             if owned:
                 batch.release(arg)
-        left = self.reads.pop(key) - 1      # KeyError: an unplanned read
-        if left:
-            self.reads[key] = left
+        epochs = self.reads[key]            # KeyError: an unplanned read
+        epochs[0] -= 1
+        if epochs[0]:
             self.chains[key] = value
-        return value, not left
+            return value, False
+        epochs.popleft()
+        if not epochs:
+            del self.reads[key]
+        return value, True
 
     def word(self, word):
         """A declared word applied to the states, as an ``(array, owned)``
@@ -228,12 +266,22 @@ def _mirrors(idents):
     return out
 
 
-def _schedule(needs):
-    """Evaluation order for tasks that read the chain sets ``needs``: next is
-    the task that computes the fewest new chains net of the live chains it
-    reads last, ties in declaration order. Scheduling a task changes only
-    the costs of the tasks that share a chain with it, so only those are
-    scored again."""
+def _schedule(needs, transforms):
+    """Evaluation plan for tasks that read the chain sets ``needs``, as
+    ``(task, dropped)`` pairs in evaluation order.
+
+    Next is the task that computes the fewest new chains net of the live
+    chains it reads last, ties in declaration order. Scheduling a task
+    changes only the costs of the tasks that share a chain with it, so only
+    those are scored again.
+
+    Between tasks at most B single-map chains stay live, B being the most
+    that any one task reads. After each task, while more than B that were
+    read are read again later, the one whose next read is farthest away is
+    dropped (Belady's MIN, IBM Syst. J. 5(2), 1966), on a tie the one whose
+    map runs fewer ``transforms(key)``; ``dropped`` names them, and the
+    next read of each computes it again. A longer chain is never dropped.
+    """
     pending = Counter(key for need in needs for key in need)
     users: dict = {}
     for n, need in enumerate(needs):
@@ -255,7 +303,27 @@ def _schedule(needs):
         for m in {m for key in needs[n] for m in users[key]}:
             if m in score:
                 score[m] = cost(m)
-    return order
+
+    singles = [{key for key in needs[n] if len(key) == 1} for n in order]
+    bound = max(map(len, singles), default=0)
+    steps = {}      # single-map chain -> the steps that read it, last first
+    for t in reversed(range(len(order))):
+        for key in singles[t]:
+            steps.setdefault(key, []).append(t)
+    live = set()
+    plan = []
+    for n, single in zip(order, singles):
+        for key in single:
+            steps[key].pop()
+        live = {key for key in live | single if steps[key]}
+        dropped = set()
+        while len(live) > bound:
+            # sorted: a full tie goes to the least key, whatever the set order
+            key = max(sorted(live), key=lambda key: (steps[key][-1], -transforms(key)))
+            live.remove(key)
+            dropped.add(key)
+        plan.append((n, dropped))
+    return plan
 
 
 def _grid_reports(suites, gens, grid, nstates, seed, tol):
@@ -274,9 +342,12 @@ def _grid_reports(suites, gens, grid, nstates, seed, tol):
     words = [[word for _, _, word in idents[n].lhs + idents[n].expected]
              for n in evaluated]
     batch = sample_batch(grid, nstates, seed, None)
-    cache = _ChainCache(gens, batch, [w for ws in words for w in ws])
+    cache = _ChainCache(gens, batch)
+    plan = _schedule(_chain_needs(words, cache.held), cache.q_transforms)
+    for i, dropped in plan:
+        cache.plan(words[i], dropped)
     residuals = [None] * len(idents)
-    for i in _schedule(_chain_needs(words, cache.held)):
+    for i, _ in plan:
         n = evaluated[i]
         acc = _sum_words(cache, [(sign * c, k, word) for sign, terms in
                                  ((1, idents[n].lhs), (-1, idents[n].expected))
@@ -329,6 +400,31 @@ def numeric_pl_report(gens: GeneratorSet, grid: GridRep, nstates=8, seed=0,
                          grid, nstates, seed, tol)[0]
 
 
+def _spectrum(cache, terms, target):
+    """``(residual, deviation)`` of the sum of ``terms`` against ``target``
+    times the identity on the cache's batch: the worst relative residual
+    norm, and the worst |<psi, sum psi>/|psi|^2 - target|. The quadratic
+    forms are summed over a buffer of the batch's, which goes to the garbage
+    collector, not back to the batch, so no spare buffer is held once the
+    call returns."""
+    batch = cache.batch
+    states = batch.states
+    acc, owned = _sum_words(cache, terms)
+    resid, _ = batch.combine(np.subtract, (acc, False),
+                             batch.combine(np.multiply, (target, False),
+                                           (states, False)))
+    r = batch.residual(resid)
+    batch.release(resid)
+    prod, _ = batch.combine(np.multiply,
+                            batch.combine(np.conjugate, (states, False)),
+                            (acc, owned))
+    sq = np.abs(states)
+    sq **= 2
+    axes = tuple(range(1, states.ndim))
+    forms = np.sum(prod, axis=axes).real / np.sum(sq, axis=axes)
+    return r, float(np.max(np.abs(forms - target)))
+
+
 def numeric_casimir_report(gens: GeneratorSet, grid: GridRep, nstates=8,
                            seed=0, tol=DEFAULT_TOL) -> VerificationReport:
     """Spectrum of W0^2 - W.W on per-sector band-limited states.
@@ -338,32 +434,31 @@ def numeric_casimir_report(gens: GeneratorSet, grid: GridRep, nstates=8,
     form and in residual norm.
     """
     c2 = DERIVED["C2"]
+    words = [word for _, _, word in c2]
     report = VerificationReport("numeric_casimir")
     s = float(grid.s)
     target = -grid.hbar**2 * grid.m**2 * s * (s + 1.0)
     scale = abs(target) if target else 1.0
+    shown = f"{target:.6g}" if target else "0"    # never "-0"
+    cache = None
     for sector, tag in ((1, "positive"), (-1, "negative")):
         batch = sample_batch(grid, nstates, seed, sector)
-        cache = _ChainCache(gens, batch, [word for _, _, word in c2])
-        acc, owned = _sum_words(cache, c2)
-        resid, _ = batch.combine(np.subtract, (acc, False),
-                                 batch.combine(np.multiply, (target, False),
-                                               (batch.states, False)))
-        r = batch.residual(resid) / scale
-        batch.release(resid)
+        if cache is None:
+            # one plan over both sectors, so each map is realized once; each
+            # sector's chains end with it and are computed on its own batch
+            cache = _ChainCache(gens, batch)
+            (need,) = _chain_needs([words], cache.held)
+            for _ in range(2):
+                cache.plan(words, need)
+        cache.batch = batch
+        r, worst = (x / scale for x in _spectrum(cache, c2, target))
+        cache.batch = batch = None   # gone before the next sector's is drawn
         report.add(id=f"spectrum[{tag}]", lhs="(W0^2 - W.W) psi",
-                   expected=f"{target:.6g} * psi", residual=f"{r:.3e}",
+                   expected=f"{shown} * psi", residual=f"{r:.3e}",
                    passed=r <= tol, residual_norm=r)
-        states = batch.states
-        axes = tuple(range(1, states.ndim))
-        forms = np.sum(np.conj(states) * acc, axis=axes).real \
-            / np.sum(np.abs(states) ** 2, axis=axes)
-        worst = float(np.max(np.abs(forms - target))) / scale
         report.add(id=f"quadratic_form[{tag}]", lhs="<psi,(W0^2-W.W)psi>/|psi|^2",
-                   expected=f"{target:.6g}", residual=f"{worst:.3e}",
+                   expected=shown, residual=f"{worst:.3e}",
                    passed=worst <= tol, residual_norm=worst)
-        if owned:
-            batch.release(acc)
     return report
 
 

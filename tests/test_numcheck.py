@@ -1,6 +1,7 @@
 """Grid twins: the shared read-counted evaluator against direct composition,
 its work and memory, and the convergence plumbing (which needs no grid)."""
 
+import itertools
 import random
 import tracemalloc
 from collections import Counter
@@ -130,32 +131,47 @@ def _mirrored(identities):
     return out
 
 
+def _held(gens, key):
+    """The evaluator's hold rule: a chain longer than one map, or one map
+    with a Q term."""
+    return len(key) > 1 or _expr_of(gens, key[0]).uses_q()
+
+
+def _q_axes(expr):
+    """Matmuls that one application of a realized map runs on a short-axis
+    grid: one per axis of each of its Q-monomials."""
+    return sum(map(bool, (q for mono in {m[:3] for m in expr.terms} for q in mono)))
+
+
 def test_each_chain_applied_once_and_each_map_realized_once(
         foldy, monkeypatch, recorded_caches):
-    """A chain longer than one map, or whose map has a Q term, is applied
-    once; every read of a single Q-free map applies it again; each map is
-    realized once; the mirrored rows read nothing. The batch realizes and
-    applies every map, so a counting batch sees all of them."""
+    """A held chain (longer than one map, or whose map has a Q term) is
+    applied once per epoch of the schedule's plan; every read of a single
+    Q-free map applies it again; each map is realized once; the mirrored
+    rows read nothing. The batch realizes and applies every map, so a
+    counting batch sees all of them, and the matmuls they run."""
     twins = [ident for identities in SUITES for ident in _twins(identities)]
     mirrored = _mirrored(twins)
     assert len(mirrored) == 45
-    held, rebuilt_reads = set(), 0
-    for ident in twins:
-        if ident.id in mirrored:
-            continue
-        for _, _, word in ident.lhs + ident.expected:
-            for names in _chains(word):
-                # the read itself, then the first computation of each held
-                # chain reads its tail
-                for i in range(len(names)):
-                    key = names[i:]
-                    if len(key) > 1 or _expr_of(foldy, key[0]).uses_q():
-                        if key in held:
-                            break
-                        held.add(key)
-                    else:
-                        rebuilt_reads += 1
-    calls = {"apply": 0, "realize": 0}
+    rows = [[word for _, _, word in ident.lhs + ident.expected]
+            for ident in twins if ident.id not in mirrored]
+    needs = [{names[i:] for word in words for names in _chains(word)
+              for i in range(len(names)) if _held(foldy, names[i:])}
+             for words in rows]
+    plans = []
+    schedule, matmul = numcheck._schedule, np.matmul
+
+    def recorded(needs, transforms):
+        plans.append((needs, schedule(needs, transforms)))
+        return plans[-1][1]
+
+    def counted(*args, **kwargs):
+        calls["matmul"] += 1
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(numcheck, "_schedule", recorded)
+    monkeypatch.setattr(np, "matmul", counted)
+    calls = {"apply": 0, "realize": 0, "matmul": 0}
 
     class Counting(qpskit.grid._SampleBatch):
         def realize(self, e):
@@ -168,12 +184,35 @@ def test_each_chain_applied_once_and_each_map_realized_once(
 
     monkeypatch.setattr(numcheck, "sample_batch", Counting)
     numeric_residual_reports(foldy, _grid(16), nstates=1)
-    maps = {names[0] for names in held} | {
-        name for ident in twins if ident.id not in mirrored
-        for _, _, word in ident.lhs + ident.expected
-        for names in _chains(word) for name in names}
-    assert calls == {"apply": len(held) + rebuilt_reads, "realize": len(maps)}
-    assert len(maps) == 36
+    ((scheduled, plan),) = plans
+    assert scheduled == needs
+    assert sorted(n for n, _ in plan) == list(range(len(rows)))
+    # walk the plan: a held chain is computed at the first read of each
+    # epoch, and that computation reads its tail; a dropped chain's epoch
+    # ends after the row that drops it
+    live, applied = set(), Counter()
+    for n, dropped in plan:
+        for word in rows[n]:
+            for names in _chains(word):
+                for i in range(len(names)):
+                    key = names[i:]
+                    if _held(foldy, key):
+                        if key in live:
+                            break
+                        live.add(key)
+                    applied[key] += 1
+        assert dropped <= live
+        live -= dropped
+    again = {key: count - 1 for key, count in applied.items()
+             if _held(foldy, key) and count > 1}
+    assert again == {("J1",): 2, ("J3",): 2, ("J2",): 1, ("K1",): 1,
+                     ("Q1",): 1, ("L1",): 1}
+    maps = {key[0] for key in applied}
+    assert calls == {"apply": sum(applied.values()), "realize": len(maps),
+                     "matmul": sum(count * _q_axes(_expr_of(foldy, key[0]))
+                                   for key, count in applied.items())}
+    # 416 applications and 183 matmuls when each held chain was computed once
+    assert len(maps) == 36 and calls["apply"] == 424 and calls["matmul"] == 197
     # every chain and map was dropped at its last read or application
     (cache,) = recorded_caches
     assert not cache.chains and not cache.maps
@@ -193,8 +232,9 @@ def test_shared_evaluator_memory_peak(foldy, recorded_caches):
     # whole run; 18.6 with the read-counted cache, and 18.9 with the chains,
     # sums and scratch in buffers that the grid hands out again; 13.7 with
     # the mirrored rows reusing their partners and the Q-free single maps
-    # applied again at each read instead of held
-    assert peak < 16 * batch_bytes, peak / batch_bytes
+    # applied again at each read instead of held; 11.6 with at most 3 J, K,
+    # Q or L chains live between rows
+    assert peak < 12 * batch_bytes, peak / batch_bytes
     (cache,) = recorded_caches
     assert not cache.chains and not cache.maps
 
@@ -202,7 +242,6 @@ def test_shared_evaluator_memory_peak(foldy, recorded_caches):
 def test_state_sized_buffers_are_allocated_a_bounded_number_of_times(
         foldy, monkeypatch):
     grid = _grid(16)
-    state_size = np.zeros((1, *grid.state_shape)).size
     sizes = Counter()
     new_buffer = qpskit.grid._new_buffer
 
@@ -211,11 +250,50 @@ def test_state_sized_buffers_are_allocated_a_bounded_number_of_times(
         return new_buffer(size)
 
     monkeypatch.setattr(qpskit.grid, "_new_buffer", counted)
-    numeric_residual_reports(foldy, grid, nstates=1)
-    # 9 state-sized buffers serve the 416 applications and 129 sums (14 for
-    # 278 applications when every chain was held and the 45 mirrored rows
-    # evaluated); one per term would be thousands.
-    assert 0 < sizes[state_size] <= 10, sizes
+    for nstates in (1, 2):
+        sizes.clear()
+        state_size = np.zeros((nstates, *grid.state_shape)).size
+        numeric_residual_reports(foldy, grid, nstates=nstates)
+        # 7 state-sized buffers serve the 424 applications and 129 sums: at
+        # most 4 held chains and 3 in flight (9 when all six J and K chains
+        # stayed live, 14 when every chain was held and the 45 mirrored rows
+        # evaluated); one per term would be thousands.
+        assert 0 < sizes[state_size] <= 7, (nstates, sizes)
+
+
+def test_casimir_realizes_each_map_once(foldy, monkeypatch, recorded_caches):
+    """One plan covers both sectors: W0-W3 are realized by the first
+    sector's batch and applied on both, and each sector computes its own
+    chains on its own batch."""
+    calls = Counter()
+
+    class Counting(qpskit.grid._SampleBatch):
+        def __init__(self, grid, nstates, seed, sector):
+            super().__init__(grid, nstates, seed, sector)
+            self.sector = sector
+
+        def realize(self, e):
+            calls["realize"] += 1
+            return super().realize(e)
+
+        def apply(self, op, state):
+            calls[self.sector] += 1
+            return super().apply(op, state)
+
+    monkeypatch.setattr(numcheck, "sample_batch", Counting)
+    numeric_casimir_report(foldy, _grid(8), nstates=1)
+    # W_i(W_i psi) for i = 0..3 on each sector
+    assert calls == {"realize": 4, 1: 8, -1: 8}
+    (cache,) = recorded_caches
+    assert not cache.chains and not cache.maps
+    assert not cache.reads and not cache.applies
+
+
+def test_casimir_target_zero_is_printed_without_a_sign(foldy):
+    """-hbar^2 m^2 s(s+1) is -0.0 at s = 0, which "%.6g" prints as "-0"."""
+    grid = GridRep(d=3, npts=8, pmax=2.0, m=1.0, s=0, tval=0.3)
+    report = numeric_casimir_report(foldy, grid, nstates=1)
+    assert [e.expected for e in report.entries] == ["0 * psi", "0"] * 2
 
 
 def test_no_map_copies_the_batch(foldy, monkeypatch):
@@ -242,8 +320,8 @@ def test_a_word_with_factor_one_is_summed_without_a_copy(foldy):
     cache still holds for a later read comes back unowned, so nobody
     recycles it, and its last read comes back owned. A Q-free single map is
     not held: each read applies it again and hands its reader a new array."""
-    cache = numcheck._ChainCache(foldy, sample_batch(_grid(8), 1, 0, None),
-                                 ["J1", "J1", "H", "H"])
+    cache = numcheck._ChainCache(foldy, sample_batch(_grid(8), 1, 0, None))
+    cache.plan(["J1", "J1", "H", "H"])
     first, owned = numcheck._sum_words(cache, [(1, 0, "J1")])
     assert not owned and cache.chains[("J1",)] is first
     again, owned = numcheck._sum_words(cache, [(1, 0, "J1")])
@@ -302,8 +380,11 @@ def test_convergence_records_unmatched_ids(make_report, lone, where):
     assert rep.failed == 2
 
 
-def _reference_schedule(needs):
-    """The scheduling rule scored from scratch at every step."""
+def _reference_schedule(needs, transforms):
+    """The scheduling rule scored from scratch at every step, then the live
+    set: after each step, while more than B single-map chains that were read
+    are read again later, drop the one read again last, then the one whose
+    map runs fewer transforms, then the least."""
     pending = Counter(key for need in needs for key in need)
     seen = set()
     left = list(range(len(needs)))
@@ -315,23 +396,135 @@ def _reference_schedule(needs):
         order.append(n)
         seen |= needs[n]
         pending.subtract(needs[n])
-    return order
+    singles = [{key for key in needs[n] if len(key) == 1} for n in order]
+    bound = max(map(len, singles), default=0)
+    live = set()
+    plan = []
+    for t, n in enumerate(order):
+        def next_read(key):
+            return next(u for u in range(t + 1, len(order)) if key in singles[u])
+
+        live = {key for key in live | singles[t]
+                if any(key in later for later in singles[t + 1:])}
+        dropped = set()
+        while len(live) > bound:
+            key = min(live, key=lambda key: (-next_read(key), transforms(key), key))
+            live.remove(key)
+            dropped.add(key)
+        plan.append((n, dropped))
+    return plan
+
+
+def _random_needs(rng):
+    keys = [(rng.randrange(4),) * rng.randint(1, 3) for _ in range(12)]
+    return [set(rng.sample(keys, rng.randint(0, 5)))
+            for _ in range(rng.randint(0, 30))]
+
+
+def _all_rows(foldy):
+    return [[word for _, _, word in ident.lhs + ident.expected]
+            for identities in SUITES for ident in _twins(identities)]
 
 
 def test_incremental_schedule_matches_rescoring_every_step(foldy):
-    words = [[word for _, _, word in ident.lhs + ident.expected]
-             for identities in SUITES for ident in _twins(identities)]
-    cache = numcheck._ChainCache(foldy, sample_batch(_grid(8), 1, 0, None),
-                                 [w for ws in words for w in ws])
+    words = _all_rows(foldy)
+    cache = numcheck._ChainCache(foldy, sample_batch(_grid(8), 1, 0, None))
     needs = numcheck._chain_needs(words, cache.held)
     assert len(needs) == 174
-    assert numcheck._schedule(needs) == _reference_schedule(needs)
+    assert (numcheck._schedule(needs, cache.q_transforms)
+            == _reference_schedule(needs, cache.q_transforms))
     rng = random.Random(20261018)
     for _ in range(200):
-        keys = [(rng.randrange(4),) * rng.randint(1, 3) for _ in range(12)]
-        needs = [set(rng.sample(keys, rng.randint(0, 5)))
-                 for _ in range(rng.randint(0, 30))]
-        assert numcheck._schedule(needs) == _reference_schedule(needs)
+        needs = _random_needs(rng)
+        transforms = (lambda key: key[0] % 2)
+        assert (numcheck._schedule(needs, transforms)
+                == _reference_schedule(needs, transforms))
+
+
+class _Names:
+    """A batch over symbols: the states are the empty word, a map is its
+    name, and applying it puts the name in front, so a chain's value is its
+    key. Maps named in ``cheap`` are cheap to apply again. It counts the
+    applications of each map and, in ``peak``, the most single-map chains of
+    ``chains`` held while one is computed, that one included."""
+
+    states = ()
+    hbar = 1.0
+
+    def __init__(self, cheap):
+        self.cheap = cheap
+        self.applied = Counter()
+        self.chains = {}
+        self.peak = 0
+
+    def realize(self, e):
+        return e
+
+    def apply(self, op, state):
+        self.applied[op] += 1
+        held = sum(len(key) == 1 for key in self.chains)
+        self.peak = max(self.peak, held + (not state))
+        return (op,) + state
+
+    def cheap_to_reapply(self, e):
+        return e in self.cheap
+
+    def combine(self, ufunc, *operands):
+        raise AssertionError("a product word forms no sum")
+
+    def release(self, arr):
+        pass
+
+
+def _run_plan(rows, dropping=True, cheap=()):
+    """Plan ``rows`` of words with the schedule and read them in its order
+    over a ``_Names`` batch, checking every value read. Returns the plan's
+    bound B, the most single-map chains held between rows and while one is
+    computed, and the planned and the counted applications."""
+    batch = _Names(set(cheap))
+    cache = numcheck._ChainCache({name: name for name in "abcdef"}, batch)
+    batch.chains = cache.chains
+    needs = numcheck._chain_needs(rows, cache.held)
+    plan = numcheck._schedule(needs, lambda key: key[0] in "ace")
+    bound = max((sum(len(key) == 1 for key in need) for need in needs), default=0)
+    for n, dropped in plan:
+        cache.plan(rows[n], dropped if dropping else ())
+    planned = Counter(cache.applies)
+    between = 0
+    for n, _ in plan:
+        for word in rows[n]:
+            value, _ = cache.word(word)
+            assert value == parse_word(word)[1]    # read within its epoch
+        between = max(between, sum(len(key) == 1 for key in cache.chains))
+    assert not cache.chains and not cache.reads and not cache.applies
+    return bound, between, batch.peak, planned, batch.applied
+
+
+def test_bounded_schedule_keeps_its_plan():
+    """On random rows, at most B single-map chains are live between rows,
+    every read finds its chain's value in the epoch that the plan counted,
+    and the applications planned are those that the batch sees."""
+    rng = random.Random(20261021)
+    for _ in range(200):
+        rows = [["*".join("abcd"[n] for n in key) for key in need]
+                for need in _random_needs(rng)]
+        bound, between, peak, planned, applied = _run_plan(rows, cheap={"d"})
+        assert between <= bound
+        assert planned == applied
+
+
+def test_bounded_schedule_recomputes_where_every_pair_is_read_together():
+    """Each pair of six chains is read by one row, as the J and K chains are
+    by the Poincare rows, so all six are computed before any can be
+    dropped. Holding each from its first read to its last keeps all six
+    live; the bounded schedule holds at most B + 1 and computes some twice."""
+    rows = [[b, a] for a, b in itertools.combinations("abcdef", 2)]
+    bound, between, peak, planned, _ = _run_plan(rows, dropping=False)
+    assert bound == 2 and peak == 6
+    assert planned == dict.fromkeys("abcdef", 1)
+    bound, between, peak, planned, _ = _run_plan(rows)
+    assert bound == 2 and between <= bound and peak <= bound + 1
+    assert sum(planned.values()) > 6
 
 
 @pytest.mark.parametrize("npts,nstates,seed", [
