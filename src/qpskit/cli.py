@@ -308,9 +308,16 @@ def build_parser():
     return parser
 
 
+# the parser main() parses with, built on its first call; parse_args keeps
+# no state between calls, so one serves every call in the process
+_PARSER = None
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (CoeffError, ValueError) as exc:

@@ -762,6 +762,8 @@ class AlgebraContext:
         self.s_mul_cache: dict = {}
         self.scalar_cache: dict = {}
         self.shuffle_cache: dict = {}
+        # generator sets, shared read-only, by the declarations they are built from
+        self.generator_sets: dict = {}
         self._i_hbar = ScalarCoeff(self, _FZERO, (GENS[GEN_NAMES.index("hbar")], ONE),
                                    _FZERO, _FZERO)
         self.p_over_w = tuple(_fdiv(self, (g, ONE), self.radicand) for g in GENS[:3])

@@ -191,6 +191,8 @@ class OperatorExpr:
         This covers every inverse the algebra needs (scalars, and scalars
         times Lam, whose own inverse is Lam).
         """
+        if not self.terms:
+            raise ExprError("the divisor is zero")
         if len(self.terms) != 1:
             raise ExprError("only single-term scalar*Lam^k expressions are invertible")
         (mono, c), = self.terms.items()

@@ -10,7 +10,8 @@ Bargmann set (``BARGMANN``) and the names that only the exact side reads
 Casimir, Pauli-Lubanski and boost-matrix identities (``TABLES``, ``LEMMAS``,
 ``CASIMIRS``, ``PAULI_LUBANSKI``, ``BOOST_MATRIX``) are pairs of such sums.
 One read-counted evaluator, ``_Words``, builds the sets and checks the
-identities; numcheck reads the same declarations for its grid twins.
+identities; numcheck reads the same declarations for its grid twins. Each
+set is built once per context and declaration and shared read-only.
 
 Lam, the frequency sign, is central with Lam^2 = 1, so every identity is
 declared once for both sectors, with Lam written where the sign enters, and
@@ -22,6 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from types import MappingProxyType
 
 from .coeffs import AlgebraContext, DEFAULT_CONTEXT, scalar_sqrt
 from .expr import (ExprError, OperatorExpr, _scale, commutator, eps,
@@ -33,11 +35,12 @@ AXES = (1, 2, 3)
 
 
 class GeneratorSet:
-    """Named map generator-symbol -> OperatorExpr."""
+    """Named map generator-symbol -> OperatorExpr, read-only: the built sets
+    are shared by every caller."""
 
     def __init__(self, ctx: AlgebraContext, table: dict):
         self.ctx = ctx
-        self.table = table
+        self.table = MappingProxyType(table)
 
     def __getitem__(self, name: str) -> OperatorExpr:
         return self.table[name]
@@ -233,25 +236,33 @@ def _declare(ctx, names, decls):
     return names
 
 
+def _generator_set(ctx, decls, scalars, vectors):
+    """The set of the names ``scalars`` and ``vectors`` (each on every axis)
+    declared by ``decls``, built on its first request in ``ctx`` and kept
+    there under ``decls``: a changed declaration builds its own set."""
+    gens = ctx.generator_sets.get(decls)
+    if gens is None:
+        with ctx.evaluation():
+            names = _declare(ctx, _primitives(ctx), decls)
+        table = {name: names[name] for name in scalars}
+        table.update((f"{p}{i}", names[f"{p}{i}"]) for i in AXES for p in vectors)
+        gens = ctx.generator_sets[decls] = GeneratorSet(ctx, table)
+    return gens
+
+
 def foldy_generators(ctx: AlgebraContext = DEFAULT_CONTEXT) -> GeneratorSet:
     """Relativistic generator set H = Lam*omega, J = QxP + S,
     K = tP - Q.H + Lam SxP/(omega+m), with the derived L, M, N, V, W pieces.
+    Built once per context and declaration; every call shares it read-only.
     """
-    with ctx.evaluation():
-        names = _declare(ctx, _primitives(ctx), FOLDY)
-    table = {name: names[name] for name in ("H", "Lam", "W0")}
-    table.update((f"{p}{i}", names[f"{p}{i}"]) for i in AXES for p in "PQSJKLMNVW")
-    return GeneratorSet(ctx, table)
+    return _generator_set(ctx, FOLDY, ("H", "Lam", "W0"), "PQSJKLMNVW")
 
 
 def bargmann_generators(ctx: AlgebraContext = DEFAULT_CONTEXT) -> GeneratorSet:
     """Nonrelativistic set H = P^2/(2 Mmass) + E0, J = QxP + S,
-    C = tP - Mmass*Q, with Mmass and E0 central constants."""
-    with ctx.evaluation():
-        names = _declare(ctx, _primitives(ctx), BARGMANN)
-    table = {name: names[name] for name in ("H", "Mmass", "E0")}
-    table.update((f"{p}{i}", names[f"{p}{i}"]) for i in AXES for p in "PQSJLC")
-    return GeneratorSet(ctx, table)
+    C = tP - Mmass*Q, with Mmass and E0 central constants. Built once per
+    context and declaration; every call shares it read-only."""
+    return _generator_set(ctx, BARGMANN, ("H", "Mmass", "E0"), "PQSJLC")
 
 
 # -- declared identities ------------------------------------------------------------

@@ -80,10 +80,46 @@ def test_verify_emrelation_scaled(tmp_path):
 
 
 def test_verify_bad_expression_usage_error(capsys):
-    # a syntax error, and an exponent the coefficient ring cannot pack
-    for h in ("Lam*(", "Lam*omega + P1^70"):
+    # a syntax error, an exponent the coefficient ring cannot pack, and a
+    # zero divisor, which is named as such
+    for h, cause in (("Lam*(", ""), ("Lam*omega + P1^70", ""),
+                     ("Lam*omega + 1/(P1-P1)", "bad divisor: the divisor is zero")):
         assert run(["verify", "emrelation", "--h", h]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and cause in err
+
+
+def test_main_calls_share_one_parser_and_no_parsed_state(tmp_path, monkeypatch,
+                                                          capsys):
+    """main builds its parser once per process; a call after a CSV run with
+    a Casimir spin and a usage error writes what a fresh interpreter does."""
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(build())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    assert run(["verify", "poincare", "--casimir-spin", "1/2", "--format", "csv",
+                "--out", str(tmp_path / "spin.csv")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "poincare", "--nonsense"])
+    assert exc.value.code == 2
+    assert run(["verify", "bargmann", "--casimir-spin", "1/2"]) == 2
+    out = tmp_path / "reused.json"
+    assert run(["verify", "poincare", "--out", str(out)]) == 0
+    assert len(built) == 1 and build() is not build()
+    fresh = tmp_path / "fresh.json"
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "qpskit.cli", "verify", "poincare",
+                           "--out", str(fresh)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == fresh.read_bytes()
 
 
 def test_bad_flags_exit_two():

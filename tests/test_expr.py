@@ -169,6 +169,13 @@ def test_invert_rules():
         P("1/(omega + Lam)")      # two-term operator, not invertible here
 
 
+def test_inverting_zero_names_its_cause():
+    zero = P("P1 - P1")
+    for divide in (zero.invert, lambda: P("omega") / zero, lambda: zero ** -1):
+        with pytest.raises(ExprError, match="^the divisor is zero$"):
+            divide()
+
+
 def test_casimir_reduction_flag():
     ctx = DEFAULT_CONTEXT
     s_sq = P("S1^2 + S2^2 + S3^2")

@@ -372,6 +372,37 @@ def test_registry_feeds_both_backends(foldy):
         numeric_table_report(bargmann_generators(), grid, "bargmann", nstates=1)
 
 
+def test_generator_sets_are_built_once_per_context_and_declaration(monkeypatch):
+    """A second request for a set returns the built one and forms no
+    coefficient product; another context, or a changed declaration, builds
+    its own. The shared table cannot be written."""
+    ctx = AlgebraContext()
+    foldy, bargmann = foldy_generators(ctx=ctx), bargmann_generators(ctx=ctx)
+    mul = ScalarCoeff._mul
+    products = []
+
+    def spy(self, o):
+        products.append(self.ctx)
+        return mul(self, o)
+
+    monkeypatch.setattr(ScalarCoeff, "_mul", spy)
+    assert foldy_generators(ctx=ctx) is foldy
+    assert bargmann_generators(ctx=ctx) is bargmann
+    assert not products
+    others = [foldy_generators(ctx=AlgebraContext(2)),
+              foldy_generators(ctx=AlgebraContext())]
+    flipped = N_MUTANTS["flip_sign"]
+    monkeypatch.setattr(generators, "FOLDY", tuple(
+        (name, flipped(int(name[1])) if name[0] == "N" else terms)
+        for name, terms in generators.FOLDY))
+    others.append(foldy_generators(ctx=ctx))
+    assert others[-1]["N1"] == -foldy["N1"]
+    assert len({id(gens) for gens in (foldy, *others)}) == 4
+    assert set(products) == {gens.ctx for gens in others}
+    with pytest.raises(TypeError):
+        foldy.table["H"] = foldy["P1"]
+
+
 # Entries that restate a sector-free twin under the id of a former one-sector
 # reading. perfbench's known answers pin the suites' entry counts, so they
 # merge into their twins with the next benchmark refresh (ROADMAP item 1).
@@ -404,13 +435,16 @@ def test_each_identity_is_declared_once():
 
 def test_tables_live_only_while_an_evaluation_runs(foldy, monkeypatch):
     """Every product a report, a closure check or a generator build forms
-    is formed with the tables open, and the tables are dropped on return."""
+    is formed with the tables open, and the tables are dropped on return.
+    The builds run on a fresh context: the fixture's context already holds
+    both sets, so building there forms no product."""
     ctx = foldy.ctx
+    fresh = AlgebraContext()
     candidate = P("Lam*omega + m^2/(P1+m)")
     runs = [lambda: check_table(foldy, "poincare"),
             lambda: energy_momentum_constraint_check(candidate),
-            lambda: foldy_generators(ctx=ctx),
-            lambda: bargmann_generators(ctx=ctx)]
+            lambda: foldy_generators(ctx=fresh),
+            lambda: bargmann_generators(ctx=fresh)]
     mul = ScalarCoeff._mul
     render = parser._render_scalar
     open_at_mul, open_at_render = [], []
@@ -432,7 +466,8 @@ def test_tables_live_only_while_an_evaluation_runs(foldy, monkeypatch):
         assert open_at_mul and all(open_at_mul)
         # the reports render their residuals; the generator builds render nothing
         assert all(open_at_render) and bool(open_at_render) == (k < 2)
-        assert ctx.products is None and ctx.derivatives is None and ctx.texts is None
+        for c in (ctx, fresh):
+            assert c.products is None and c.derivatives is None and c.texts is None
 
 
 def test_tables_are_dropped_when_a_report_raises(foldy, monkeypatch):

@@ -222,6 +222,9 @@ def test_each_chain_applied_once_and_each_map_realized_once(
 def test_shared_evaluator_memory_peak(foldy, recorded_caches):
     grid = _grid(32)
     batch_bytes = np.zeros((1, *grid.state_shape), dtype=complex).nbytes
+    # the first draw of a process imports numpy.random (0.75 MB traced) and
+    # keeps it: imported here, the peak counts only the evaluator's arrays
+    import numpy.random  # noqa: F401
     tracemalloc.start()
     try:
         numeric_residual_reports(foldy, grid, nstates=1)
@@ -525,6 +528,30 @@ def test_bounded_schedule_recomputes_where_every_pair_is_read_together():
     bound, between, peak, planned, _ = _run_plan(rows)
     assert bound == 2 and between <= bound and peak <= bound + 1
     assert sum(planned.values()) > 6
+
+
+def test_residuals_do_not_depend_on_the_schedule(foldy, monkeypatch):
+    """The plan changes memory and time, never a float: every residual of
+    a random order of the evaluated rows, with nothing dropped (always a
+    valid plan), is bit for bit the greedy plan's."""
+    grid = _grid(8)
+
+    def norms():
+        return [e.residual_norm.hex() for rep in
+                numeric_residual_reports(foldy, grid, nstates=2, seed=5)
+                for e in rep.entries]
+
+    greedy = norms()
+    for seed in range(4):
+        rng = random.Random(seed)
+
+        def shuffled(needs, transforms):
+            order = list(range(len(needs)))
+            rng.shuffle(order)
+            return [(n, set()) for n in order]
+
+        monkeypatch.setattr(numcheck, "_schedule", shuffled)
+        assert norms() == greedy, seed
 
 
 @pytest.mark.parametrize("npts,nstates,seed", [
